@@ -3,17 +3,17 @@
    Each method is translated once into flat arrays of preallocated
    closures: operands are resolved to register indices or immediates,
    field/static offsets, class ids, call targets, switch tables and the
-   cost table's cycle charges are looked up at compile time, and
-   straight-line instruction runs are fused so that one dispatch executes
-   the whole run.  Closures are unary ([state -> unit], the cheapest
-   indirect call OCaml native code can make — no caml_apply arity check);
-   the running thread and frame travel in the [cur_th]/[cur_fr] scratch
-   fields of the state, written by the dispatcher.  The dispatch loop
-   itself is a mirror image of [Interp.step]: per executed instruction it
-   performs exactly the same fuel check, instruction count, i-cache
-   access, timer check and cycle charges, in the same order, so results
-   are bit-identical to the reference interpreter (the differential
-   suite in test/test_engine.ml holds it to that).
+   cost table's cycle charges are looked up at compile time.  Closures
+   are unary ([state -> unit], the cheapest indirect call OCaml native
+   code can make — no caml_apply arity check); the running thread and
+   frame travel in the [cur_th]/[cur_fr] scratch fields of the state,
+   written by the dispatcher.  Straight-line words come from
+   [Straight], both as per-word chains and as fused runs; DESIGN.md §5
+   ("Compiling straight-line words") gives why either is bit-identical
+   to the reference [Machine.step], which test/test_engine.ml checks
+   differentially.  This module compiles everything else (calls,
+   yielding intrinsics, yieldpoints, instrumentation, terminators) and
+   runs the dispatch loop.
 
    Unresolvable references (an unknown field, class or call target) are
    compiled into closures that reproduce the reference interpreter's
@@ -80,30 +80,8 @@ type Program.cache_slot += Compiled of cprog
 let empty_cmeth : cmeth = [||]
 
 (* ------------------------------------------------------------------ *)
-(* Operand and instruction compilation                                 *)
+(* Instruction compilation                                             *)
 (* ------------------------------------------------------------------ *)
-
-let cop = function
-  | Lir.Reg r -> fun (fr : frame) -> fr.regs.(r)
-  | Lir.Imm n -> fun (_ : frame) -> n
-
-let binop_fn = function
-  | Lir.Add -> ( + )
-  | Lir.Sub -> ( - )
-  | Lir.Mul -> ( * )
-  | Lir.Div -> fun a b -> if b = 0 then rt_err "division by zero" else a / b
-  | Lir.Rem -> fun a b -> if b = 0 then rt_err "division by zero" else a mod b
-  | Lir.And -> ( land )
-  | Lir.Or -> ( lor )
-  | Lir.Xor -> ( lxor )
-  | Lir.Shl -> fun a b -> a lsl (b land 31)
-  | Lir.Shr -> fun a b -> a asr (b land 31)
-  | Lir.Lt -> fun a b -> if a < b then 1 else 0
-  | Lir.Le -> fun a b -> if a <= b then 1 else 0
-  | Lir.Gt -> fun a b -> if a > b then 1 else 0
-  | Lir.Ge -> fun a b -> if a >= b then 1 else 0
-  | Lir.Eq -> fun a b -> if a = b then 1 else 0
-  | Lir.Ne -> fun a b -> if a <> b then 1 else 0
 
 (* Build the callee frame from a template and push it; the counterpart
    of [Machine.new_frame] + the tail of [Machine.invoke], with the
@@ -133,377 +111,33 @@ let link_frame st th fr callee ~ret_dst ~from_meth ~from_site =
   th.parents <- fr :: th.parents;
   th.top <- Some callee
 
-(* Compile one instruction into its complete dispatch step.  [nxt] is the
-   already-compiled remainder of the block; straight-line instructions
-   run their own body, perform the dispatcher's preamble for the next
-   word ([naddr]) and tail-call [nxt], so a chain of instructions costs
-   one indirect call each.  Instructions that can suspend or reschedule
-   the current frame (calls, intrinsics that yield or spawn) first store
-   the resume index [ni] — exactly where the reference leaves idx — and
-   return to the dispatcher when done.  Yieldpoints only do so when a
-   switch actually happens. *)
-(* compile-time line geometry the straight-line fusion (below) computes
-   its line-head set for; the fused entry verifies the running cache
-   matches (Machine states always build the default geometry, so this
-   is one guaranteed-true compare per run of the fast path) *)
-let fused_line_words = 8
-
-(* instructions eligible for straight-line fusion: nothing that can
-   suspend, reschedule, switch threads, hand control to the dispatcher,
-   or charge a cycle amount with no static bound *)
+(* instructions eligible for straight-line fusion: the straight-line
+   words plus instrumentation, whose worst-case charge the fused entry
+   reads from the flat recorder *)
 let fusable = function
-  | Lir.Move _ | Lir.Unop _ | Lir.Binop _ | Lir.Get_field _ | Lir.Put_field _
-  | Lir.Get_static _ | Lir.Put_static _ | Lir.New_object _ | Lir.Array_load _
-  | Lir.Array_store _ | Lir.Array_length _ | Lir.Instance_test _
-  | Lir.Instrument _ | Lir.Guarded_instrument _ ->
-      true
-  | Lir.Intrinsic { name; args; _ } -> (
-      match (name, args) with ("print" | "rand"), [ _ ] -> true | _ -> false)
-  | Lir.New_array _ (* dynamic length: no static charge bound *)
-  | Lir.Call _ | Lir.Yieldpoint _ ->
-      false
+  | Lir.Instrument _ | Lir.Guarded_instrument _ -> true
+  | ins -> Straight.is_straight ins
 
+(* Compile one instruction into its complete dispatch step.  [nxt] is the
+   already-compiled remainder of the block; [ni]/[naddr] say what follows
+   the body, as in [Straight.advance]: a per-word chain passes the next
+   word's index and address so the step performs the dispatcher's
+   preamble for it and tail-calls [nxt] (one indirect call per word); a
+   fused run passes [ni < 0] and the step goes straight to [nxt].
+   Instructions that can suspend or reschedule the current frame (calls,
+   intrinsics that yield or spawn) first store the resume index [ni] —
+   exactly where the reference leaves idx — and return to the dispatcher
+   when done; they never fuse.  Yieldpoints only do so when a switch
+   actually happens. *)
 let rec compile_instr (cp : cprog) (prog : Program.t) (m : Program.meth)
     ~(nxt : k) ~(naddr : int) ~(ni : int) (ins : Lir.instr) : k =
-  let cont st =
-    fuel_check st;
-    st.instructions <- st.instructions + 1;
-    icache_access st naddr;
-    nxt st
-  in
+  let cont st = Straight.advance st ~next:nxt ~ni ~naddr in
   let costs = cp.c_costs in
-  let cc_mem = costs.Costs.mem in
-  let cc_move = costs.Costs.move in
-  let cc_alu = costs.Costs.alu in
-  let c_mem st = charge st cc_mem in
   match ins with
-  | Lir.Move (r, Lir.Imm n) ->
-      fun st ->
-        charge st cc_move;
-        st.cur_fr.regs.(r) <- n;
-        cont st
-  | Lir.Move (r, Lir.Reg s) ->
-      fun st ->
-        charge st cc_move;
-        let regs = st.cur_fr.regs in
-        regs.(r) <- regs.(s);
-        cont st
-  | Lir.Unop (r, op, a) -> (
-      match (op, a) with
-      | Lir.Neg, Lir.Reg s ->
-          fun st ->
-            charge st cc_alu;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- -regs.(s);
-            cont st
-      | Lir.Not, Lir.Reg s ->
-          fun st ->
-            charge st cc_alu;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- (if regs.(s) = 0 then 1 else 0);
-            cont st
-      | Lir.Neg, Lir.Imm n ->
-          let v = -n in
-          fun st ->
-            charge st cc_alu;
-            st.cur_fr.regs.(r) <- v;
-            cont st
-      | Lir.Not, Lir.Imm n ->
-          let v = if n = 0 then 1 else 0 in
-          fun st ->
-            charge st cc_alu;
-            st.cur_fr.regs.(r) <- v;
-            cont st)
-  | Lir.Binop (r, op, a, b) -> (
-      match (op, a, b) with
-      (* hand-specialized hot operators: without flambda a shared
-         [binop_fn] closure costs an indirect call per ALU op *)
-      | Lir.Add, Lir.Reg x, Lir.Reg y ->
-          fun st ->
-            charge st cc_alu;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- regs.(x) + regs.(y);
-            cont st
-      | Lir.Add, Lir.Reg x, Lir.Imm n ->
-          fun st ->
-            charge st cc_alu;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- regs.(x) + n;
-            cont st
-      | Lir.Sub, Lir.Reg x, Lir.Reg y ->
-          fun st ->
-            charge st cc_alu;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- regs.(x) - regs.(y);
-            cont st
-      | Lir.Sub, Lir.Reg x, Lir.Imm n ->
-          fun st ->
-            charge st cc_alu;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- regs.(x) - n;
-            cont st
-      | Lir.Mul, Lir.Reg x, Lir.Reg y ->
-          fun st ->
-            charge st cc_alu;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- regs.(x) * regs.(y);
-            cont st
-      | Lir.Mul, Lir.Reg x, Lir.Imm n ->
-          fun st ->
-            charge st cc_alu;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- regs.(x) * n;
-            cont st
-      | Lir.And, Lir.Reg x, Lir.Reg y ->
-          fun st ->
-            charge st cc_alu;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- regs.(x) land regs.(y);
-            cont st
-      | Lir.And, Lir.Reg x, Lir.Imm n ->
-          fun st ->
-            charge st cc_alu;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- regs.(x) land n;
-            cont st
-      | Lir.Or, Lir.Reg x, Lir.Reg y ->
-          fun st ->
-            charge st cc_alu;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- regs.(x) lor regs.(y);
-            cont st
-      | Lir.Or, Lir.Reg x, Lir.Imm n ->
-          fun st ->
-            charge st cc_alu;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- regs.(x) lor n;
-            cont st
-      | Lir.Xor, Lir.Reg x, Lir.Reg y ->
-          fun st ->
-            charge st cc_alu;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- regs.(x) lxor regs.(y);
-            cont st
-      | Lir.Xor, Lir.Reg x, Lir.Imm n ->
-          fun st ->
-            charge st cc_alu;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- regs.(x) lxor n;
-            cont st
-      | Lir.Lt, Lir.Reg x, Lir.Reg y ->
-          fun st ->
-            charge st cc_alu;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- (if regs.(x) < regs.(y) then 1 else 0);
-            cont st
-      | Lir.Lt, Lir.Reg x, Lir.Imm n ->
-          fun st ->
-            charge st cc_alu;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- (if regs.(x) < n then 1 else 0);
-            cont st
-      | Lir.Le, Lir.Reg x, Lir.Reg y ->
-          fun st ->
-            charge st cc_alu;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- (if regs.(x) <= regs.(y) then 1 else 0);
-            cont st
-      | Lir.Le, Lir.Reg x, Lir.Imm n ->
-          fun st ->
-            charge st cc_alu;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- (if regs.(x) <= n then 1 else 0);
-            cont st
-      | Lir.Gt, Lir.Reg x, Lir.Reg y ->
-          fun st ->
-            charge st cc_alu;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- (if regs.(x) > regs.(y) then 1 else 0);
-            cont st
-      | Lir.Gt, Lir.Reg x, Lir.Imm n ->
-          fun st ->
-            charge st cc_alu;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- (if regs.(x) > n then 1 else 0);
-            cont st
-      | Lir.Ge, Lir.Reg x, Lir.Reg y ->
-          fun st ->
-            charge st cc_alu;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- (if regs.(x) >= regs.(y) then 1 else 0);
-            cont st
-      | Lir.Ge, Lir.Reg x, Lir.Imm n ->
-          fun st ->
-            charge st cc_alu;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- (if regs.(x) >= n then 1 else 0);
-            cont st
-      | Lir.Eq, Lir.Reg x, Lir.Reg y ->
-          fun st ->
-            charge st cc_alu;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- (if regs.(x) = regs.(y) then 1 else 0);
-            cont st
-      | Lir.Eq, Lir.Reg x, Lir.Imm n ->
-          fun st ->
-            charge st cc_alu;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- (if regs.(x) = n then 1 else 0);
-            cont st
-      | Lir.Ne, Lir.Reg x, Lir.Reg y ->
-          fun st ->
-            charge st cc_alu;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- (if regs.(x) <> regs.(y) then 1 else 0);
-            cont st
-      | Lir.Ne, Lir.Reg x, Lir.Imm n ->
-          fun st ->
-            charge st cc_alu;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- (if regs.(x) <> n then 1 else 0);
-            cont st
-      (* the rest (shifts, division, Imm-first shapes) through the
-         shared operator table *)
-      | _, Lir.Reg x, Lir.Reg y ->
-          let f = binop_fn op in
-          fun st ->
-            charge st cc_alu;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- f regs.(x) regs.(y);
-            cont st
-      | _, Lir.Reg x, Lir.Imm n ->
-          let f = binop_fn op in
-          fun st ->
-            charge st cc_alu;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- f regs.(x) n;
-            cont st
-      | _, Lir.Imm n, Lir.Reg y ->
-          let f = binop_fn op in
-          fun st ->
-            charge st cc_alu;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- f n regs.(y);
-            cont st
-      | _, Lir.Imm n, Lir.Imm p ->
-          let f = binop_fn op in
-          fun st ->
-            charge st cc_alu;
-            st.cur_fr.regs.(r) <- f n p;
-            cont st)
-  | Lir.Get_field (r, o, fld) -> (
-      match
-        Hashtbl.find_opt prog.Program.field_offset (Lir.string_of_field_ref fld)
-      with
-      | Some off -> (
-          match o with
-          | Lir.Reg ro ->
-              fun st ->
-                c_mem st;
-                let regs = st.cur_fr.regs in
-                let obj = regs.(ro) in
-                let fields = obj_fields st obj in
-                data_access st (cell_addr st obj + off);
-                regs.(r) <- fields.(off);
-                cont st
-          | Lir.Imm _ as o ->
-              let eo = cop o in
-              fun st ->
-                c_mem st;
-                let fr = st.cur_fr in
-                let obj = eo fr in
-                let fields = obj_fields st obj in
-                data_access st (cell_addr st obj + off);
-                fr.regs.(r) <- fields.(off);
-                cont st)
-      | None ->
-          let eo = cop o in
-          let fstr = Lir.string_of_field_ref fld in
-          fun st ->
-            c_mem st;
-            ignore (obj_fields st (eo st.cur_fr) : int array);
-            rt_err "unresolved field %s" fstr)
-  | Lir.Put_field (o, fld, v) -> (
-      let eo = cop o in
-      match
-        Hashtbl.find_opt prog.Program.field_offset (Lir.string_of_field_ref fld)
-      with
-      | Some off -> (
-          match (o, v) with
-          | Lir.Reg ro, Lir.Reg rv ->
-              fun st ->
-                c_mem st;
-                let regs = st.cur_fr.regs in
-                let obj = regs.(ro) in
-                let fields = obj_fields st obj in
-                data_access st (cell_addr st obj + off);
-                fields.(off) <- regs.(rv);
-                cont st
-          | _ ->
-              let ev = cop v in
-              fun st ->
-                c_mem st;
-                let fr = st.cur_fr in
-                let obj = eo fr in
-                let fields = obj_fields st obj in
-                data_access st (cell_addr st obj + off);
-                fields.(off) <- ev fr;
-                cont st)
-      | None ->
-          let fstr = Lir.string_of_field_ref fld in
-          fun st ->
-            c_mem st;
-            ignore (obj_fields st (eo st.cur_fr) : int array);
-            rt_err "unresolved field %s" fstr)
-  | Lir.Get_static (r, fld) -> (
-      match
-        Hashtbl.find_opt prog.Program.static_offset
-          (Lir.string_of_field_ref fld)
-      with
-      | Some off ->
-          fun st ->
-            c_mem st;
-            data_access st off;
-            st.cur_fr.regs.(r) <- st.globals.(off);
-            cont st
-      | None ->
-          let fstr = Lir.string_of_field_ref fld in
-          fun st ->
-            c_mem st;
-            rt_err "unresolved static field %s" fstr)
-  | Lir.Put_static (fld, v) -> (
-      let ev = cop v in
-      match
-        Hashtbl.find_opt prog.Program.static_offset
-          (Lir.string_of_field_ref fld)
-      with
-      | Some off ->
-          fun st ->
-            c_mem st;
-            data_access st off;
-            st.globals.(off) <- ev st.cur_fr;
-            cont st
-      | None ->
-          let fstr = Lir.string_of_field_ref fld in
-          fun st ->
-            c_mem st;
-            rt_err "unresolved static field %s" fstr)
-  | Lir.New_object (r, cname) -> (
-      match Hashtbl.find_opt prog.Program.class_id_of_name cname with
-      | Some cid ->
-          let n = prog.Program.classes.(cid).Program.n_fields in
-          let slots = max n 1 in
-          let cc_alloc =
-            costs.Costs.alloc_base + (costs.Costs.alloc_per_slot * n)
-          in
-          fun st ->
-            charge st cc_alloc;
-            st.cur_fr.regs.(r) <-
-              alloc st (Obj { cls = cid; fields = Array.make slots 0 });
-            cont st
-      | None -> fun _ -> rt_err "unknown class %s" cname)
+  | _ when Straight.is_straight ins ->
+      Straight.compile costs prog m ~next:nxt ~ni ~naddr ins
   | Lir.New_array (r, len) ->
-      let el = cop len in
+      let el = Straight.cop len in
       let cc_base = costs.Costs.alloc_base in
       let cc_slot = costs.Costs.alloc_per_slot in
       fun st ->
@@ -513,94 +147,9 @@ let rec compile_instr (cp : cprog) (prog : Program.t) (m : Program.meth)
         charge st (cc_base + (cc_slot * n));
         fr.regs.(r) <- alloc st (Arr (Array.make (max n 1) 0));
         cont st
-  | Lir.Array_load (r, a, i) -> (
-      let mstr = Lir.string_of_method_ref m.Program.mref in
-      match (a, i) with
-      | Lir.Reg ra, Lir.Reg ri ->
-          fun st ->
-            c_mem st;
-            let regs = st.cur_fr.regs in
-            let arr = regs.(ra) in
-            let cells = arr_cells st arr in
-            let i = regs.(ri) in
-            if i < 0 || i >= Array.length cells then
-              rt_err "array index %d out of bounds (%s)" i mstr;
-            data_access st (cell_addr st arr + i);
-            regs.(r) <- cells.(i);
-            cont st
-      | _ ->
-          let ea = cop a in
-          let ei = cop i in
-          fun st ->
-            c_mem st;
-            let fr = st.cur_fr in
-            let arr = ea fr in
-            let cells = arr_cells st arr in
-            let i = ei fr in
-            if i < 0 || i >= Array.length cells then
-              rt_err "array index %d out of bounds (%s)" i mstr;
-            data_access st (cell_addr st arr + i);
-            fr.regs.(r) <- cells.(i);
-            cont st)
-  | Lir.Array_store (a, i, v) -> (
-      let mstr = Lir.string_of_method_ref m.Program.mref in
-      match (a, i, v) with
-      | Lir.Reg ra, Lir.Reg ri, Lir.Reg rv ->
-          fun st ->
-            c_mem st;
-            let regs = st.cur_fr.regs in
-            let arr = regs.(ra) in
-            let cells = arr_cells st arr in
-            let i = regs.(ri) in
-            if i < 0 || i >= Array.length cells then
-              rt_err "array index %d out of bounds (%s)" i mstr;
-            data_access st (cell_addr st arr + i);
-            cells.(i) <- regs.(rv);
-            cont st
-      | _ ->
-          let ea = cop a in
-          let ei = cop i in
-          let ev = cop v in
-          fun st ->
-            c_mem st;
-            let fr = st.cur_fr in
-            let arr = ea fr in
-            let cells = arr_cells st arr in
-            let i = ei fr in
-            if i < 0 || i >= Array.length cells then
-              rt_err "array index %d out of bounds (%s)" i mstr;
-            data_access st (cell_addr st arr + i);
-            cells.(i) <- ev fr;
-            cont st)
-  | Lir.Array_length (r, a) ->
-      let ea = cop a in
-      fun st ->
-        c_mem st;
-        let fr = st.cur_fr in
-        fr.regs.(r) <- Array.length (arr_cells st (ea fr));
-        cont st
-  | Lir.Instance_test (r, o, cname) ->
-      let eo = cop o in
-      let cid =
-        match Hashtbl.find_opt prog.Program.class_id_of_name cname with
-        | Some cid -> cid
-        | None -> -1 (* never matches: class names in the heap are linked *)
-      in
-      let cc_test = cc_mem + cc_alu in
-      fun st ->
-        charge st cc_test;
-        let fr = st.cur_fr in
-        let v = eo fr in
-        fr.regs.(r) <-
-          (if v <= 0 || v > Ir.Vec.length st.heap then 0
-           else
-             match Ir.Vec.unsafe_get st.heap (v - 1) with
-             | Obj obj -> if obj.cls = cid then 1 else 0
-             | Arr _ -> 0);
-        cont st
   | Lir.Call { dst; kind; target; args; site } -> (
       let nargs = List.length args in
-      let aev = Array.of_list (List.map cop args) in
+      let aev = Array.of_list (List.map Straight.cop args) in
       let ret_dst = match dst with Some r -> r | None -> -1 in
       let from_meth = m.Program.id in
       let cc_call =
@@ -711,39 +260,9 @@ let rec compile_instr (cp : cprog) (prog : Program.t) (m : Program.meth)
                 cm.(t.t_entry_blk).code.(0) st
               end)
   | Lir.Intrinsic { dst; name; args } -> (
-      let nargs = List.length args in
-      let cc_intr = costs.Costs.intrinsic in
-      match (name, nargs) with
-      | "print", 1 ->
-          let e = cop (List.hd args) in
-          fun st ->
-            charge st cc_intr;
-            Buffer.add_string st.out (string_of_int (e st.cur_fr));
-            Buffer.add_char st.out '\n';
-            cont st
-      | "rand", 1 -> (
-          match (List.hd args, dst) with
-          | Lir.Reg s, Some r ->
-              fun st ->
-                charge st cc_intr;
-                let fr = st.cur_fr in
-                fr.regs.(r) <- next_rand st fr.regs.(s);
-                cont st
-          | a, Some r ->
-              let e = cop a in
-              fun st ->
-                charge st cc_intr;
-                let fr = st.cur_fr in
-                fr.regs.(r) <- next_rand st (e fr);
-                cont st
-          | a, None ->
-              (* the reference advances the RNG even with no destination *)
-              let e = cop a in
-              fun st ->
-                charge st cc_intr;
-                ignore (next_rand st (e st.cur_fr) : int);
-                cont st)
-      | "yield", 0 ->
+      match (name, args) with
+      | "yield", [] ->
+          let cc_intr = costs.Costs.intrinsic in
           fun st ->
             st.cur_fr.idx <- ni;
             charge st cc_intr;
@@ -833,602 +352,55 @@ let rec compile_instr (cp : cprog) (prog : Program.t) (m : Program.meth)
           run_instrument st st.cur_th st.cur_fr op
         end;
         cont st
+  | _ -> assert false (* straight-line words take the first arm *)
 
 (* ------------------------------------------------------------------ *)
 (* Straight-line fusion                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* A maximal run of instructions none of which can suspend, reschedule,
-   or hand control to the dispatcher is compiled into ONE closure that
-   executes all the bodies behind a single guard-gate precheck:
-
-     cycles_at_entry + delta_max > guard_gate  ->  word-by-word slow path
-
-   [delta_max] is a static upper bound on every cycle that can be
-   charged inside the run (body charges, worst-case i-cache and d-cache
-   misses, worst-case instrumentation).  When the precheck passes, the
-   cycle counter stays at or below the gate for the whole run, so every
-   elided per-word [fuel_check] is provably the no-op the reference
-   would have performed: no fault event, watchdog poll, or fuel stop
-   can fire inside the run, on either path.  That makes the batching
-   bit-identical by construction:
-
-   - instruction counts are added in bulk (nothing inside the run
-     observes [st.instructions]);
-   - i-cache probes are issued only at line-head addresses.  The
-     skipped probes are for words on an already-probed line, and
-     nothing else can touch the i-cache inside the run (data traffic
-     goes to the separate d-cache instance, flushes only arrive via
-     [guard_trip]), so each skipped probe is a guaranteed hit — a hit
-     changes no tag and charges nothing;
-   - every cycle charge, counter bump, register/heap/output effect and
-     raise happens in the bodies, verbatim, in reference order.
-
-   Runs containing instrumentation enter the fast path only when the
-   flat recorder is armed and every op has a resolved slot (the
-   per-event charge is then the recorder's pre-resolved [ev_cost],
-   which bounds the dynamic part of [delta_max]); legacy hook runs take
-   the slow path, whose closures dispatch exactly as before. *)
-
-(* The fast-path step for one fusable instruction: the matching
-   [compile_instr] arm with the same body but a bare [next st] in place
-   of the per-word preamble continuation.  Returns the step, a static
-   worst-case cycle bound (including the instruction's possible
-   cache-miss charges), and its instrument op if it has one (the fused
-   entry adds the op's resolved [ev_cost] to the bound at run time). *)
-and compile_body (cp : cprog) (prog : Program.t) (m : Program.meth)
-    ~(next : k) (ins : Lir.instr) : k * int * Lir.instrument_op option =
-  let costs = cp.c_costs in
-  let cc_mem = costs.Costs.mem in
-  let cc_move = costs.Costs.move in
-  let cc_alu = costs.Costs.alu in
-  let cc_miss = costs.Costs.icache_miss in
-  let c_mem st = charge st cc_mem in
-  let pure k bound = (k, bound, None) in
-  match ins with
-  | Lir.Move (r, Lir.Imm n) ->
-      pure
-        (fun st ->
-          charge st cc_move;
-          st.cur_fr.regs.(r) <- n;
-          next st)
-        cc_move
-  | Lir.Move (r, Lir.Reg s) ->
-      pure
-        (fun st ->
-          charge st cc_move;
-          let regs = st.cur_fr.regs in
-          regs.(r) <- regs.(s);
-          next st)
-        cc_move
-  | Lir.Unop (r, op, a) ->
-      let body =
-        match (op, a) with
-        | Lir.Neg, Lir.Reg s ->
-            fun st ->
-              charge st cc_alu;
-              let regs = st.cur_fr.regs in
-              regs.(r) <- -regs.(s);
-              next st
-        | Lir.Not, Lir.Reg s ->
-            fun st ->
-              charge st cc_alu;
-              let regs = st.cur_fr.regs in
-              regs.(r) <- (if regs.(s) = 0 then 1 else 0);
-              next st
-        | Lir.Neg, Lir.Imm n ->
-            let v = -n in
-            fun st ->
-              charge st cc_alu;
-              st.cur_fr.regs.(r) <- v;
-              next st
-        | Lir.Not, Lir.Imm n ->
-            let v = if n = 0 then 1 else 0 in
-            fun st ->
-              charge st cc_alu;
-              st.cur_fr.regs.(r) <- v;
-              next st
-      in
-      pure body cc_alu
-  | Lir.Binop (r, op, a, b) ->
-      let body =
-        match (op, a, b) with
-        (* the same hand-specialized hot operators as [compile_instr] *)
-        | Lir.Add, Lir.Reg x, Lir.Reg y ->
-            fun st ->
-              charge st cc_alu;
-              let regs = st.cur_fr.regs in
-              regs.(r) <- regs.(x) + regs.(y);
-              next st
-        | Lir.Add, Lir.Reg x, Lir.Imm n ->
-            fun st ->
-              charge st cc_alu;
-              let regs = st.cur_fr.regs in
-              regs.(r) <- regs.(x) + n;
-              next st
-        | Lir.Sub, Lir.Reg x, Lir.Reg y ->
-            fun st ->
-              charge st cc_alu;
-              let regs = st.cur_fr.regs in
-              regs.(r) <- regs.(x) - regs.(y);
-              next st
-        | Lir.Sub, Lir.Reg x, Lir.Imm n ->
-            fun st ->
-              charge st cc_alu;
-              let regs = st.cur_fr.regs in
-              regs.(r) <- regs.(x) - n;
-              next st
-        | Lir.Mul, Lir.Reg x, Lir.Reg y ->
-            fun st ->
-              charge st cc_alu;
-              let regs = st.cur_fr.regs in
-              regs.(r) <- regs.(x) * regs.(y);
-              next st
-        | Lir.Mul, Lir.Reg x, Lir.Imm n ->
-            fun st ->
-              charge st cc_alu;
-              let regs = st.cur_fr.regs in
-              regs.(r) <- regs.(x) * n;
-              next st
-        | Lir.And, Lir.Reg x, Lir.Reg y ->
-            fun st ->
-              charge st cc_alu;
-              let regs = st.cur_fr.regs in
-              regs.(r) <- regs.(x) land regs.(y);
-              next st
-        | Lir.And, Lir.Reg x, Lir.Imm n ->
-            fun st ->
-              charge st cc_alu;
-              let regs = st.cur_fr.regs in
-              regs.(r) <- regs.(x) land n;
-              next st
-        | Lir.Or, Lir.Reg x, Lir.Reg y ->
-            fun st ->
-              charge st cc_alu;
-              let regs = st.cur_fr.regs in
-              regs.(r) <- regs.(x) lor regs.(y);
-              next st
-        | Lir.Or, Lir.Reg x, Lir.Imm n ->
-            fun st ->
-              charge st cc_alu;
-              let regs = st.cur_fr.regs in
-              regs.(r) <- regs.(x) lor n;
-              next st
-        | Lir.Xor, Lir.Reg x, Lir.Reg y ->
-            fun st ->
-              charge st cc_alu;
-              let regs = st.cur_fr.regs in
-              regs.(r) <- regs.(x) lxor regs.(y);
-              next st
-        | Lir.Xor, Lir.Reg x, Lir.Imm n ->
-            fun st ->
-              charge st cc_alu;
-              let regs = st.cur_fr.regs in
-              regs.(r) <- regs.(x) lxor n;
-              next st
-        | Lir.Lt, Lir.Reg x, Lir.Reg y ->
-            fun st ->
-              charge st cc_alu;
-              let regs = st.cur_fr.regs in
-              regs.(r) <- (if regs.(x) < regs.(y) then 1 else 0);
-              next st
-        | Lir.Lt, Lir.Reg x, Lir.Imm n ->
-            fun st ->
-              charge st cc_alu;
-              let regs = st.cur_fr.regs in
-              regs.(r) <- (if regs.(x) < n then 1 else 0);
-              next st
-        | Lir.Le, Lir.Reg x, Lir.Reg y ->
-            fun st ->
-              charge st cc_alu;
-              let regs = st.cur_fr.regs in
-              regs.(r) <- (if regs.(x) <= regs.(y) then 1 else 0);
-              next st
-        | Lir.Le, Lir.Reg x, Lir.Imm n ->
-            fun st ->
-              charge st cc_alu;
-              let regs = st.cur_fr.regs in
-              regs.(r) <- (if regs.(x) <= n then 1 else 0);
-              next st
-        | Lir.Gt, Lir.Reg x, Lir.Reg y ->
-            fun st ->
-              charge st cc_alu;
-              let regs = st.cur_fr.regs in
-              regs.(r) <- (if regs.(x) > regs.(y) then 1 else 0);
-              next st
-        | Lir.Gt, Lir.Reg x, Lir.Imm n ->
-            fun st ->
-              charge st cc_alu;
-              let regs = st.cur_fr.regs in
-              regs.(r) <- (if regs.(x) > n then 1 else 0);
-              next st
-        | Lir.Ge, Lir.Reg x, Lir.Reg y ->
-            fun st ->
-              charge st cc_alu;
-              let regs = st.cur_fr.regs in
-              regs.(r) <- (if regs.(x) >= regs.(y) then 1 else 0);
-              next st
-        | Lir.Ge, Lir.Reg x, Lir.Imm n ->
-            fun st ->
-              charge st cc_alu;
-              let regs = st.cur_fr.regs in
-              regs.(r) <- (if regs.(x) >= n then 1 else 0);
-              next st
-        | Lir.Eq, Lir.Reg x, Lir.Reg y ->
-            fun st ->
-              charge st cc_alu;
-              let regs = st.cur_fr.regs in
-              regs.(r) <- (if regs.(x) = regs.(y) then 1 else 0);
-              next st
-        | Lir.Eq, Lir.Reg x, Lir.Imm n ->
-            fun st ->
-              charge st cc_alu;
-              let regs = st.cur_fr.regs in
-              regs.(r) <- (if regs.(x) = n then 1 else 0);
-              next st
-        | Lir.Ne, Lir.Reg x, Lir.Reg y ->
-            fun st ->
-              charge st cc_alu;
-              let regs = st.cur_fr.regs in
-              regs.(r) <- (if regs.(x) <> regs.(y) then 1 else 0);
-              next st
-        | Lir.Ne, Lir.Reg x, Lir.Imm n ->
-            fun st ->
-              charge st cc_alu;
-              let regs = st.cur_fr.regs in
-              regs.(r) <- (if regs.(x) <> n then 1 else 0);
-              next st
-        | _, Lir.Reg x, Lir.Reg y ->
-            let f = binop_fn op in
-            fun st ->
-              charge st cc_alu;
-              let regs = st.cur_fr.regs in
-              regs.(r) <- f regs.(x) regs.(y);
-              next st
-        | _, Lir.Reg x, Lir.Imm n ->
-            let f = binop_fn op in
-            fun st ->
-              charge st cc_alu;
-              let regs = st.cur_fr.regs in
-              regs.(r) <- f regs.(x) n;
-              next st
-        | _, Lir.Imm n, Lir.Reg y ->
-            let f = binop_fn op in
-            fun st ->
-              charge st cc_alu;
-              let regs = st.cur_fr.regs in
-              regs.(r) <- f n regs.(y);
-              next st
-        | _, Lir.Imm n, Lir.Imm p ->
-            let f = binop_fn op in
-            fun st ->
-              charge st cc_alu;
-              st.cur_fr.regs.(r) <- f n p;
-              next st
-      in
-      pure body cc_alu
-  | Lir.Get_field (r, o, fld) -> (
-      match
-        Hashtbl.find_opt prog.Program.field_offset (Lir.string_of_field_ref fld)
-      with
-      | Some off ->
-          let body =
-            match o with
-            | Lir.Reg ro ->
-                fun st ->
-                  c_mem st;
-                  let regs = st.cur_fr.regs in
-                  let obj = regs.(ro) in
-                  let fields = obj_fields st obj in
-                  data_access st (cell_addr st obj + off);
-                  regs.(r) <- fields.(off);
-                  next st
-            | Lir.Imm _ as o ->
-                let eo = cop o in
-                fun st ->
-                  c_mem st;
-                  let fr = st.cur_fr in
-                  let obj = eo fr in
-                  let fields = obj_fields st obj in
-                  data_access st (cell_addr st obj + off);
-                  fr.regs.(r) <- fields.(off);
-                  next st
-          in
-          pure body (cc_mem + cc_miss)
-      | None ->
-          let eo = cop o in
-          let fstr = Lir.string_of_field_ref fld in
-          pure
-            (fun st ->
-              c_mem st;
-              ignore (obj_fields st (eo st.cur_fr) : int array);
-              rt_err "unresolved field %s" fstr)
-            cc_mem)
-  | Lir.Put_field (o, fld, v) -> (
-      let eo = cop o in
-      match
-        Hashtbl.find_opt prog.Program.field_offset (Lir.string_of_field_ref fld)
-      with
-      | Some off ->
-          let body =
-            match (o, v) with
-            | Lir.Reg ro, Lir.Reg rv ->
-                fun st ->
-                  c_mem st;
-                  let regs = st.cur_fr.regs in
-                  let obj = regs.(ro) in
-                  let fields = obj_fields st obj in
-                  data_access st (cell_addr st obj + off);
-                  fields.(off) <- regs.(rv);
-                  next st
-            | _ ->
-                let ev = cop v in
-                fun st ->
-                  c_mem st;
-                  let fr = st.cur_fr in
-                  let obj = eo fr in
-                  let fields = obj_fields st obj in
-                  data_access st (cell_addr st obj + off);
-                  fields.(off) <- ev fr;
-                  next st
-          in
-          pure body (cc_mem + cc_miss)
-      | None ->
-          let fstr = Lir.string_of_field_ref fld in
-          pure
-            (fun st ->
-              c_mem st;
-              ignore (obj_fields st (eo st.cur_fr) : int array);
-              rt_err "unresolved field %s" fstr)
-            cc_mem)
-  | Lir.Get_static (r, fld) -> (
-      match
-        Hashtbl.find_opt prog.Program.static_offset
-          (Lir.string_of_field_ref fld)
-      with
-      | Some off ->
-          pure
-            (fun st ->
-              c_mem st;
-              data_access st off;
-              st.cur_fr.regs.(r) <- st.globals.(off);
-              next st)
-            (cc_mem + cc_miss)
-      | None ->
-          let fstr = Lir.string_of_field_ref fld in
-          pure
-            (fun st ->
-              c_mem st;
-              rt_err "unresolved static field %s" fstr)
-            cc_mem)
-  | Lir.Put_static (fld, v) -> (
-      let ev = cop v in
-      match
-        Hashtbl.find_opt prog.Program.static_offset
-          (Lir.string_of_field_ref fld)
-      with
-      | Some off ->
-          pure
-            (fun st ->
-              c_mem st;
-              data_access st off;
-              st.globals.(off) <- ev st.cur_fr;
-              next st)
-            (cc_mem + cc_miss)
-      | None ->
-          let fstr = Lir.string_of_field_ref fld in
-          pure
-            (fun st ->
-              c_mem st;
-              rt_err "unresolved static field %s" fstr)
-            cc_mem)
-  | Lir.New_object (r, cname) -> (
-      match Hashtbl.find_opt prog.Program.class_id_of_name cname with
-      | Some cid ->
-          let n = prog.Program.classes.(cid).Program.n_fields in
-          let slots = max n 1 in
-          let cc_alloc =
-            costs.Costs.alloc_base + (costs.Costs.alloc_per_slot * n)
-          in
-          pure
-            (fun st ->
-              charge st cc_alloc;
-              st.cur_fr.regs.(r) <-
-                alloc st (Obj { cls = cid; fields = Array.make slots 0 });
-              next st)
-            cc_alloc
-      | None -> pure (fun _ -> rt_err "unknown class %s" cname) 0)
-  | Lir.Array_load (r, a, i) ->
-      let mstr = Lir.string_of_method_ref m.Program.mref in
-      let body =
-        match (a, i) with
-        | Lir.Reg ra, Lir.Reg ri ->
-            fun st ->
-              c_mem st;
-              let regs = st.cur_fr.regs in
-              let arr = regs.(ra) in
-              let cells = arr_cells st arr in
-              let i = regs.(ri) in
-              if i < 0 || i >= Array.length cells then
-                rt_err "array index %d out of bounds (%s)" i mstr;
-              data_access st (cell_addr st arr + i);
-              regs.(r) <- cells.(i);
-              next st
-        | _ ->
-            let ea = cop a in
-            let ei = cop i in
-            fun st ->
-              c_mem st;
-              let fr = st.cur_fr in
-              let arr = ea fr in
-              let cells = arr_cells st arr in
-              let i = ei fr in
-              if i < 0 || i >= Array.length cells then
-                rt_err "array index %d out of bounds (%s)" i mstr;
-              data_access st (cell_addr st arr + i);
-              fr.regs.(r) <- cells.(i);
-              next st
-      in
-      pure body (cc_mem + cc_miss)
-  | Lir.Array_store (a, i, v) ->
-      let mstr = Lir.string_of_method_ref m.Program.mref in
-      let body =
-        match (a, i, v) with
-        | Lir.Reg ra, Lir.Reg ri, Lir.Reg rv ->
-            fun st ->
-              c_mem st;
-              let regs = st.cur_fr.regs in
-              let arr = regs.(ra) in
-              let cells = arr_cells st arr in
-              let i = regs.(ri) in
-              if i < 0 || i >= Array.length cells then
-                rt_err "array index %d out of bounds (%s)" i mstr;
-              data_access st (cell_addr st arr + i);
-              cells.(i) <- regs.(rv);
-              next st
-        | _ ->
-            let ea = cop a in
-            let ei = cop i in
-            let ev = cop v in
-            fun st ->
-              c_mem st;
-              let fr = st.cur_fr in
-              let arr = ea fr in
-              let cells = arr_cells st arr in
-              let i = ei fr in
-              if i < 0 || i >= Array.length cells then
-                rt_err "array index %d out of bounds (%s)" i mstr;
-              data_access st (cell_addr st arr + i);
-              cells.(i) <- ev fr;
-              next st
-      in
-      pure body (cc_mem + cc_miss)
-  | Lir.Array_length (r, a) ->
-      let ea = cop a in
-      pure
-        (fun st ->
-          c_mem st;
-          let fr = st.cur_fr in
-          fr.regs.(r) <- Array.length (arr_cells st (ea fr));
-          next st)
-        cc_mem
-  | Lir.Instance_test (r, o, cname) ->
-      let eo = cop o in
-      let cid =
-        match Hashtbl.find_opt prog.Program.class_id_of_name cname with
-        | Some cid -> cid
-        | None -> -1
-      in
-      let cc_test = cc_mem + cc_alu in
-      pure
-        (fun st ->
-          charge st cc_test;
-          let fr = st.cur_fr in
-          let v = eo fr in
-          fr.regs.(r) <-
-            (if v <= 0 || v > Ir.Vec.length st.heap then 0
-             else
-               match Ir.Vec.unsafe_get st.heap (v - 1) with
-               | Obj obj -> if obj.cls = cid then 1 else 0
-               | Arr _ -> 0);
-          next st)
-        cc_test
-  | Lir.Intrinsic { dst; name; args } -> (
-      let cc_intr = costs.Costs.intrinsic in
-      match (name, args) with
-      | "print", [ a ] ->
-          let e = cop a in
-          pure
-            (fun st ->
-              charge st cc_intr;
-              Buffer.add_string st.out (string_of_int (e st.cur_fr));
-              Buffer.add_char st.out '\n';
-              next st)
-            cc_intr
-      | "rand", [ a ] ->
-          let body =
-            match (a, dst) with
-            | Lir.Reg s, Some r ->
-                fun st ->
-                  charge st cc_intr;
-                  let fr = st.cur_fr in
-                  fr.regs.(r) <- next_rand st fr.regs.(s);
-                  next st
-            | a, Some r ->
-                let e = cop a in
-                fun st ->
-                  charge st cc_intr;
-                  let fr = st.cur_fr in
-                  fr.regs.(r) <- next_rand st (e fr);
-                  next st
-            | a, None ->
-                let e = cop a in
-                fun st ->
-                  charge st cc_intr;
-                  ignore (next_rand st (e st.cur_fr) : int);
-                  next st
-          in
-          pure body cc_intr
-      | _ -> assert false (* not [fusable] *))
-  | Lir.Instrument op ->
-      (* fast path guarantees recorder armed and slot resolved; the
-         dynamic charge bound is the entry's ev_cost lookup *)
-      ( (fun st ->
-          st.counters.instrument_ops <- st.counters.instrument_ops + 1;
-          (match st.recorder with
-          | Some r -> record_flat st st.cur_th st.cur_fr r op.Lir.slot
-          | None -> assert false);
-          next st),
-        0,
-        Some op )
-  | Lir.Guarded_instrument op ->
-      let cc_check = costs.Costs.check in
-      ( (fun st ->
-          st.counters.checks <- st.counters.checks + 1;
-          icharge st cc_check;
-          if st.hooks.fire st.cur_th.tid then begin
-            st.counters.samples <- st.counters.samples + 1;
-            run_instrument st st.cur_th st.cur_fr op
-          end;
-          next st),
-        cc_check,
-        Some op )
-  | Lir.New_array _ | Lir.Call _ | Lir.Yieldpoint _ ->
-      assert false (* not [fusable] *)
-
-(* One closure for the fusable run [a..b] of a block.  [slow] is the
-   run's ordinary word-by-word chain (taken near the guard gate, with a
-   legacy recorder, or on an unexpected cache geometry); [tail] is the
-   compiled continuation at word [b+1].  The fast path is itself a
-   chain of tail calls — one monomorphic indirect call per word, like
-   the slow chain, but with no per-word preamble — ending in a step
-   that adds the elided instruction counts in bulk and performs the
-   final word's preamble verbatim. *)
+(* One closure for the fusable run [a..b] of a block (DESIGN.md §5):
+   behind a single precheck against the guard gate, the run's bare steps
+   chained by tail calls, i-cache probes at line heads only, and an exit
+   step that adds the elided instruction counts in bulk and performs the
+   final word's preamble.  [slow] is the run's ordinary word-by-word
+   chain (taken near the gate or with a legacy recorder); [tail] is the
+   compiled continuation at word [b+1].  Runs containing instrumentation
+   enter the fast path only when the flat recorder is armed and every
+   op has a resolved slot: the recorder's per-event [ev_cost] then
+   bounds the dynamic part of the charge. *)
 and compile_fused (cp : cprog) (prog : Program.t) (m : Program.meth)
     ~(instrs : Lir.instr array) ~(a : int) ~(b : int) ~(base : int) ~(slow : k)
     ~(tail : k) : k =
   let costs = cp.c_costs in
   let cc_miss = costs.Costs.icache_miss in
   let n_mid = b - a in
-  let tail_addr = base + b + 1 in
   let exit_step st =
     st.instructions <- st.instructions + n_mid;
-    fuel_check st;
-    st.instructions <- st.instructions + 1;
-    icache_access st tail_addr;
-    tail st
+    Straight.advance st ~next:tail ~ni:(b + 1) ~naddr:(base + b + 1)
   in
   let chain = ref exit_step in
   let delta = ref 0 in
   let rops = ref [] in
   for j = b downto a do
-    let body, bound, iop = compile_body cp prog m ~next:!chain instrs.(j) in
+    let ins = instrs.(j) in
+    let body = compile_instr cp prog m ~nxt:!chain ~naddr:(-1) ~ni:(-1) ins in
+    (* instrumentation adds its recorder event cost at entry; the
+       compiled image serves runs with and without a d-cache *)
+    let bound =
+      match ins with
+      | Lir.Instrument op ->
+          rops := op :: !rops;
+          0
+      | Lir.Guarded_instrument op ->
+          rops := op :: !rops;
+          costs.Costs.check
+      | _ -> Straight.bound costs prog ~dcache:true ins
+    in
     delta := !delta + bound;
-    (match iop with Some op -> rops := op :: !rops | None -> ());
     (* the reference probes word [j]'s address before executing it
        (word [a]'s probe belongs to the predecessor); within the run
        only line heads can miss, so only they are probed *)
-    if j > a && (base + j) mod fused_line_words = 0 then begin
+    if j > a && (base + j) mod Icache.default_line_words = 0 then begin
       let addr = base + j in
       delta := !delta + cc_miss;
       chain :=
@@ -1440,17 +412,10 @@ and compile_fused (cp : cprog) (prog : Program.t) (m : Program.meth)
   done;
   let fast = !chain in
   let delta_static = !delta in
-  let geometry_ok st =
-    match st.icache with
-    | Some ic -> Icache.line_words ic = fused_line_words
-    | None -> true
-  in
   match Array.of_list !rops with
   | [||] ->
       fun st ->
-        if st.cycles + delta_static > st.guard_gate || not (geometry_ok st)
-        then slow st
-        else fast st
+        if st.cycles + delta_static > st.guard_gate then slow st else fast st
   | ops ->
       let n_ops = Array.length ops in
       (* worst-case instrumentation charge from the recorder's resolved
@@ -1467,9 +432,7 @@ and compile_fused (cp : cprog) (prog : Program.t) (m : Program.meth)
         | None -> slow st
         | Some r ->
             let d = dsum r 0 delta_static in
-            if d < 0 || st.cycles + d > st.guard_gate || not (geometry_ok st)
-            then slow st
-            else fast st)
+            if d < 0 || st.cycles + d > st.guard_gate then slow st else fast st)
 
 (* ------------------------------------------------------------------ *)
 (* Terminator and block compilation                                    *)

@@ -17,7 +17,9 @@ let log2_pow2 n =
   end
   else None
 
-let create ?(lines = 1024) ?(line_words = 8) () =
+let default_line_words = 8
+
+let create ?(lines = 1024) ?(line_words = default_line_words) () =
   {
     tags = Array.make lines (-1);
     line_words;
@@ -48,7 +50,6 @@ let access t addr =
 
 let misses t = t.miss_count
 let accesses t = t.access_count
-let line_words t = t.line_words
 
 let reset t =
   Array.fill t.tags 0 (Array.length t.tags) (-1);

@@ -7,6 +7,11 @@
 
 type t
 
+val default_line_words : int
+(** Words per line of the instruction cache every {!Machine.state}
+    builds; the engine's fused runs probe only line heads of this
+    geometry. *)
+
 val create : ?lines:int -> ?line_words:int -> unit -> t
 (** Default geometry: 1024 lines of 8 instructions (8K-instruction cache,
     roughly a 32KB L1i with 4-byte instructions). *)
@@ -18,10 +23,6 @@ val access : t -> int -> bool
 val misses : t -> int
 val accesses : t -> int
 
-val line_words : t -> int
-(** Instance geometry — lets compiled code that reasons about line
-    boundaries (engine straight-line fusion) verify its compile-time
-    assumption against the cache it is actually running on. *)
 
 val reset : t -> unit
 (** Cold caches and zeroed counts. *)

@@ -205,8 +205,6 @@ let out_of_fuel st =
     else
       match st.threads.(st.current).top with
       | Some fr ->
-          (* the fast engine only writes [fr.idx] back at suspension
-             points, so the pc is exact on `Ref and approximate on `Fast *)
           Printf.sprintf " in %s (block %d, pc %d)"
             (Lir.string_of_method_ref fr.m.Program.mref)
             fr.blk (fr.base_addr + fr.idx)

@@ -7,26 +7,21 @@
    iteration is executed through the reference stepper ([Machine.step],
    so recording is observationally part of normal execution) while its
    linear instruction sequence is captured, then compiled into a single
-   fused closure chain — pc chaining constant-folded away, cycle costs
-   and flat-slot recorder charges pre-summed per straight-line segment
+   fused closure chain — pc chaining constant-folded away, straight-line
+   words as the engine's own bare steps ([Straight]), the remaining
+   cycle costs and flat-slot recorder charges pre-summed per segment
    and applied at segment granularity, guards at every conditional that
    side-exit back to the per-method closure code at the precise
    pc/register state.
 
-   Cycle-accounting invariant.  Fusing is sound because nothing can
-   observe the machine mid-segment: every point at which the reference
-   interpreter consults [st.cycles] — the fuel guard, the timer device,
-   the adaptive safepoint, the fault plan, the watchdog poll — is
-   covered by the entry precheck, which admits an iteration only when
-   its worst-case cost [max_cost] fits below
-   min(guard_gate, next_timer - 1, next_adaptive - 1) with the switch
-   bit clear and the anchor method still the installed version.  Under
-   that precheck no fuel trip, timer tick, fault event, adaptive poll,
-   thread switch or frame migration could have fired anywhere inside
-   the iteration, so eliding the per-word checks and batching the
-   charges produces bit-identical totals at every observable point.
-   When the precheck fails the engine falls back to the per-method
-   closure code, which performs every check at reference granularity.
+   Cycle-accounting invariant.  The entry precheck admits an iteration
+   only when its worst-case cost fits below
+   min(guard_gate, next_timer - 1, next_adaptive - 1), with the switch
+   bit clear and the anchor method still the installed version: the
+   fused runs' argument (DESIGN.md §5, "Compiling straight-line
+   words"), widened to the timer and adaptive safepoints a trace spans.
+   Straight-line words contribute [Straight.bound].  When the precheck
+   fails the engine falls back to the per-method closure code.
 
    Side exits.  Guards sit at segment boundaries, after the pending
    segment sum (which includes the guarded terminator's own charge) has
@@ -43,9 +38,10 @@
    machinery exactly — pooled frame allocation, argument fill,
    activation-id minting, parent push/pop — with the static accounting
    (call/return charges, entries counter, i-cache accesses) batched
-   like any other word.  Virtual calls guard the receiver's class and
-   side-exit to the call word itself on a mismatch, so the per-method
-   code re-executes the full dispatch with its exact error semantics.
+   into the pending segment sum.  Virtual calls guard the receiver's
+   class and side-exit to the call word itself on a mismatch, so the
+   per-method code re-executes the full dispatch with its exact error
+   semantics.
 
    Traces are per-run values (they capture the run's recorder, hooks
    and cache configuration), anchored at engine-minted site ids and
@@ -215,9 +211,7 @@ type item =
    into the callee naturally); only depth past [max_depth] aborts. *)
 let untraceable = function
   | Lir.New_array _ -> true
-  | Lir.Intrinsic { name = "print"; args = [ _ ]; _ } -> false
-  | Lir.Intrinsic { name = "rand"; args = [ _ ]; _ } -> false
-  | Lir.Intrinsic _ -> true
+  | Lir.Intrinsic _ as ins -> not (Straight.is_straight ins)
   | _ -> false
 
 exception Abort
@@ -383,24 +377,6 @@ let record st ni =
 (* Trace compilation                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let binop_fn = function
-  | Lir.Add -> ( + )
-  | Lir.Sub -> ( - )
-  | Lir.Mul -> ( * )
-  | Lir.Div -> fun a b -> if b = 0 then rt_err "division by zero" else a / b
-  | Lir.Rem -> fun a b -> if b = 0 then rt_err "division by zero" else a mod b
-  | Lir.And -> ( land )
-  | Lir.Or -> ( lor )
-  | Lir.Xor -> ( lxor )
-  | Lir.Shl -> fun a b -> a lsl (b land 31)
-  | Lir.Shr -> fun a b -> a asr (b land 31)
-  | Lir.Lt -> fun a b -> if a < b then 1 else 0
-  | Lir.Le -> fun a b -> if a <= b then 1 else 0
-  | Lir.Gt -> fun a b -> if a > b then 1 else 0
-  | Lir.Ge -> fun a b -> if a >= b then 1 else 0
-  | Lir.Eq -> fun a b -> if a = b then 1 else 0
-  | Lir.Ne -> fun a b -> if a <> b then 1 else 0
-
 (* Branch traces: a guard that keeps failing marks a hot alternate path
    through the loop.  After [branch_threshold] unpatched failures the
    exit point is re-recorded back to the anchor and the resulting chain
@@ -492,12 +468,12 @@ let mk_root (am : Program.meth) ~ablk ~ni =
   root
 
 (* Compile a recorded chain into a fused closure sequence tailing into
-   the root's loopback.  The chain is built from fragments;
-   straight-line fragments carry only the instruction's semantic body
-   (register file, heap, output, recorder buffers), while all static
-   accounting — cycle charges, instrumentation cycles, instruction
-   counts, counter bumps — accumulates into one pending sum flushed at
-   segment boundaries (guards and dynamic-fire points).  I-cache
+   the root's loopback.  The chain is built from fragments.
+   Straight-line words are the engine's own steps ([Straight.compile],
+   charge inline); every other static charge — terminators, calls,
+   returns, yieldpoints, instrumentation — and the instruction counts
+   and counter bumps accumulate into one pending sum flushed at segment
+   boundaries (guards and dynamic-fire points).  I-cache
    accesses keep their per-word order at statically-known addresses
    when the i-cache is on, and are omitted entirely (bench
    configuration) when it is off.
@@ -594,10 +570,6 @@ let rec compile_chain st (ts : tstate) (root : itrace) ~base_cost ~base_depth
       g_patches = [];
     }
   in
-  let ev = function
-    | Lir.Reg r -> fun (fr : frame) -> fr.regs.(r)
-    | Lir.Imm n -> fun (_ : frame) -> n
-  in
   (* the flat-recorder bump of [Machine.record_flat], minus the cycle
      charge (batched when unconditional, dynamic when guarded) *)
   let flat_bump (r : flat_recorder) e st =
@@ -666,336 +638,8 @@ let rec compile_chain st (ts : tstate) (root : itrace) ~base_cost ~base_depth
         end;
         next st)
   in
-  let emit_instr mstr ins =
+  let emit_instr (m : Program.meth) ins =
     match ins with
-    | Lir.Move (r, Lir.Imm n) ->
-        stat costs.Costs.move;
-        add (fun next st ->
-            st.cur_fr.regs.(r) <- n;
-            next st)
-    | Lir.Move (r, Lir.Reg s) ->
-        stat costs.Costs.move;
-        add (fun next st ->
-            let regs = st.cur_fr.regs in
-            regs.(r) <- regs.(s);
-            next st)
-    | Lir.Unop (r, op, a) -> (
-        stat costs.Costs.alu;
-        match (op, a) with
-        | Lir.Neg, Lir.Reg s ->
-            add (fun next st ->
-                let regs = st.cur_fr.regs in
-                regs.(r) <- -regs.(s);
-                next st)
-        | Lir.Not, Lir.Reg s ->
-            add (fun next st ->
-                let regs = st.cur_fr.regs in
-                regs.(r) <- (if regs.(s) = 0 then 1 else 0);
-                next st)
-        | Lir.Neg, Lir.Imm n ->
-            let v = -n in
-            add (fun next st ->
-                st.cur_fr.regs.(r) <- v;
-                next st)
-        | Lir.Not, Lir.Imm n ->
-            let v = if n = 0 then 1 else 0 in
-            add (fun next st ->
-                st.cur_fr.regs.(r) <- v;
-                next st))
-    | Lir.Binop (r, op, a, b) -> (
-        stat costs.Costs.alu;
-        match (op, a, b) with
-        (* hand-specialized hot operators, like the engine: without
-           flambda a shared operator closure is an indirect call per op *)
-        | Lir.Add, Lir.Reg x, Lir.Reg y ->
-            add (fun next st ->
-                let regs = st.cur_fr.regs in
-                regs.(r) <- regs.(x) + regs.(y);
-                next st)
-        | Lir.Add, Lir.Reg x, Lir.Imm n ->
-            add (fun next st ->
-                let regs = st.cur_fr.regs in
-                regs.(r) <- regs.(x) + n;
-                next st)
-        | Lir.Sub, Lir.Reg x, Lir.Reg y ->
-            add (fun next st ->
-                let regs = st.cur_fr.regs in
-                regs.(r) <- regs.(x) - regs.(y);
-                next st)
-        | Lir.Sub, Lir.Reg x, Lir.Imm n ->
-            add (fun next st ->
-                let regs = st.cur_fr.regs in
-                regs.(r) <- regs.(x) - n;
-                next st)
-        | Lir.Mul, Lir.Reg x, Lir.Reg y ->
-            add (fun next st ->
-                let regs = st.cur_fr.regs in
-                regs.(r) <- regs.(x) * regs.(y);
-                next st)
-        | Lir.Mul, Lir.Reg x, Lir.Imm n ->
-            add (fun next st ->
-                let regs = st.cur_fr.regs in
-                regs.(r) <- regs.(x) * n;
-                next st)
-        | Lir.And, Lir.Reg x, Lir.Reg y ->
-            add (fun next st ->
-                let regs = st.cur_fr.regs in
-                regs.(r) <- regs.(x) land regs.(y);
-                next st)
-        | Lir.Or, Lir.Reg x, Lir.Reg y ->
-            add (fun next st ->
-                let regs = st.cur_fr.regs in
-                regs.(r) <- regs.(x) lor regs.(y);
-                next st)
-        | Lir.Xor, Lir.Reg x, Lir.Reg y ->
-            add (fun next st ->
-                let regs = st.cur_fr.regs in
-                regs.(r) <- regs.(x) lxor regs.(y);
-                next st)
-        | Lir.Lt, Lir.Reg x, Lir.Reg y ->
-            add (fun next st ->
-                let regs = st.cur_fr.regs in
-                regs.(r) <- (if regs.(x) < regs.(y) then 1 else 0);
-                next st)
-        | Lir.Lt, Lir.Reg x, Lir.Imm n ->
-            add (fun next st ->
-                let regs = st.cur_fr.regs in
-                regs.(r) <- (if regs.(x) < n then 1 else 0);
-                next st)
-        | Lir.Le, Lir.Reg x, Lir.Reg y ->
-            add (fun next st ->
-                let regs = st.cur_fr.regs in
-                regs.(r) <- (if regs.(x) <= regs.(y) then 1 else 0);
-                next st)
-        | Lir.Le, Lir.Reg x, Lir.Imm n ->
-            add (fun next st ->
-                let regs = st.cur_fr.regs in
-                regs.(r) <- (if regs.(x) <= n then 1 else 0);
-                next st)
-        | Lir.Gt, Lir.Reg x, Lir.Reg y ->
-            add (fun next st ->
-                let regs = st.cur_fr.regs in
-                regs.(r) <- (if regs.(x) > regs.(y) then 1 else 0);
-                next st)
-        | Lir.Gt, Lir.Reg x, Lir.Imm n ->
-            add (fun next st ->
-                let regs = st.cur_fr.regs in
-                regs.(r) <- (if regs.(x) > n then 1 else 0);
-                next st)
-        | Lir.Ge, Lir.Reg x, Lir.Reg y ->
-            add (fun next st ->
-                let regs = st.cur_fr.regs in
-                regs.(r) <- (if regs.(x) >= regs.(y) then 1 else 0);
-                next st)
-        | Lir.Ge, Lir.Reg x, Lir.Imm n ->
-            add (fun next st ->
-                let regs = st.cur_fr.regs in
-                regs.(r) <- (if regs.(x) >= n then 1 else 0);
-                next st)
-        | Lir.Eq, Lir.Reg x, Lir.Reg y ->
-            add (fun next st ->
-                let regs = st.cur_fr.regs in
-                regs.(r) <- (if regs.(x) = regs.(y) then 1 else 0);
-                next st)
-        | Lir.Eq, Lir.Reg x, Lir.Imm n ->
-            add (fun next st ->
-                let regs = st.cur_fr.regs in
-                regs.(r) <- (if regs.(x) = n then 1 else 0);
-                next st)
-        | Lir.Ne, Lir.Reg x, Lir.Reg y ->
-            add (fun next st ->
-                let regs = st.cur_fr.regs in
-                regs.(r) <- (if regs.(x) <> regs.(y) then 1 else 0);
-                next st)
-        | Lir.Ne, Lir.Reg x, Lir.Imm n ->
-            add (fun next st ->
-                let regs = st.cur_fr.regs in
-                regs.(r) <- (if regs.(x) <> n then 1 else 0);
-                next st)
-        | _, Lir.Reg x, Lir.Reg y ->
-            let f = binop_fn op in
-            add (fun next st ->
-                let regs = st.cur_fr.regs in
-                regs.(r) <- f regs.(x) regs.(y);
-                next st)
-        | _, Lir.Reg x, Lir.Imm n ->
-            let f = binop_fn op in
-            add (fun next st ->
-                let regs = st.cur_fr.regs in
-                regs.(r) <- f regs.(x) n;
-                next st)
-        | _, Lir.Imm n, Lir.Reg y ->
-            let f = binop_fn op in
-            add (fun next st ->
-                let regs = st.cur_fr.regs in
-                regs.(r) <- f n regs.(y);
-                next st)
-        | _, Lir.Imm n, Lir.Imm p ->
-            let f = binop_fn op in
-            add (fun next st ->
-                st.cur_fr.regs.(r) <- f n p;
-                next st))
-    | Lir.Get_field (r, o, fld) -> (
-        stat costs.Costs.mem;
-        if dc then maxc := !maxc + cc_miss;
-        let eo = ev o in
-        match
-          Hashtbl.find_opt prog.Program.field_offset
-            (Lir.string_of_field_ref fld)
-        with
-        | Some off ->
-            add (fun next st ->
-                let fr = st.cur_fr in
-                let obj = eo fr in
-                let fields = obj_fields st obj in
-                if dc then data_access st (cell_addr st obj + off);
-                fr.regs.(r) <- fields.(off);
-                next st)
-        | None ->
-            let fstr = Lir.string_of_field_ref fld in
-            add (fun _next st ->
-                ignore (obj_fields st (eo st.cur_fr) : int array);
-                rt_err "unresolved field %s" fstr))
-    | Lir.Put_field (o, fld, v) -> (
-        stat costs.Costs.mem;
-        if dc then maxc := !maxc + cc_miss;
-        let eo = ev o in
-        match
-          Hashtbl.find_opt prog.Program.field_offset
-            (Lir.string_of_field_ref fld)
-        with
-        | Some off ->
-            let evv = ev v in
-            add (fun next st ->
-                let fr = st.cur_fr in
-                let obj = eo fr in
-                let fields = obj_fields st obj in
-                if dc then data_access st (cell_addr st obj + off);
-                fields.(off) <- evv fr;
-                next st)
-        | None ->
-            let fstr = Lir.string_of_field_ref fld in
-            add (fun _next st ->
-                ignore (obj_fields st (eo st.cur_fr) : int array);
-                rt_err "unresolved field %s" fstr))
-    | Lir.Get_static (r, fld) -> (
-        stat costs.Costs.mem;
-        if dc then maxc := !maxc + cc_miss;
-        match
-          Hashtbl.find_opt prog.Program.static_offset
-            (Lir.string_of_field_ref fld)
-        with
-        | Some off ->
-            add (fun next st ->
-                if dc then data_access st off;
-                st.cur_fr.regs.(r) <- st.globals.(off);
-                next st)
-        | None ->
-            let fstr = Lir.string_of_field_ref fld in
-            add (fun _next _st -> rt_err "unresolved static field %s" fstr))
-    | Lir.Put_static (fld, v) -> (
-        stat costs.Costs.mem;
-        if dc then maxc := !maxc + cc_miss;
-        let evv = ev v in
-        match
-          Hashtbl.find_opt prog.Program.static_offset
-            (Lir.string_of_field_ref fld)
-        with
-        | Some off ->
-            add (fun next st ->
-                if dc then data_access st off;
-                st.globals.(off) <- evv st.cur_fr;
-                next st)
-        | None ->
-            let fstr = Lir.string_of_field_ref fld in
-            add (fun _next _st -> rt_err "unresolved static field %s" fstr))
-    | Lir.New_object (r, cname) -> (
-        match Hashtbl.find_opt prog.Program.class_id_of_name cname with
-        | Some cid ->
-            let n = prog.Program.classes.(cid).Program.n_fields in
-            let slots = max n 1 in
-            stat (costs.Costs.alloc_base + (costs.Costs.alloc_per_slot * n));
-            add (fun next st ->
-                st.cur_fr.regs.(r) <-
-                  alloc st (Obj { cls = cid; fields = Array.make slots 0 });
-                next st)
-        | None -> add (fun _next _st -> rt_err "unknown class %s" cname))
-    | Lir.Array_load (r, a, i) ->
-        stat costs.Costs.mem;
-        if dc then maxc := !maxc + cc_miss;
-        let ea = ev a in
-        let ei = ev i in
-        add (fun next st ->
-            let fr = st.cur_fr in
-            let arr = ea fr in
-            let cells = arr_cells st arr in
-            let i = ei fr in
-            if i < 0 || i >= Array.length cells then
-              rt_err "array index %d out of bounds (%s)" i mstr;
-            if dc then data_access st (cell_addr st arr + i);
-            fr.regs.(r) <- cells.(i);
-            next st)
-    | Lir.Array_store (a, i, v) ->
-        stat costs.Costs.mem;
-        if dc then maxc := !maxc + cc_miss;
-        let ea = ev a in
-        let ei = ev i in
-        let evv = ev v in
-        add (fun next st ->
-            let fr = st.cur_fr in
-            let arr = ea fr in
-            let cells = arr_cells st arr in
-            let i = ei fr in
-            if i < 0 || i >= Array.length cells then
-              rt_err "array index %d out of bounds (%s)" i mstr;
-            if dc then data_access st (cell_addr st arr + i);
-            cells.(i) <- evv fr;
-            next st)
-    | Lir.Array_length (r, a) ->
-        stat costs.Costs.mem;
-        let ea = ev a in
-        add (fun next st ->
-            let fr = st.cur_fr in
-            fr.regs.(r) <- Array.length (arr_cells st (ea fr));
-            next st)
-    | Lir.Instance_test (r, o, cname) ->
-        stat (costs.Costs.mem + costs.Costs.alu);
-        let eo = ev o in
-        let cid =
-          match Hashtbl.find_opt prog.Program.class_id_of_name cname with
-          | Some cid -> cid
-          | None -> -1
-        in
-        add (fun next st ->
-            let fr = st.cur_fr in
-            let v = eo fr in
-            fr.regs.(r) <-
-              (if v <= 0 || v > Ir.Vec.length st.heap then 0
-               else
-                 match Ir.Vec.unsafe_get st.heap (v - 1) with
-                 | Obj obj -> if obj.cls = cid then 1 else 0
-                 | Arr _ -> 0);
-            next st)
-    | Lir.Intrinsic { dst = _; name = "print"; args = [ a ] } ->
-        stat costs.Costs.intrinsic;
-        let e = ev a in
-        add (fun next st ->
-            Buffer.add_string st.out (string_of_int (e st.cur_fr));
-            Buffer.add_char st.out '\n';
-            next st)
-    | Lir.Intrinsic { dst; name = "rand"; args = [ a ] } -> (
-        stat costs.Costs.intrinsic;
-        let e = ev a in
-        match dst with
-        | Some r ->
-            add (fun next st ->
-                let fr = st.cur_fr in
-                fr.regs.(r) <- next_rand st (e fr);
-                next st)
-        | None ->
-            add (fun next st ->
-                ignore (next_rand st (e st.cur_fr) : int);
-                next st))
     | Lir.Yieldpoint k ->
         (* the precheck guarantees no timer tick, fault, adaptive poll
            or pending switch anywhere in the iteration, and the version
@@ -1007,10 +651,15 @@ let rec compile_chain st (ts : tstate) (root : itrace) ~base_cost ~base_depth
         | Lir.Yp_entry -> incr p_eyps)
     | Lir.Instrument op -> emit_instrument op
     | Lir.Guarded_instrument op -> emit_guarded op
-    | Lir.Call _ | Lir.New_array _ | Lir.Intrinsic _ ->
+    | _ when Straight.is_straight ins ->
+        maxc := !maxc + Straight.bound costs prog ~dcache:dc ins;
+        add (fun next ->
+            Straight.compile costs prog m ~next ~ni:(-1) ~naddr:(-1) ins)
+    | _ ->
         (* calls are recorded as [It_call] items; [record] aborts before
-           the rest — none of them can be here *)
-        rt_err "untraceable word recorded in %s" mstr
+           New_array and the yielding/spawning intrinsics *)
+        rt_err "untraceable word recorded in %s"
+          (Lir.string_of_method_ref m.Program.mref)
   in
   let emit_term t taken fired =
     match t with
@@ -1108,11 +757,13 @@ let rec compile_chain st (ts : tstate) (root : itrace) ~base_cost ~base_depth
     match ic_ins with
     | Lir.Call { dst; kind; target = _; args; site } ->
         let nargs = List.length args in
-        let aev = Array.of_list (List.map ev args) in
+        let aev = Array.of_list (List.map Straight.cop args) in
         (match kind with
         | Lir.Virtual ->
             flush ();
-            let e0 = match args with a :: _ -> ev a | [] -> fun _ -> 0 in
+            let e0 =
+              match args with a :: _ -> Straight.cop a | [] -> fun _ -> 0
+            in
             let g = mk_guard () in
             add (fun next st ->
                 let recv = e0 st.cur_fr in
@@ -1203,7 +854,7 @@ let rec compile_chain st (ts : tstate) (root : itrace) ~base_cost ~base_depth
             | [] -> rt_err "corrupt trace: return below the anchor");
             next st)
     | Lir.Return (Some op) ->
-        let e = ev op in
+        let e = Straight.cop op in
         add (fun next st ->
             let th = st.cur_th in
             let dead = st.cur_fr in
@@ -1224,7 +875,7 @@ let rec compile_chain st (ts : tstate) (root : itrace) ~base_cost ~base_depth
       match item with
       | It_op (m, pb, pi, ins) ->
           word (m.Program.code_addr.(pb) + pi);
-          emit_instr (Lir.string_of_method_ref m.Program.mref) ins
+          emit_instr m ins
       | It_term (m, pb, t, taken, fired) ->
           word
             (m.Program.code_addr.(pb)

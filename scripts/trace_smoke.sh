@@ -3,8 +3,9 @@
 # only, never a byte of output.  `isf table all` with traces armed must
 # be byte-identical to traces-off — on both engines (the reference
 # ignores the flag), under both recording paths, with deterministic
-# chaos, and through a cold and a warm run cache (the trace setting is
-# part of the run key, so trace-on and trace-off cells never alias).
+# chaos (where the Fast legs must also match a Ref leg), and through a
+# cold and a warm run cache (the trace setting is part of the run key,
+# so trace-on and trace-off cells never alias).
 #
 # A low threshold (8) is used for most legs so the small table-cell
 # scales actually record and run traces; one leg uses the CLI default
@@ -55,6 +56,22 @@ fi
 if ! cmp -s "$DIR/chaos-off.txt" "$DIR/chaos-on.txt"; then
     echo "FAIL: trace-tier output differs under --chaos" >&2
     diff "$DIR/chaos-off.txt" "$DIR/chaos-on.txt" >&2 || true
+    exit 1
+fi
+
+# ... and both must match the reference engine under the same plan: a
+# fused-run or trace bug that fires only on fault events would cancel
+# out between the two Fast legs above
+rc_ref=0
+"$ISF" table all -j 2 --engine ref --chaos 7 \
+    > "$DIR/chaos-ref.txt" 2> /dev/null || rc_ref=$?
+if [ "$rc_off" -ne "$rc_ref" ]; then
+    echo "FAIL: chaos exit codes differ fast ($rc_off) vs ref ($rc_ref)" >&2
+    exit 1
+fi
+if ! cmp -s "$DIR/chaos-off.txt" "$DIR/chaos-ref.txt"; then
+    echo "FAIL: fast output differs from ref under --chaos" >&2
+    diff "$DIR/chaos-off.txt" "$DIR/chaos-ref.txt" >&2 || true
     exit 1
 fi
 

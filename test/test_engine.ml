@@ -14,7 +14,11 @@
    yieldpoint-sharing optimization) crossed with every trigger
    (always/never/counter/jittered/per-thread/timer), with both caches
    enabled, and the full observation tuples are compared with
-   structural equality.
+   structural equality.  A low-fuel sweep cuts each seeded program at a
+   few points of its run and compares the whole outcome, so the fuel
+   error's message (which names the pc the run stopped at) must agree
+   too — those cuts also land next to fused runs, driving their
+   precheck into the word-by-word fallback.
 
    Quick/Slow split (PR 1 convention): the quick pass replays a few
    seeded programs; the QCheck property (100 random programs) registers
@@ -66,8 +70,8 @@ let instrument transform funcs =
    generated loops actually turn hot; [recording] selects the legacy
    event-by-event collector or the flat-slot recorder — traced
    execution must be bit-identical under both. *)
-let observe ~engine ?trace_threshold ?(recording = `Legacy) classes funcs
-    trigger =
+let observe ~engine ?(fuel = 200_000_000) ?trace_threshold
+    ?(recording = `Legacy) classes funcs trigger =
   let prog = Vm.Program.link classes ~funcs in
   let sampler = Core.Sampler.create trigger in
   let hooks, recorder, decode =
@@ -82,7 +86,7 @@ let observe ~engine ?trace_threshold ?(recording = `Legacy) classes funcs
           fun () -> Profiles.Slots.decode s )
   in
   let res =
-    Vm.Interp.run ~engine ~fuel:200_000_000 ~use_icache:true ~use_dcache:true
+    Vm.Interp.run ~engine ~fuel ~use_icache:true ~use_dcache:true
       ?recorder ?trace_threshold prog
       ~entry:{ Lir.mclass = "Main"; mname = "main" }
       ~args:[ 5 ] hooks
@@ -128,6 +132,9 @@ let check_program ~fail src =
               else true)
             [
               ("Fast", observe ~engine:`Fast classes funcs' trigger);
+              ( "Fast/slots",
+                observe ~engine:`Fast ~recording:`Slots classes funcs' trigger
+              );
               ( "Fast+traces",
                 observe ~engine:`Fast ~trace_threshold:3 classes funcs'
                   trigger );
@@ -156,10 +163,71 @@ let seeded_agree () =
       ignore (check_program ~fail:Alcotest.fail (Gen_jasm.render p)))
     progs
 
+(* Cut a run short at [cuts] points spread over its reference cycle
+   count: every engine configuration must stop with the same outcome —
+   the same result tuple if the cut falls past the end, else the same
+   out-of-fuel message, whose pc is exact on both engines. *)
+let low_fuel_agree () =
+  let rand = Random.State.make [| 0xF0E1 |] in
+  let progs = QCheck.Gen.generate ~n:5 ~rand Gen_jasm.program in
+  let trigger = Core.Sampler.Counter { interval = 3; jitter = 0 } in
+  let cuts = 4 in
+  let outcome f =
+    match f () with
+    | obs -> Ok obs
+    | exception Vm.Interp.Runtime_error msg -> Error msg
+  in
+  List.iter
+    (fun p ->
+      let classes, funcs = compile (Gen_jasm.render p) in
+      List.iter
+        (fun (tname, transform) ->
+          let funcs' = instrument transform funcs in
+          let total =
+            let (_, _, cycles, _), _, _, _ =
+              observe ~engine:`Ref classes funcs' trigger
+            in
+            cycles
+          in
+          for k = 1 to cuts do
+            let fuel = total * k / (cuts + 1) in
+            let oracle =
+              outcome (fun () ->
+                  observe ~engine:`Ref ~fuel classes funcs' trigger)
+            in
+            List.iter
+              (fun (vname, run) ->
+                let got = outcome run in
+                if got <> oracle then
+                  let say = function Ok _ -> "completes" | Error m -> m in
+                  Alcotest.failf
+                    "engines diverge at fuel %d (%s): transform %s\n\
+                     ref:  %s\n\
+                     this: %s"
+                    fuel vname tname (say oracle) (say got))
+              [
+                ( "Fast",
+                  fun () ->
+                    observe ~engine:`Fast ~fuel classes funcs' trigger );
+                ( "Fast/slots",
+                  fun () ->
+                    observe ~engine:`Fast ~fuel ~recording:`Slots classes funcs'
+                      trigger );
+                ( "Fast+traces/slots",
+                  fun () ->
+                    observe ~engine:`Fast ~fuel ~trace_threshold:3
+                      ~recording:`Slots classes funcs' trigger );
+              ]
+          done)
+        transforms)
+    progs
+
 let suite =
   [
     ( "engine",
       Alcotest.test_case "Fast == Ref on seeded programs" `Quick seeded_agree
+      :: Alcotest.test_case "Fast == Ref at low-fuel cut points" `Quick
+           low_fuel_agree
       :: List.map
            (QCheck_alcotest.to_alcotest ~long:false)
            [ engines_agree ] );
