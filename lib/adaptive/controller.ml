@@ -352,20 +352,20 @@ let poll t st =
      reshaping.  The controller writes the threshold knob and never
      reads trace state: decisions depend only on the knob's value, which
      is set identically under both engines (Ref simply never consults
-     it), so decision logs stay engine-invariant. *)
+     it), so decision logs stay engine-invariant.  The pause and resume
+     are not decisions and stay out of the log: it, and every count
+     taken from it, must not change with the trace tier's setting. *)
   (match t.trace_saved with
   | Some thr ->
       t.trace_saved <- None;
-      st.Machine.trace_threshold <- thr;
-      logd t "trace-resume thr=%d" thr
+      st.Machine.trace_threshold <- thr
   | None -> ());
   t.swapped <- false;
   (match t.gov with Some g -> governor_step t st g | None -> ());
   if t.cfg.fdo then fdo_step t st;
   if t.swapped && st.Machine.trace_threshold < max_int then begin
     t.trace_saved <- Some st.Machine.trace_threshold;
-    st.Machine.trace_threshold <- max_int;
-    logd t "trace-pause"
+    st.Machine.trace_threshold <- max_int
   end;
   st.Machine.next_adaptive <- st.Machine.cycles + t.cfg.poll_period
 

@@ -41,6 +41,21 @@ let split_plan plan =
     plan;
   (List.rev !entry, List.rev !before, List.rev !edges)
 
+(* Edge ops grouped per CFG edge, edges in first-appearance order and
+   ops in plan order within an edge: splitting an edge moves it, so
+   every op on one edge must ride in a single split (two specs, such as
+   edge and path profiling, can each put an op on the same edge). *)
+let group_edges edges =
+  List.fold_left
+    (fun acc (e, op) ->
+      if List.mem_assoc e acc then
+        List.map
+          (fun (e', ops) -> if e' = e then (e', op :: ops) else (e', ops))
+          acc
+      else (e, [ op ]) :: acc)
+    [] edges
+  |> List.rev_map (fun (e, ops) -> (e, List.rev ops))
+
 (* Insert ops before instructions, highest index first so earlier indices
    stay valid; ops sharing an index keep plan order. *)
 let insert_before_ops f ~(relabel : Lir.label -> Lir.label) ~mk before =
@@ -94,10 +109,11 @@ let instrument_in_place ~mk spec f =
   insert_before_ops f ~relabel:Fun.id ~mk before;
   insert_entry_ops f ~at:f.Lir.entry ~mk entry_ops;
   List.iter
-    (fun ((u, v), op) ->
+    (fun ((u, v), ops) ->
       ignore
-        (Ir.Edit.split_edge f ~src:u ~dst:v ~role:Lir.Orig ~instrs:[ mk op ]))
-    edges;
+        (Ir.Edit.split_edge f ~src:u ~dst:v ~role:Lir.Orig
+           ~instrs:(List.map mk ops)))
+    (group_edges edges);
   f
 
 let exhaustive spec f =
@@ -182,11 +198,11 @@ let full_dup_core spec f0 =
     List.partition (fun (e, _) -> List.mem e bedges) edges
   in
   List.iter
-    (fun ((u, v), op) ->
+    (fun ((u, v), ops) ->
       ignore
         (Ir.Edit.split_edge f ~src:dup_of.(u) ~dst:dup_of.(v) ~role:Lir.Dup
-           ~instrs:[ Lir.Instrument op ]))
-    normal_edge_ops;
+           ~instrs:(List.map (fun op -> Lir.Instrument op) ops)))
+    (group_edges normal_edge_ops);
   (* every backedge — in the checking code AND in the duplicated code —
      routes through one shared check: on a sample the next iteration runs
      in the duplicated code, otherwise in the checking code.  Routing the

@@ -2,7 +2,10 @@
 
     Used throughout the IR to store basic blocks indexed by label. *)
 
-type 'a t
+type 'a t = private { mutable data : 'a array; mutable len : int }
+(** Elements [0, len) of [data] are live.  Readable outside so the VM's
+    hot paths can inline heap lookups (under dune's default profile a
+    call into this module is out of line); only this module writes. *)
 
 val create : unit -> 'a t
 (** Fresh empty vector. *)

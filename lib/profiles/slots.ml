@@ -546,17 +546,15 @@ let create (prog : Program.t) : t =
       | "cct", Lir.P_unit ->
           dyn (fun _st th fr ->
               incr cwalks;
-              (* walk outermost-first: parents are innermost-first *)
-              let rec descend = function
-                | [] -> croot
-                | (g : Machine.frame) :: rest ->
-                    cnode_child (descend rest) g.Machine.m.Program.id
-                      g.Machine.from_site
-              in
+              (* walk the suspended callers outermost-first *)
+              let node = ref croot in
+              for i = 0 to th.Machine.sp - 1 do
+                let (g : Machine.frame) = th.Machine.stack.(i) in
+                node :=
+                  cnode_child !node g.Machine.m.Program.id g.Machine.from_site
+              done;
               let node =
-                cnode_child
-                  (descend th.Machine.parents)
-                  fr.Machine.m.Program.id fr.Machine.from_site
+                cnode_child !node fr.Machine.m.Program.id fr.Machine.from_site
               in
               node.c_count <- node.c_count + 1)
       | "receiver", Lir.P_value (operand, site) ->

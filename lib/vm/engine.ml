@@ -44,8 +44,6 @@ type tmpl = {
   t_params : int array;
   t_nregs : int;
   t_entry_blk : int;
-  t_entry_instrs : Lir.instr array;
-  t_entry_term : Lir.terminator;
   t_entry_base : int;
   t_name : string;
 }
@@ -73,6 +71,9 @@ type cprog = {
          (atomic: distinct methods may compile concurrently).  Site ids
          name code locations; the per-run hotness counters and traces
          they index live in each state's [trace] slot (see Trace). *)
+  n_fused : int Atomic.t;
+      (* ids of instrumented fused runs, minted at compile time; each
+         run's bound is cached per run in [state.fused_bound] *)
 }
 
 type Program.cache_slot += Compiled of cprog
@@ -80,27 +81,83 @@ type Program.cache_slot += Compiled of cprog
 let empty_cmeth : cmeth = [||]
 
 (* ------------------------------------------------------------------ *)
+(* Hot helpers                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Module-local so they inline into the closures: under dune's default
+   profile (-opaque) a call into Machine is out of line (DESIGN.md §5,
+   "Word preamble and frame layout").  Apart from [fallback_state],
+   which only the engine reads, each is the fast path of the Machine
+   function of the same name; cold paths stay there. *)
+let[@inline] charge st c = st.cycles <- st.cycles + c
+
+let[@inline] icharge st c =
+  st.cycles <- st.cycles + c;
+  st.icycles <- st.icycles + c
+
+let[@inline] fuel_check st = if st.cycles > st.guard_gate then guard_trip st
+
+let[@inline] adaptive_check st =
+  if st.cycles >= st.next_adaptive then adaptive_fire st
+
+let[@inline] timer_check st =
+  if st.cycles >= st.next_timer then timer_fire st;
+  adaptive_check st
+
+let[@inline] fallback_state st id =
+  if Array.length st.engine_fallback = 0 then 0
+  else Array.unsafe_get st.engine_fallback id
+
+let[@inline] heap_get st r =
+  if r <= 0 then rt_err "null dereference"
+  else if r > st.heap.Ir.Vec.len then rt_err "dangling reference %d" r
+  else Array.unsafe_get st.heap.Ir.Vec.data (r - 1)
+
+let[@inline] record_flat st (r : flat_recorder) ev =
+  icharge st (Array.unsafe_get r.ev_cost ev);
+  let c = Array.unsafe_get r.ev_counter ev in
+  if c >= 0 then begin
+    let v = Array.unsafe_get r.counts c in
+    Array.unsafe_set r.counts c (v + 1);
+    if v = 0 then begin
+      r.touch.(r.n_touch) <- c;
+      r.n_touch <- r.n_touch + 1
+    end
+  end
+  else (Array.unsafe_get r.dyn ev) st st.cur_th st.cur_fr
+
+(* ------------------------------------------------------------------ *)
 (* Instruction compilation                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Build the callee frame from a template and push it; the counterpart
-   of [Machine.new_frame] + the tail of [Machine.invoke], with the
-   argument registers filled from precompiled evaluators.  Split in two
-   around the argument fill so the frame (and its register array) comes
-   from the state's frame pool instead of a fresh allocation per call:
-   [alloc_frame] takes a pooled frame and stamps the template-derived
-   fields; the call site fills [callee.regs]; [link_frame] assigns the
-   activation id and pushes. *)
-let alloc_frame st (t : tmpl) =
-  let callee = take_frame st t.t_meth t.t_nregs in
+(* Take the stack slot above the caller for a callee built from
+   template [t], registers zeroed: [Machine.take_frame] plus the entry
+   position.  No allocation and no pointer write unless the slot last
+   held another method or has too few registers.  The call site then
+   fills the arguments and [push_frame] makes it the running frame. *)
+let[@inline] alloc_frame th (t : tmpl) =
+  let sp = th.sp + 1 in
+  let stack = th.stack in
+  let callee =
+    if sp < Array.length stack then Array.unsafe_get stack sp
+    else stack_slot th sp
+  in
+  if callee.m != t.t_meth then callee.m <- t.t_meth;
+  let n = t.t_nregs in
+  if Array.length callee.regs < n then callee.regs <- Array.make n 0
+  else begin
+    let regs = callee.regs in
+    for i = 0 to n - 1 do
+      Array.unsafe_set regs i 0
+    done
+  end;
+  callee.nregs <- n;
   callee.blk <- t.t_entry_blk;
   callee.idx <- 0;
-  callee.instrs <- t.t_entry_instrs;
-  callee.term <- t.t_entry_term;
   callee.base_addr <- t.t_entry_base;
   callee
 
-let link_frame st th fr callee ~ret_dst ~from_meth ~from_site =
+let[@inline] push_frame st th callee ~ret_dst ~from_meth ~from_site =
   let fid = st.next_frame_id in
   st.next_frame_id <- fid + 1;
   callee.ret_dst <- ret_dst;
@@ -108,8 +165,7 @@ let link_frame st th fr callee ~ret_dst ~from_meth ~from_site =
   callee.from_site <- from_site;
   callee.fid <- fid;
   st.counters.entries <- st.counters.entries + 1;
-  th.parents <- fr :: th.parents;
-  th.top <- Some callee
+  th.sp <- th.sp + 1
 
 (* instructions eligible for straight-line fusion: the straight-line
    words plus instrumentation, whose worst-case charge the fused entry
@@ -117,6 +173,32 @@ let link_frame st th fr callee ~ret_dst ~from_meth ~from_site =
 let fusable = function
   | Lir.Instrument _ | Lir.Guarded_instrument _ -> true
   | ins -> Straight.is_straight ins
+
+(* Worst-case charge of instrumented fused run [id]: [static] plus the
+   recorder's resolved cost of each op, stored in [st.fused_bound] once
+   every op has an event id; -1 (slow path) without a flat recorder or
+   while any op is unresolved. *)
+let fused_bound st (ops : Lir.instrument_op array) static id =
+  match st.recorder with
+  | None -> -1
+  | Some r ->
+      let d =
+        Array.fold_left
+          (fun acc (op : Lir.instrument_op) ->
+            if acc < 0 || op.Lir.slot < 0 then -1
+            else acc + r.ev_cost.(op.Lir.slot))
+          static ops
+      in
+      if d >= 0 then begin
+        let n = Array.length st.fused_bound in
+        if id >= n then begin
+          let b = Array.make (max (id + 1) (2 * n)) (-1) in
+          Array.blit st.fused_bound 0 b 0 n;
+          st.fused_bound <- b
+        end;
+        st.fused_bound.(id) <- d
+      end;
+      d
 
 (* Compile one instruction into its complete dispatch step.  [nxt] is the
    already-compiled remainder of the block; [ni]/[naddr] say what follows
@@ -131,7 +213,7 @@ let fusable = function
    actually happens. *)
 let rec compile_instr (cp : cprog) (prog : Program.t) (m : Program.meth)
     ~(nxt : k) ~(naddr : int) ~(ni : int) (ins : Lir.instr) : k =
-  let cont st = Straight.advance st ~next:nxt ~ni ~naddr in
+  let[@inline] cont st = Straight.advance st ~next:nxt ~ni ~naddr in
   let costs = cp.c_costs in
   match ins with
   | _ when Straight.is_straight ins ->
@@ -180,16 +262,16 @@ let rec compile_instr (cp : cprog) (prog : Program.t) (m : Program.meth)
               else
                 fun st ->
                   let fr = st.cur_fr in
+                  let th = st.cur_th in
                   fr.idx <- ni;
                   charge st cc_call;
                   let t = cp.templates.(id) in
-                  let callee = alloc_frame st t in
+                  let callee = alloc_frame th t in
                   let regs = callee.regs in
                   for k = 0 to nargs - 1 do
                     regs.(t.t_params.(k)) <- aev.(k) fr
                   done;
-                  link_frame st st.cur_th fr callee ~ret_dst ~from_meth
-                    ~from_site:site;
+                  push_frame st th callee ~ret_dst ~from_meth ~from_site:site;
                   let cm = fetch_or_fallback st cp prog id in
                   if cm == empty_cmeth then ()
                     (* fallback callee: return to the dispatcher, which
@@ -199,10 +281,8 @@ let rec compile_instr (cp : cprog) (prog : Program.t) (m : Program.meth)
                     (* chain straight into the callee: the same preamble
                        the dispatcher would run for its first instruction *)
                     st.cur_fr <- callee;
-                    fuel_check st;
-                    st.instructions <- st.instructions + 1;
-                    icache_access st t.t_entry_base;
-                    cm.(t.t_entry_blk).code.(0) st
+                    Straight.advance st ~next:cm.(t.t_entry_blk).code.(0) ~ni:0
+                      ~naddr:t.t_entry_base
                   end
           | None ->
               (* unresolved: the shared slow path raises the identical
@@ -221,15 +301,16 @@ let rec compile_instr (cp : cprog) (prog : Program.t) (m : Program.meth)
                   | None -> -1)
                 prog.Program.classes
             in
+            let erecv = aev.(0) in
             fun st ->
               let fr = st.cur_fr in
+              let th = st.cur_th in
               fr.idx <- ni;
               charge st cc_call;
-              let vals = Array.make nargs 0 in
-              for k = 0 to nargs - 1 do
-                vals.(k) <- aev.(k) fr
-              done;
-              let recv = vals.(0) in
+              (* every argument is a register or an immediate, so reading
+                 the receiver first and the rest after dispatch (straight
+                 into the callee's registers) reads the same values *)
+              let recv = erecv fr in
               if recv = 0 then rt_err "null receiver for %s" mname;
               let cls =
                 match heap_get st recv with
@@ -241,23 +322,22 @@ let rec compile_instr (cp : cprog) (prog : Program.t) (m : Program.meth)
                 rt_err "class %s has no method %s"
                   st.prog.Program.classes.(cls).Program.cls_name mname;
               let t = cp.templates.(id) in
-              let np = Array.length t.t_params in
-              if nargs > np then rt_err "too many arguments to %s" t.t_name;
-              let callee = alloc_frame st t in
+              let params = t.t_params in
+              if nargs > Array.length params then
+                rt_err "too many arguments to %s" t.t_name;
+              let callee = alloc_frame th t in
               let regs = callee.regs in
-              for k = 0 to nargs - 1 do
-                regs.(t.t_params.(k)) <- vals.(k)
+              regs.(params.(0)) <- recv;
+              for k = 1 to nargs - 1 do
+                regs.(params.(k)) <- aev.(k) fr
               done;
-              link_frame st st.cur_th fr callee ~ret_dst ~from_meth
-                ~from_site:site;
+              push_frame st th callee ~ret_dst ~from_meth ~from_site:site;
               let cm = fetch_or_fallback st cp prog id in
               if cm == empty_cmeth then ()
               else begin
                 st.cur_fr <- callee;
-                fuel_check st;
-                st.instructions <- st.instructions + 1;
-                icache_access st t.t_entry_base;
-                cm.(t.t_entry_blk).code.(0) st
+                Straight.advance st ~next:cm.(t.t_entry_blk).code.(0) ~ni:0
+                  ~naddr:t.t_entry_base
               end)
   | Lir.Intrinsic { dst; name; args } -> (
       match (name, args) with
@@ -336,8 +416,7 @@ let rec compile_instr (cp : cprog) (prog : Program.t) (m : Program.meth)
       fun st ->
         st.counters.instrument_ops <- st.counters.instrument_ops + 1;
         (match st.recorder with
-        | Some r when op.Lir.slot >= 0 ->
-            record_flat st st.cur_th st.cur_fr r op.Lir.slot
+        | Some r when op.Lir.slot >= 0 -> record_flat st r op.Lir.slot
         | _ ->
             icharge st (st.hooks.instr_cost op);
             st.hooks.on_instrument (make_ctx st st.cur_th st.cur_fr) op);
@@ -401,12 +480,8 @@ and compile_fused (cp : cprog) (prog : Program.t) (m : Program.meth)
        (word [a]'s probe belongs to the predecessor); within the run
        only line heads can miss, so only they are probed *)
     if j > a && (base + j) mod Icache.default_line_words = 0 then begin
-      let addr = base + j in
       delta := !delta + cc_miss;
-      chain :=
-        fun st ->
-          icache_access st addr;
-          body st
+      chain := Straight.probed ~addr:(base + j) body
     end
     else chain := body
   done;
@@ -417,51 +492,59 @@ and compile_fused (cp : cprog) (prog : Program.t) (m : Program.meth)
       fun st ->
         if st.cycles + delta_static > st.guard_gate then slow st else fast st
   | ops ->
-      let n_ops = Array.length ops in
-      (* worst-case instrumentation charge from the recorder's resolved
-         per-event costs; -1 while any slot is still unresolved *)
-      let rec dsum (r : flat_recorder) i acc =
-        if i >= n_ops then acc
-        else
-          let s = (Array.unsafe_get ops i).Lir.slot in
-          if s < 0 then -1
-          else dsum r (i + 1) (acc + Array.unsafe_get r.ev_cost s)
-      in
-      fun st -> (
-        match st.recorder with
-        | None -> slow st
-        | Some r ->
-            let d = dsum r 0 delta_static in
-            if d < 0 || st.cycles + d > st.guard_gate then slow st else fast st)
+      let id = Atomic.fetch_and_add cp.n_fused 1 in
+      fun st ->
+        let b = st.fused_bound in
+        let d = if id < Array.length b then Array.unsafe_get b id else -1 in
+        let d = if d >= 0 then d else fused_bound st ops delta_static id in
+        if d < 0 || st.cycles + d > st.guard_gate then slow st else fast st
 
 (* ------------------------------------------------------------------ *)
 (* Terminator and block compilation                                    *)
 (* ------------------------------------------------------------------ *)
 
 (* [jump st fr l] transfers control to block [l] of the same method
-   and keeps executing: it performs the dispatcher's step preamble (fuel,
-   instruction count, i-cache) for the first word of the target block and
-   tail-calls into its compiled chain, so intra-method control flow never
-   returns to the dispatch loop.  It is local to [compile_term] (direct
-   call — passing it in would make every taken branch a caml_apply).
-   Returns likewise pop the frame exactly like [Machine.do_return] and
-   chain into the caller's resume point; only a thread death falls back
-   to the dispatcher. *)
-and compile_term (cp : cprog) (prog : Program.t)
-    ~(binstrs : Lir.instr array array) ~(bterm : Lir.terminator array)
-    ~(baddr : int array) ~(codes : k array array) (t : Lir.terminator) : k =
+   and keeps executing: it writes the frame's int position fields (no
+   pointer, so no write barrier), performs the dispatcher's step
+   preamble for the first word of the target block and tail-calls into
+   its compiled chain, so intra-method control flow never returns to the
+   dispatch loop.  It is local to [compile_term] (direct call — passing
+   it in would make every taken branch a caml_apply).  Returns likewise
+   pop the frame exactly like [Machine.do_return] and chain into the
+   caller's resume point; only a thread death falls back to the
+   dispatcher. *)
+and compile_term (cp : cprog) (prog : Program.t) ~(baddr : int array)
+    ~(codes : k array array) (t : Lir.terminator) : k =
   let costs = cp.c_costs in
   let cc_branch = costs.Costs.branch in
   let jump st (fr : frame) l =
+    let addr = Array.unsafe_get baddr l in
     fr.blk <- l;
     fr.idx <- 0;
-    fr.instrs <- binstrs.(l);
-    fr.term <- bterm.(l);
-    fr.base_addr <- baddr.(l);
-    fuel_check st;
-    st.instructions <- st.instructions + 1;
-    icache_access st baddr.(l);
-    codes.(l).(0) st
+    fr.base_addr <- addr;
+    let next = Array.unsafe_get (Array.unsafe_get codes l) 0 in
+    Straight.advance st ~next ~ni:0 ~naddr:addr
+  in
+  (* pop the returning frame; resume the caller's compiled code, or hand
+     a dead thread or a degraded caller back to the dispatcher *)
+  let return st th =
+    let sp = th.sp - 1 in
+    th.sp <- sp;
+    if sp < 0 then begin
+      st.alive <- st.alive - 1;
+      if st.alive > 0 then rotate_thread st
+    end
+    else begin
+      let parent = Array.unsafe_get th.stack sp in
+      let cm = fetch_for_frame st cp prog parent in
+      if cm == empty_cmeth then ()
+      else begin
+        st.cur_fr <- parent;
+        let i = parent.idx in
+        Straight.advance st ~next:cm.(parent.blk).code.(i) ~ni:i
+          ~naddr:(parent.base_addr + i)
+      end
+    end
   in
   match t with
   | Lir.Goto l ->
@@ -505,61 +588,25 @@ and compile_term (cp : cprog) (prog : Program.t)
             sel st st.cur_fr n)
   | Lir.Return None ->
       let cc_ret = costs.Costs.ret in
-      fun st -> (
+      fun st ->
         let th = st.cur_th in
-        (* cur_fr is the frame executing this return; once popped it is
-           unreachable and goes back to the pool (the dispatcher always
-           rewrites cur_fr before running any other code) *)
-        let dead = st.cur_fr in
         charge st cc_ret;
-        match th.parents with
-        | [] ->
-            th.top <- None;
-            st.alive <- st.alive - 1;
-            if th.tid = 0 then st.main_result <- None;
-            release_frame st dead;
-            if st.alive > 0 then rotate_thread st
-        | parent :: rest ->
-            th.parents <- rest;
-            th.top <- Some parent;
-            release_frame st dead;
-            let cm = fetch_for_frame st cp prog parent in
-            if cm == empty_cmeth then ()
-            else begin
-              st.cur_fr <- parent;
-              fuel_check st;
-              st.instructions <- st.instructions + 1;
-              icache_access st (parent.base_addr + parent.idx);
-              cm.(parent.blk).code.(parent.idx) st
-            end)
+        if th.sp = 0 && th.tid = 0 then st.main_result <- None;
+        return st th
   | Lir.Return (Some op) -> (
       let cc_ret = costs.Costs.ret in
       let finish st x =
         let th = st.cur_th in
-        let dead = st.cur_fr in
         charge st cc_ret;
-        match th.parents with
-        | [] ->
-            th.top <- None;
-            st.alive <- st.alive - 1;
-            if th.tid = 0 then st.main_result <- Some x;
-            release_frame st dead;
-            if st.alive > 0 then rotate_thread st
-        | parent :: rest ->
-            let dst = dead.ret_dst in
-            th.parents <- rest;
-            th.top <- Some parent;
-            if dst >= 0 then parent.regs.(dst) <- x;
-            release_frame st dead;
-            let cm = fetch_for_frame st cp prog parent in
-            if cm == empty_cmeth then ()
-            else begin
-              st.cur_fr <- parent;
-              fuel_check st;
-              st.instructions <- st.instructions + 1;
-              icache_access st (parent.base_addr + parent.idx);
-              cm.(parent.blk).code.(parent.idx) st
-            end
+        if th.sp = 0 then begin
+          if th.tid = 0 then st.main_result <- Some x
+        end
+        else begin
+          let dst = st.cur_fr.ret_dst in
+          if dst >= 0 then
+            (Array.unsafe_get th.stack (th.sp - 1)).regs.(dst) <- x
+        end;
+        return st th
       in
       match op with
       | Lir.Reg r -> fun st -> finish st st.cur_fr.regs.(r)
@@ -580,18 +627,17 @@ and compile_term (cp : cprog) (prog : Program.t)
 and compile_method (cp : cprog) (prog : Program.t) (m : Program.meth) : cmeth =
   let f = m.Program.func in
   let n = Lir.num_blocks f in
-  let binstrs = Array.init n (fun l -> (Lir.block f l).Lir.instrs) in
-  let bterm = Array.init n (fun l -> (Lir.block f l).Lir.term) in
   let baddr = m.Program.code_addr in
   (* per-block chains, filled below; the terminators' [jump] dereferences
      [codes] at run time, by which point every block of the method is
      compiled *)
   let codes : k array array = Array.make n [||] in
   let compile_block l =
-    let instrs = binstrs.(l) in
+    let b = Lir.block f l in
+    let instrs = b.Lir.instrs in
     let len = Array.length instrs in
     let base = baddr.(l) in
-    let tk = compile_term cp prog ~binstrs ~bterm ~baddr ~codes bterm.(l) in
+    let tk = compile_term cp prog ~baddr ~codes b.Lir.term in
     (* ks.(i) runs the block from instruction i; ks.(len) is the
        terminator step (the timer is only consulted there, like the
        reference).  Built back to front so each closure captures its
@@ -712,14 +758,11 @@ and fetch_for_frame st (cp : cprog) (prog : Program.t) (fr : frame) : cmeth =
 let tmpl_of_meth (m : Program.meth) =
   let f = m.Program.func in
   let entry = f.Lir.entry in
-  let b = Lir.block f entry in
   {
     t_meth = m;
     t_params = Array.of_list f.Lir.params;
     t_nregs = max f.Lir.next_reg 1;
     t_entry_blk = entry;
-    t_entry_instrs = b.Lir.instrs;
-    t_entry_term = b.Lir.term;
     t_entry_base = m.Program.code_addr.(entry);
     t_name = Lir.string_of_method_ref m.Program.mref;
   }
@@ -753,6 +796,7 @@ let cprog_of (prog : Program.t) (costs : Costs.t) =
                 c_costs = costs;
                 retired = [];
                 n_sites = Atomic.make 0;
+                n_fused = Atomic.make 0;
               }
             in
             prog.Program.engine_cache <- Some (Compiled cp);
@@ -801,21 +845,23 @@ let exec st =
   while st.alive > 0 do
     fuel_check st;
     let th = st.threads.(st.current) in
-    match th.top with
-    | None -> rotate_thread st
-    | Some fr ->
-        let cm = fetch_for_frame st cp prog fr in
-        if cm == empty_cmeth then
-          (* degraded method: one reference step, which performs the
-             instruction-count/i-cache preamble itself *)
-          Machine.step st
-        else begin
-          st.instructions <- st.instructions + 1;
-          icache_access st (fr.base_addr + fr.idx);
-          st.cur_th <- th;
-          st.cur_fr <- fr;
-          (* code.(len) is the terminator step, so a frame suspended at
-             any idx in [0, len] resumes with a single indexed dispatch *)
-          cm.(fr.blk).code.(fr.idx) st
-        end
+    if th.sp < 0 then rotate_thread st
+    else begin
+      let fr = th.stack.(th.sp) in
+      let cm = fetch_for_frame st cp prog fr in
+      if cm == empty_cmeth then
+        (* degraded method: one reference step, which performs the
+           instruction-count/i-cache preamble itself *)
+        Machine.step st
+      else begin
+        if st.cur_th != th then st.cur_th <- th;
+        if st.cur_fr != fr then st.cur_fr <- fr;
+        (* code.(len) is the terminator step, so a frame suspended at
+           any idx in [0, len] resumes with a single indexed dispatch
+           (the fuel check above makes the preamble's a no-op) *)
+        let i = fr.idx in
+        Straight.advance st ~next:cm.(fr.blk).code.(i) ~ni:i
+          ~naddr:(fr.base_addr + i)
+      end
+    end
   done

@@ -5,7 +5,17 @@
     instruction cache misses") and the cost of jumping into cold duplicated
     code when a sample is taken. *)
 
-type t
+type t = {
+  tags : int array;  (** line number held by each set; -1 = empty *)
+  line_words : int;
+  shift : int;  (** log2 [line_words] when a power of two, else -1 *)
+  mask : int;  (** [Array.length tags - 1] when a power of two, else -1 *)
+  mutable miss_count : int;
+  mutable access_count : int;
+}
+(** Exposed so the engine's word preamble can inline the probe
+    ({!access} spelled out; DESIGN.md §5): under dune's default profile
+    a call into this module is out of line. *)
 
 val default_line_words : int
 (** Words per line of the instruction cache every {!Machine.state}

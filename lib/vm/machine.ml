@@ -69,19 +69,23 @@ type result = {
    null is 0 (the typechecker keeps ints and references apart). *)
 type cell = Obj of { cls : int; fields : int array } | Arr of int array
 
-(* Every field is mutable so returning frames can be recycled through
-   the per-size pool (see [take_frame]).  [regs] is only ever replaced
-   by frame migration (see [try_migrate]), which grows it when the
-   target method version needs more registers; the pool buckets by the
-   array's length at release time, so grown frames simply re-enter a
-   larger bucket. *)
+(* Frames hold no pointer field that changes per branch: the running
+   block is [blk] (read through [Lir.block m.func blk] where the words
+   are needed) and the rest are ints, so a taken branch writes ints only
+   and pays no write barrier.  [m] changes on a call only when the slot
+   last held another method, and [regs] only when it must grow.
+
+   [regs] may be longer than the register file: [nregs] is the logical
+   length.  Registers [0, nregs) are zeroed when the frame is pushed,
+   and frame migration (see [try_migrate]) zeroes the ones it adds, so
+   every register a method can name (code is verified against its
+   [next_reg]) reads exactly as in a fresh, exact-size array. *)
 type frame = {
   mutable m : Program.meth;
   mutable regs : int array;
+  mutable nregs : int;
   mutable blk : int;
   mutable idx : int;
-  mutable instrs : Lir.instr array; (* cache of current block's body *)
-  mutable term : Lir.terminator;
   mutable base_addr : int; (* code address of current block *)
   mutable ret_dst : int; (* caller register for the result; -1 = none *)
   mutable from_meth : int; (* caller method id; -1 for thread entries *)
@@ -89,10 +93,18 @@ type frame = {
   mutable fid : int; (* unique activation id *)
 }
 
+(* A thread's activations live in [stack.(0)] (the entry) to
+   [stack.(sp)] (the running frame); [sp = -1] once the thread is dead.
+   Slots above [sp] are frames kept for reuse: a call takes the slot at
+   [sp + 1] and a return just decrements [sp], so steady-state calls and
+   returns allocate nothing and write no pointer.  A recycled frame is
+   indistinguishable from a fresh one (registers re-zeroed, every other
+   field overwritten before it runs; activation ids keep allocation
+   order). *)
 type thread = {
   tid : int;
-  mutable parents : frame list; (* suspended caller frames *)
-  mutable top : frame option; (* running frame; None = dead *)
+  mutable stack : frame array;
+  mutable sp : int;
 }
 
 (* Flat-slot recording (Profiles.Slots).  A pre-pass resolves every
@@ -145,7 +157,6 @@ and state = {
   fuel : int;
   mutable main_result : int option;
   mutable next_frame_id : int;
-  frame_pool : frame list array; (* returned frames, by Array.length regs *)
   (* Robustness layer.  [guard_gate] is the only value the hot path
      compares against: the minimum of the fuel limit, the next fault
      event's trigger cycle and the next wall-clock poll, so runs without
@@ -170,6 +181,13 @@ and state = {
   mutable cur_fr : frame;
   recorder : flat_recorder option;
       (* flat-slot recording; [None] = legacy event-by-event hooks *)
+  mutable fused_bound : int array;
+      (* worst-case instrumentation charge of each instrumented fused run
+         (Engine), by run id, summed once from [recorder]'s [ev_cost];
+         -1 = not yet known.  Per run, because a compiled image is shared
+         across domains and runs with different recorders.  A known sum
+         never goes stale: event ids only grow and keep their cost, and
+         a sum is stored only once every op of the run has its id. *)
   (* Adaptive tier (lib/adaptive).  [next_adaptive] = max_int keeps the
      poll a single always-false compare when the loop is off, so the
      byte-identity of non-adaptive runs is untouched. *)
@@ -203,12 +221,13 @@ let out_of_fuel st =
   let where =
     if Array.length st.threads = 0 then ""
     else
-      match st.threads.(st.current).top with
-      | Some fr ->
-          Printf.sprintf " in %s (block %d, pc %d)"
-            (Lir.string_of_method_ref fr.m.Program.mref)
-            fr.blk (fr.base_addr + fr.idx)
-      | None -> ""
+      let th = st.threads.(st.current) in
+      if th.sp < 0 then ""
+      else
+        let fr = th.stack.(th.sp) in
+        Printf.sprintf " in %s (block %d, pc %d)"
+          (Lir.string_of_method_ref fr.m.Program.mref)
+          fr.blk (fr.base_addr + fr.idx)
   in
   let ctx = if st.label = "" then "" else " while running " ^ st.label in
   rt_err "out of fuel after %d cycles%s%s (likely non-termination)" st.cycles
@@ -271,22 +290,24 @@ let fuel_check st = if st.cycles > st.guard_gate then guard_trip st
    disarm and hand control to the controller.  The controller re-arms by
    writing [next_adaptive] itself; with the loop off this is one
    always-false compare. *)
+let adaptive_fire st =
+  st.next_adaptive <- max_int;
+  st.adaptive_poll st
+
 let[@inline] adaptive_check st =
-  if st.cycles >= st.next_adaptive then begin
-    st.next_adaptive <- max_int;
-    st.adaptive_poll st
-  end
+  if st.cycles >= st.next_adaptive then adaptive_fire st
 
 (* The timer device fires at block boundaries, exactly where the
    reference step consults it (before executing a terminator).  The
    adaptive poll piggybacks on the same safepoint, so both engines poll
    at identical cycle counts. *)
+let timer_fire st =
+  st.next_timer <- st.next_timer + st.timer_period;
+  st.switch_bit <- true;
+  st.hooks.on_timer_tick ()
+
 let timer_check st =
-  if st.cycles >= st.next_timer then begin
-    st.next_timer <- st.next_timer + st.timer_period;
-    st.switch_bit <- true;
-    st.hooks.on_timer_tick ()
-  end;
+  if st.cycles >= st.next_timer then timer_fire st;
   adaptive_check st
 
 (* Mid-run timer retune (adaptive governor).  Pulls an already-scheduled
@@ -297,20 +318,10 @@ let set_timer_period st p =
   st.timer_period <- p;
   if st.next_timer - st.cycles > p then st.next_timer <- st.cycles + p
 
-let icache_access st addr =
-  match st.icache with
-  | Some ic ->
-      if Icache.access ic addr then charge st st.costs.Costs.icache_miss
-  | None -> ()
-
-let set_block st (fr : frame) l =
-  let b = Lir.block fr.m.Program.func l in
+let set_block (fr : frame) l =
   fr.blk <- l;
   fr.idx <- 0;
-  fr.instrs <- b.Lir.instrs;
-  fr.term <- b.Lir.term;
-  fr.base_addr <- fr.m.Program.code_addr.(l);
-  ignore st
+  fr.base_addr <- fr.m.Program.code_addr.(l)
 
 (* ------------------------------------------------------------------ *)
 (* On-stack frame migration (adaptive tier)                            *)
@@ -353,12 +364,13 @@ let try_migrate st (fr : frame) ni =
   let ob = Lir.block fr.m.Program.func l in
   nb.Lir.role = ob.Lir.role
   &&
-  match fr.instrs.(ni - 1) with
+  let oinstrs = ob.Lir.instrs in
+  match oinstrs.(ni - 1) with
   | Lir.Yieldpoint kind -> (
       (* ordinal of the yieldpoint just executed within its block *)
       let k = ref 0 in
       for i = 0 to ni - 1 do
-        match fr.instrs.(i) with Lir.Yieldpoint _ -> incr k | _ -> ()
+        match oinstrs.(i) with Lir.Yieldpoint _ -> incr k | _ -> ()
       done;
       let k = !k in
       (* resume index right after the k-th yieldpoint of the new block,
@@ -381,56 +393,81 @@ let try_migrate st (fr : frame) ni =
              frame's file; grow it (fresh registers are always written
              before read — the inliner emits parameter moves first) *)
           let need = max f.Lir.next_reg 1 in
-          if Array.length fr.regs < need then begin
-            let regs = Array.make need 0 in
-            Array.blit fr.regs 0 regs 0 (Array.length fr.regs);
-            fr.regs <- regs
+          if fr.nregs < need then begin
+            if Array.length fr.regs < need then begin
+              let regs = Array.make need 0 in
+              Array.blit fr.regs 0 regs 0 fr.nregs;
+              fr.regs <- regs
+            end
+            else Array.fill fr.regs fr.nregs (need - fr.nregs) 0;
+            fr.nregs <- need
           end;
           fr.m <- nm;
-          fr.instrs <- ninstrs;
-          fr.term <- nb.Lir.term;
           fr.base_addr <- nm.Program.code_addr.(l);
           fr.idx <- p;
           true)
   | _ -> false
 
-(* Frame pool: returning frames are recycled per exact register-array
-   size, so steady-state calls allocate nothing.  Bit-identity is
-   unaffected: a recycled frame is indistinguishable from a fresh one —
-   [regs] is re-zeroed on take, every other field is overwritten before
-   the frame runs, and activation ids keep their original allocation
-   order.  A frame abandoned by an exception simply never re-enters the
-   pool; frames larger than [pool_buckets] registers are never pooled. *)
-let pool_buckets = 512
+(* Placeholder method of never-run frames: the engine-scratch frame
+   before any thread runs, and stack slots not yet used. *)
+let dummy_meth =
+  let fname = { Lir.mclass = "<none>"; Lir.mname = "<none>" } in
+  let func =
+    {
+      Lir.fname;
+      params = [];
+      blocks = Ir.Vec.of_list [ Lir.dead_block ];
+      entry = 0;
+      next_reg = 0;
+    }
+  in
+  { Program.id = -1; mref = fname; func; n_args = 0; code_addr = [| 0 |] }
 
-let take_frame st (m : Program.meth) nregs =
-  match if nregs < pool_buckets then st.frame_pool.(nregs) else [] with
-  | fr :: rest ->
-      st.frame_pool.(nregs) <- rest;
-      Array.fill fr.regs 0 nregs 0;
-      fr.m <- m;
-      fr
-  | [] ->
-      {
-        m;
-        regs = Array.make nregs 0;
-        blk = 0;
-        idx = 0;
-        instrs = [||];
-        term = Lir.Return None;
-        base_addr = 0;
-        ret_dst = -1;
-        from_meth = -1;
-        from_site = -1;
-        fid = -1;
-      }
+let fresh_frame () =
+  {
+    m = dummy_meth;
+    regs = [||];
+    nregs = 0;
+    blk = 0;
+    idx = 0;
+    base_addr = 0;
+    ret_dst = -1;
+    from_meth = -1;
+    from_site = -1;
+    fid = -1;
+  }
 
-let release_frame st (fr : frame) =
-  let n = Array.length fr.regs in
-  if n < pool_buckets then st.frame_pool.(n) <- fr :: st.frame_pool.(n)
+(* Stack slot [sp] of [th], growing the stack when [sp] is past its
+   end (the cold path of a push). *)
+let stack_slot th sp =
+  let n = Array.length th.stack in
+  if sp >= n then begin
+    let old = th.stack in
+    th.stack <-
+      Array.init (max (sp + 1) (2 * n)) (fun i ->
+          if i < n then old.(i) else fresh_frame ())
+  end;
+  th.stack.(sp)
 
-let new_frame st (m : Program.meth) ~args ~ret_dst ~from_meth ~from_site =
-  let fr = take_frame st m (max m.Program.func.Lir.next_reg 1) in
+(* The slot a callee of [m] with [nregs] registers will run in, above
+   [th]'s running frame, with its registers zeroed; not pushed yet. *)
+let take_frame th (m : Program.meth) nregs =
+  let fr = stack_slot th (th.sp + 1) in
+  if fr.m != m then fr.m <- m;
+  if Array.length fr.regs < nregs then fr.regs <- Array.make nregs 0
+  else begin
+    (* a loop, not [Array.fill]: no C call for a handful of registers *)
+    let regs = fr.regs in
+    for i = 0 to nregs - 1 do
+      Array.unsafe_set regs i 0
+    done
+  end;
+  fr.nregs <- nregs;
+  fr
+
+(* Push a frame for a call of [m] with argument values [args]. *)
+let new_frame st th (m : Program.meth) ~args ~ret_dst ~from_meth ~from_site =
+  let fr = take_frame th m (max m.Program.func.Lir.next_reg 1) in
   let regs = fr.regs in
   let rec fill i = function
     | [] -> ()
@@ -448,15 +485,13 @@ let new_frame st (m : Program.meth) ~args ~ret_dst ~from_meth ~from_site =
   fr.from_meth <- from_meth;
   fr.from_site <- from_site;
   fr.fid <- fid;
-  set_block st fr m.Program.func.Lir.entry;
+  set_block fr m.Program.func.Lir.entry;
   st.counters.entries <- st.counters.entries + 1;
-  fr
+  th.sp <- th.sp + 1
 
 let spawn_thread st (m : Program.meth) args =
-  let fr = new_frame st m ~args ~ret_dst:(-1) ~from_meth:(-1) ~from_site:(-1) in
-  let th =
-    { tid = Array.length st.threads; parents = []; top = Some fr }
-  in
+  let th = { tid = Array.length st.threads; stack = [||]; sp = -1 } in
+  new_frame st th m ~args ~ret_dst:(-1) ~from_meth:(-1) ~from_site:(-1);
   st.threads <- Array.append st.threads [| th |];
   st.alive <- st.alive + 1;
   th
@@ -540,7 +575,7 @@ let rotate_thread st =
   if st.alive > 0 then begin
     let rec next i =
       let i = (i + 1) mod n in
-      match st.threads.(i).top with Some _ -> i | None -> next i
+      if st.threads.(i).sp >= 0 then i else next i
     in
     let nxt = next st.current in
     if nxt <> st.current then begin
@@ -564,7 +599,9 @@ let make_ctx st th (fr : frame) =
   in
   let stack () =
     let entry (g : frame) = (g.m.Program.mref, g.from_site) in
-    entry fr :: List.map entry th.parents
+    (* suspended callers, innermost first *)
+    entry fr
+    :: List.init (max th.sp 0) (fun i -> entry th.stack.(th.sp - 1 - i))
   in
   {
     cur = fr.m.Program.mref;
@@ -600,24 +637,20 @@ let run_instrument st th fr op =
       st.hooks.on_instrument (make_ctx st th fr) op
 
 let do_return st th v =
-  (match th.top with
-  | None -> ()
-  | Some fr ->
-      charge st st.costs.Costs.ret;
-      (match th.parents with
-      | [] ->
-          th.top <- None;
-          st.alive <- st.alive - 1;
-          if th.tid = 0 then st.main_result <- v;
-          if st.alive > 0 then rotate_thread st
-      | parent :: rest ->
-          th.parents <- rest;
-          th.top <- Some parent;
-          (match (v, fr.ret_dst) with
-          | Some x, dst when dst >= 0 -> parent.regs.(dst) <- x
-          | _ -> ()));
-      release_frame st fr);
-  ()
+  if th.sp >= 0 then begin
+    let fr = th.stack.(th.sp) in
+    charge st st.costs.Costs.ret;
+    th.sp <- th.sp - 1;
+    if th.sp < 0 then begin
+      st.alive <- st.alive - 1;
+      if th.tid = 0 then st.main_result <- v;
+      if st.alive > 0 then rotate_thread st
+    end
+    else
+      match (v, fr.ret_dst) with
+      | Some x, dst when dst >= 0 -> th.stack.(th.sp).regs.(dst) <- x
+      | _ -> ()
+  end
 
 let invoke st th (fr : frame) dst kind target args site =
   charge st
@@ -647,12 +680,8 @@ let invoke st th (fr : frame) dst kind target args site =
         | [] -> rt_err "virtual call with no receiver")
   in
   let dst_reg = match dst with Some r -> r | None -> -1 in
-  let callee =
-    new_frame st m ~args:vals ~ret_dst:dst_reg ~from_meth:fr.m.Program.id
-      ~from_site:site
-  in
-  th.parents <- fr :: th.parents;
-  th.top <- Some callee
+  new_frame st th m ~args:vals ~ret_dst:dst_reg ~from_meth:fr.m.Program.id
+    ~from_site:site
 
 let intrinsic st th (fr : frame) dst name args =
   charge st st.costs.Costs.intrinsic;
@@ -680,38 +709,11 @@ let intrinsic st th (fr : frame) dst name args =
       | None -> rt_err "malformed spawn intrinsic %s" name)
   | _ -> rt_err "unknown intrinsic %s/%d" name (List.length vals)
 
-(* Placeholder activation seeding the engine-scratch fields before any
-   thread runs; never executed (the engine dispatcher overwrites both
-   fields before invoking any compiled code). *)
-let dummy_frame =
-  let fname = { Lir.mclass = "<none>"; Lir.mname = "<none>" } in
-  let func =
-    {
-      Lir.fname;
-      params = [];
-      blocks = Ir.Vec.of_list [ Lir.dead_block ];
-      entry = 0;
-      next_reg = 0;
-    }
-  in
-  let m =
-    { Program.id = -1; mref = fname; func; n_args = 0; code_addr = [| 0 |] }
-  in
-  {
-    m;
-    regs = [||];
-    blk = 0;
-    idx = 0;
-    instrs = [||];
-    term = Lir.Return None;
-    base_addr = 0;
-    ret_dst = -1;
-    from_meth = -1;
-    from_site = -1;
-    fid = -1;
-  }
-
-let dummy_thread = { tid = -1; parents = []; top = None }
+(* Placeholder activation and thread seeding the engine-scratch fields
+   before any thread runs; never executed (the engine dispatcher
+   overwrites both fields before invoking any compiled code). *)
+let dummy_frame = fresh_frame ()
+let dummy_thread = { tid = -1; stack = [||]; sp = -1 }
 
 let init_state ?(fuel = 4_000_000_000) ?(use_icache = false)
     ?(use_dcache = false) ?(costs = Costs.default) ?(timer_period = 100_000)
@@ -770,7 +772,6 @@ let init_state ?(fuel = 4_000_000_000) ?(use_icache = false)
     fuel;
     main_result = None;
     next_frame_id = 0;
-    frame_pool = Array.make pool_buckets [];
     faults;
     fault_cursor = 0;
     guard_gate = fuel;
@@ -783,6 +784,7 @@ let init_state ?(fuel = 4_000_000_000) ?(use_icache = false)
     cur_th = dummy_thread;
     cur_fr = dummy_frame;
     recorder;
+    fused_bound = [||];
     next_adaptive = max_int;
     adaptive_poll = ignore;
     migration = false;
@@ -794,9 +796,6 @@ let init_state ?(fuel = 4_000_000_000) ?(use_icache = false)
   st
 
 (* ---- per-method engine degradation (used by Engine only) ---- *)
-
-let fallback_state st id =
-  if Array.length st.engine_fallback = 0 then 0 else st.engine_fallback.(id)
 
 let record_fallback st id reason =
   if Array.length st.engine_fallback = 0 then
@@ -835,17 +834,21 @@ let result_of st =
    reference. *)
 let step st =
   let th = st.threads.(st.current) in
-  match th.top with
-  | None -> rotate_thread st
-  | Some fr ->
+  match th.sp with
+  | -1 -> rotate_thread st
+  | sp ->
+      let fr = th.stack.(sp) in
       st.instructions <- st.instructions + 1;
       (match st.icache with
       | Some ic ->
           if Icache.access ic (fr.base_addr + fr.idx) then
             charge st st.costs.Costs.icache_miss
       | None -> ());
-      if fr.idx < Array.length fr.instrs then begin
-        let i = fr.instrs.(fr.idx) in
+      (* [Lir.block], read in place: a call into Ir per step is out of
+         line (DESIGN.md §5, "Word preamble and frame layout") *)
+      let b = fr.m.Program.func.Lir.blocks.Ir.Vec.data.(fr.blk) in
+      if fr.idx < Array.length b.Lir.instrs then begin
+        let i = b.Lir.instrs.(fr.idx) in
         fr.idx <- fr.idx + 1;
         let c = st.costs in
         match i with
@@ -971,20 +974,20 @@ let step st =
         (* terminator *)
         timer_check st;
         let c = st.costs in
-        match fr.term with
+        match b.Lir.term with
         | Lir.Goto l ->
             charge st c.Costs.branch;
-            set_block st fr l
+            set_block fr l
         | Lir.If { cond; if_true; if_false } ->
             charge st c.Costs.branch;
-            set_block st fr (if eval fr cond <> 0 then if_true else if_false)
+            set_block fr (if eval fr cond <> 0 then if_true else if_false)
         | Lir.Switch { scrut; cases; default } ->
             charge st c.Costs.switch;
             let v = eval fr scrut in
             let target =
               match List.assoc_opt v cases with Some l -> l | None -> default
             in
-            set_block st fr target
+            set_block fr target
         | Lir.Return v -> do_return st th (Option.map (eval fr) v)
         | Lir.Check { on_sample; fall } ->
             st.counters.checks <- st.counters.checks + 1;
@@ -992,7 +995,7 @@ let step st =
             if st.hooks.fire th.tid then begin
               st.counters.samples <- st.counters.samples + 1;
               icharge st c.Costs.sample_jump;
-              set_block st fr on_sample
+              set_block fr on_sample
             end
-            else set_block st fr fall
+            else set_block fr fall
       end

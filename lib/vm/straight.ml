@@ -2,8 +2,11 @@
    per-word chains and fused runs (Engine) and by the trace tier
    (Trace): the one place, beside the reference [Machine.step], that
    spells out what each straight-line LIR word does and what it may
-   cost.  DESIGN.md §5 ("Compiling straight-line words") gives the
-   precheck argument the worst-case [bound] serves. *)
+   cost, and the home of the per-word preamble ([advance]) with its
+   inlined i-cache probe.  DESIGN.md §5 gives the precheck argument the
+   worst-case [bound] serves ("Compiling straight-line words") and why
+   the hot helpers below are module-local copies ("Word preamble and
+   frame layout"). *)
 
 module Lir = Ir.Lir
 open Machine
@@ -11,24 +14,58 @@ open Machine
 type k = state -> unit
 
 (* Per-word helpers kept local so they inline into every step: under
-   dune's default (dev) profile modules compile with -opaque, and a
-   call to [Machine.charge] or [Machine.data_access] would be an
-   out-of-line call per executed word.  A probe of an absent cache
-   never leaves the step. *)
+   dune's default (dev) profile a call into Machine or Icache would be
+   out of line.  The reference step keeps its own copies in Machine;
+   the differential tests hold the two to the same observables. *)
 let[@inline] charge st c = st.cycles <- st.cycles + c
 
+(* [Icache.access] spelled out, charging a miss; the division/modulo
+   fallback serves geometries that are not powers of two *)
+let[@inline] probe st (c : Icache.t) addr =
+  c.Icache.access_count <- c.Icache.access_count + 1;
+  let line =
+    if c.Icache.shift >= 0 then addr lsr c.Icache.shift
+    else addr / c.Icache.line_words
+  in
+  let tags = c.Icache.tags in
+  let i =
+    if c.Icache.mask >= 0 then line land c.Icache.mask
+    else line mod Array.length tags
+  in
+  if Array.unsafe_get tags i <> line then begin
+    Array.unsafe_set tags i line;
+    c.Icache.miss_count <- c.Icache.miss_count + 1;
+    charge st st.costs.Costs.icache_miss
+  end
+
+let[@inline] icache_access st addr =
+  match st.icache with None -> () | Some c -> probe st c addr
+
 let[@inline] data_access st addr =
-  match st.dcache with None -> () | Some _ -> Machine.data_access st addr
+  match st.dcache with None -> () | Some c -> probe st c addr
 
 (* word [i] of heap cell [r]: the address is only computed when a
    d-cache is present to probe *)
 let[@inline] data_access_cell st r i =
   match st.dcache with
   | None -> ()
-  | Some _ -> Machine.data_access st (cell_addr st r + i)
+  | Some c ->
+      probe st c (Array.unsafe_get st.heap_addrs.Ir.Vec.data (r - 1) + i)
 
-let[@inline] icache_access st addr =
-  match st.icache with None -> () | Some _ -> Machine.icache_access st addr
+let[@inline] heap_get st r =
+  if r <= 0 then rt_err "null dereference"
+  else if r > st.heap.Ir.Vec.len then rt_err "dangling reference %d" r
+  else Array.unsafe_get st.heap.Ir.Vec.data (r - 1)
+
+let[@inline] obj_fields st r =
+  match heap_get st r with
+  | Obj o -> o.fields
+  | Arr _ -> rt_err "expected object, found array"
+
+let[@inline] arr_cells st r =
+  match heap_get st r with
+  | Arr a -> a
+  | Obj _ -> rt_err "expected array, found object"
 
 let cop = function
   | Lir.Reg r -> fun (fr : frame) -> fr.regs.(r)
@@ -104,6 +141,11 @@ let[@inline] advance st ~next ~ni ~naddr =
     st.instructions <- st.instructions + 1;
     icache_access st naddr
   end;
+  next st
+
+let probed ~addr (next : k) : k =
+ fun st ->
+  icache_access st addr;
   next st
 
 let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
@@ -511,9 +553,9 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
         let fr = st.cur_fr in
         let v = eo fr in
         fr.regs.(r) <-
-          (if v <= 0 || v > Ir.Vec.length st.heap then 0
+          (if v <= 0 || v > st.heap.Ir.Vec.len then 0
            else
-             match Ir.Vec.unsafe_get st.heap (v - 1) with
+             match Array.unsafe_get st.heap.Ir.Vec.data (v - 1) with
              | Obj obj -> if obj.cls = cid then 1 else 0
              | Arr _ -> 0);
         cont st

@@ -25,6 +25,10 @@ val advance : Machine.state -> next:k -> ni:int -> naddr:int -> unit
     run [next].  [ni < 0]: run [next] directly (fused runs and traces,
     whose entry precheck covers the elided checks). *)
 
+val probed : addr:int -> k -> k
+(** [probed ~addr next] probes the i-cache at [addr] (when the run has
+    one), then runs [next]: a fused run's line-head probe. *)
+
 val compile :
   Costs.t -> Program.t -> Program.meth -> next:k -> ni:int -> naddr:int ->
   Ir.Lir.instr -> k

@@ -35,7 +35,7 @@
 
    Calls.  Traces record through calls: the recording stepper descends
    into the callee, and replay mirrors the engine's call/return
-   machinery exactly — pooled frame allocation, argument fill,
+   machinery exactly — frame take from the thread's stack, argument fill,
    activation-id minting, parent push/pop — with the static accounting
    (call/return charges, entries counter, i-cache accesses) batched
    into the pending segment sum.  Virtual calls guard the receiver's
@@ -258,20 +258,17 @@ let record_core st ~anchor ~ablk ~ni ~require_step ~max_len =
   (* Method stack from the current frame down to the anchor, current
      first; None when the anchor is not on this thread's chain. *)
   let mstack0 =
-    let rec collect f ps =
-      if f == anchor then Some [ f.Machine.m ]
+    let rec collect i =
+      if i < 0 then None
       else
-        match ps with
-        | [] -> None
-        | p :: rest -> (
-            match collect p rest with
-            | Some l -> Some (f.Machine.m :: l)
-            | None -> None)
+        let f = th.stack.(i) in
+        if f == anchor then Some [ f.Machine.m ]
+        else Option.map (fun l -> f.Machine.m :: l) (collect (i - 1))
     in
-    match th.top with Some f -> collect f th.parents | None -> None
+    collect th.sp
   in
   let mstack = ref (match mstack0 with Some l -> l | None -> [ anchor.m ]) in
-  let base_depth = List.length th.parents - (List.length !mstack - 1) in
+  let base_depth = th.sp - (List.length !mstack - 1) in
   let items = ref [] in
   let n = ref 0 in
   let closed = ref false in
@@ -279,8 +276,10 @@ let record_core st ~anchor ~ablk ~ni ~require_step ~max_len =
      if mstack0 = None then raise Abort;
      while not !closed do
        if st.threads.(st.current) != th then raise Abort;
-       let f = match th.top with Some f -> f | None -> raise Abort in
-       let depth = List.length th.parents - base_depth in
+       if th.sp < 0 then raise Abort;
+       let f = th.stack.(th.sp) in
+       let b = Lir.block f.m.Program.func f.blk in
+       let depth = th.sp - base_depth in
        if depth < 0 || depth <> List.length !mstack - 1 then raise Abort;
        (match !mstack with
        | m :: _ when f.m == m -> ()
@@ -292,8 +291,8 @@ let record_core st ~anchor ~ablk ~ni ~require_step ~max_len =
          && f.blk = ablk && f.idx = ni
        then closed := true
        else if !n >= max_len then raise Abort
-       else if f.idx < Array.length f.instrs then begin
-         let ins = f.instrs.(f.idx) in
+       else if f.idx < Array.length b.Lir.instrs then begin
+         let ins = b.Lir.instrs.(f.idx) in
          match ins with
          | Lir.Call { kind; args; _ } ->
              if depth + 1 >= max_depth then raise Abort;
@@ -306,9 +305,8 @@ let record_core st ~anchor ~ablk ~ni ~require_step ~max_len =
              in
              fuel_check st;
              Machine.step st;
-             let callee =
-               match th.top with Some c -> c | None -> raise Abort
-             in
+             if th.sp < 0 then raise Abort;
+             let callee = th.stack.(th.sp) in
              let rcls =
                match kind with
                | Lir.Static -> -1
@@ -341,7 +339,7 @@ let record_core st ~anchor ~ablk ~ni ~require_step ~max_len =
        end
        else begin
          let pb = f.blk in
-         let t = f.term in
+         let t = b.Lir.term in
          match t with
          | Lir.Return _ ->
              if depth = 0 then raise Abort;
@@ -401,11 +399,8 @@ let retire_window = 128 (* entries between retirement checks (power of 2) *)
 let anchor_up st d =
   if d = 0 then Some st.cur_fr
   else
-    let rec go i = function
-      | [] -> None
-      | f :: rest -> if i = 0 then Some f else go (i - 1) rest
-    in
-    go (d - 1) st.cur_th.parents
+    let th = st.cur_th in
+    if d <= th.sp then Some th.stack.(th.sp - d) else None
 
 (* Build a trace-tree root: the entry precheck (reading the tree-wide
    worst-case path bound, raised as branch chains are spliced) and the
@@ -415,10 +410,7 @@ let anchor_up st d =
    the engine's compiled continuation. *)
 let mk_root (am : Program.meth) ~ablk ~ni =
   let aid = am.Program.id in
-  let anchor_b = Lir.block am.Program.func ablk in
-  let a_instrs = anchor_b.Lir.instrs
-  and a_term = anchor_b.Lir.term
-  and a_base = am.Program.code_addr.(ablk) in
+  let a_base = am.Program.code_addr.(ablk) in
   let root =
     {
       t_anchor_m = am;
@@ -458,8 +450,6 @@ let mk_root (am : Program.meth) ~ablk ~ni =
       let fr = st.cur_fr in
       fr.blk <- ablk;
       fr.idx <- ni;
-      fr.instrs <- a_instrs;
-      fr.term <- a_term;
       fr.base_addr <- a_base
     end
   in
@@ -552,9 +542,7 @@ let rec compile_chain st (ts : tstate) (root : itrace) ~base_cost ~base_depth
     incr p_instr;
     if icache_on then begin
       maxc := !maxc + cc_miss;
-      add (fun next st ->
-          icache_access st addr;
-          next st)
+      add (fun next -> Straight.probed ~addr next)
     end
   in
   (* a fresh guard for the word being emitted: prefix = worst-case cost
@@ -741,8 +729,8 @@ let rec compile_chain st (ts : tstate) (root : itrace) ~base_cost ~base_depth
      [Lir.Call] case): the static accounting — call charge, instruction
      count, i-cache access at the call word, entries counter — batches
      into the pending segment; the dynamic part evaluates the arguments,
-     takes a pooled frame stamped with the callee's entry block, mints
-     the activation id and pushes.  The caller's position fields are
+     takes the thread's next stack slot stamped with the callee's entry
+     block, mints the activation id and pushes.  The caller's position fields are
      restored to the resume point before the push (the trace maintains
      them lazily), so a side exit anywhere inside the callee returns
      through per-method code that resumes the caller correctly.  Virtual
@@ -787,17 +775,11 @@ let rec compile_chain st (ts : tstate) (root : itrace) ~base_cost ~base_depth
         word (ic_caller.Program.code_addr.(ic_blk) + ic_idx);
         stat (costs.Costs.call_base + (costs.Costs.call_per_arg * nargs));
         incr p_entries;
-        let cb = Lir.block ic_caller.Program.func ic_blk in
-        let c_instrs = cb.Lir.instrs
-        and c_term = cb.Lir.term
-        and c_base = ic_caller.Program.code_addr.(ic_blk) in
+        let c_base = ic_caller.Program.code_addr.(ic_blk) in
         let c_ni = ic_idx + 1 in
         let cf = ic_callee.Program.func in
         let entry = cf.Lir.entry in
-        let eb = Lir.block cf entry in
-        let e_instrs = eb.Lir.instrs
-        and e_term = eb.Lir.term
-        and e_base = ic_callee.Program.code_addr.(entry) in
+        let e_base = ic_callee.Program.code_addr.(entry) in
         let nregs = max cf.Lir.next_reg 1 in
         let params = Array.of_list cf.Lir.params in
         let ret_dst = match dst with Some r -> r | None -> -1 in
@@ -806,14 +788,11 @@ let rec compile_chain st (ts : tstate) (root : itrace) ~base_cost ~base_depth
             let fr = st.cur_fr in
             fr.blk <- ic_blk;
             fr.idx <- c_ni;
-            fr.instrs <- c_instrs;
-            fr.term <- c_term;
             fr.base_addr <- c_base;
-            let callee = take_frame st ic_callee nregs in
+            let th = st.cur_th in
+            let callee = take_frame th ic_callee nregs in
             callee.blk <- entry;
             callee.idx <- 0;
-            callee.instrs <- e_instrs;
-            callee.term <- e_term;
             callee.base_addr <- e_base;
             let regs = callee.regs in
             for k = 0 to nargs - 1 do
@@ -825,9 +804,7 @@ let rec compile_chain st (ts : tstate) (root : itrace) ~base_cost ~base_depth
             callee.from_meth <- from_meth;
             callee.from_site <- site;
             callee.fid <- fid;
-            let th = st.cur_th in
-            th.parents <- fr :: th.parents;
-            th.top <- Some callee;
+            th.sp <- th.sp + 1;
             st.cur_fr <- callee;
             next st)
     | _ -> rt_err "corrupt trace: call item without a call word"
@@ -844,14 +821,9 @@ let rec compile_chain st (ts : tstate) (root : itrace) ~base_cost ~base_depth
     | Lir.Return None ->
         add (fun next st ->
             let th = st.cur_th in
-            let dead = st.cur_fr in
-            (match th.parents with
-            | parent :: rest ->
-                th.parents <- rest;
-                th.top <- Some parent;
-                release_frame st dead;
-                st.cur_fr <- parent
-            | [] -> rt_err "corrupt trace: return below the anchor");
+            if th.sp <= 0 then rt_err "corrupt trace: return below the anchor";
+            th.sp <- th.sp - 1;
+            st.cur_fr <- th.stack.(th.sp);
             next st)
     | Lir.Return (Some op) ->
         let e = Straight.cop op in
@@ -859,14 +831,11 @@ let rec compile_chain st (ts : tstate) (root : itrace) ~base_cost ~base_depth
             let th = st.cur_th in
             let dead = st.cur_fr in
             let x = e dead in
-            (match th.parents with
-            | parent :: rest ->
-                th.parents <- rest;
-                th.top <- Some parent;
-                if dead.ret_dst >= 0 then parent.regs.(dead.ret_dst) <- x;
-                release_frame st dead;
-                st.cur_fr <- parent
-            | [] -> rt_err "corrupt trace: return below the anchor");
+            if th.sp <= 0 then rt_err "corrupt trace: return below the anchor";
+            th.sp <- th.sp - 1;
+            let parent = th.stack.(th.sp) in
+            if dead.ret_dst >= 0 then parent.regs.(dead.ret_dst) <- x;
+            st.cur_fr <- parent;
             next st)
     | _ -> rt_err "corrupt trace: ret item without a return terminator"
   in
@@ -904,7 +873,7 @@ and guard_fail st (ts : tstate) (g : guard) ~key ~blk ~idx =
   | Some k -> k st
   | None ->
       let fr = st.cur_fr in
-      set_block st fr blk;
+      set_block fr blk;
       if idx > 0 then fr.idx <- idx;
       extend st ts g ~key;
       bump ev_exit;

@@ -2,10 +2,10 @@
 # Trace-invariance smoke test: the trace tier must change wall-clock
 # only, never a byte of output.  `isf table all` with traces armed must
 # be byte-identical to traces-off — on both engines (the reference
-# ignores the flag), under both recording paths, with deterministic
-# chaos (where the Fast legs must also match a Ref leg), and through a
-# cold and a warm run cache (the trace setting is part of the run key,
-# so trace-on and trace-off cells never alias).
+# ignores the flag), under both recording paths, with the adaptive tier
+# on, with deterministic chaos (where the Fast legs must also match a
+# Ref leg), and through a cold and a warm run cache (the trace setting
+# is part of the run key, so trace-on and trace-off cells never alias).
 #
 # A low threshold (8) is used for most legs so the small table-cell
 # scales actually record and run traces; one leg uses the CLI default
@@ -38,6 +38,12 @@ run on-ref         off --engine ref  --traces 8
 run on-legacy      off --engine fast --traces 8 --recording legacy
 run on-cache-cold  off --engine fast --traces 8 --cache "$DIR/cache"
 run on-cache-warm  off --engine fast --traces 8 --cache "$DIR/cache"
+
+# with the adaptive tier on, the controller pauses and resumes tracing
+# around its code swaps; neither may show in the Adaptive table (its
+# Decisions column counts the controller's decision log)
+"$ISF" table all -j 2 --adaptive --engine fast > "$DIR/adaptive-off.txt"
+run adaptive-on    adaptive-off --engine fast --adaptive --traces on
 
 # chaos: fault plans perturb the cells deterministically — some cells
 # fail by design, so isf exits non-zero (shape gate / cell failures);

@@ -64,47 +64,40 @@ let instrument transform funcs =
   | Some t -> List.map (fun f -> (t f).Core.Transform.func) funcs
 
 (* Everything observable from one run, as one structurally comparable
-   value.  A fresh link, collector and sampler per run: engines must
-   agree starting from identical cold state.  [traces] arms the
-   trace-recording tier (Fast only) with a low threshold so the small
-   generated loops actually turn hot; [recording] selects the legacy
-   event-by-event collector or the flat-slot recorder — traced
-   execution must be bit-identical under both. *)
+   value: the whole run result (return value, output, cycles,
+   instructions, counters, i-/d-cache misses, fallbacks,
+   instrumentation cycles) and the decoded profiles.  A fresh link,
+   collector and sampler per run: engines must agree starting from
+   identical cold state.  [traces] arms the trace-recording tier (Fast
+   only) with a low threshold so the small generated loops actually
+   turn hot; [recording] selects the legacy event-by-event collector or
+   the flat-slot recorder — traced execution must be bit-identical under
+   both.  [on_init_of sampler slots] attaches a controller at start-up
+   and needs the flat-slot recorder. *)
 let observe ~engine ?(fuel = 200_000_000) ?trace_threshold
-    ?(recording = `Legacy) classes funcs trigger =
+    ?(recording = `Legacy) ?on_init_of classes funcs trigger =
   let prog = Vm.Program.link classes ~funcs in
   let sampler = Core.Sampler.create trigger in
-  let hooks, recorder, decode =
+  let hooks, recorder, decode, on_init =
     match recording with
     | `Legacy ->
         let c = Profiles.Collector.create () in
-        (Profiles.Collector.hooks c sampler, None, fun () -> c)
+        (Profiles.Collector.hooks c sampler, None, (fun () -> c), None)
     | `Slots ->
         let s = Profiles.Slots.create prog in
         ( Profiles.Slots.hooks s sampler,
           Some (Profiles.Slots.recorder s),
-          fun () -> Profiles.Slots.decode s )
+          (fun () -> Profiles.Slots.decode s),
+          Option.map (fun f -> f sampler s) on_init_of )
   in
   let res =
     Vm.Interp.run ~engine ~fuel ~use_icache:true ~use_dcache:true
-      ?recorder ?trace_threshold prog
+      ?recorder ?trace_threshold ?on_init prog
       ~entry:{ Lir.mclass = "Main"; mname = "main" }
       ~args:[ 5 ] hooks
   in
   let collector = decode () in
-  let c = res.Vm.Interp.counters in
-  ( ( res.Vm.Interp.return_value,
-      res.Vm.Interp.output,
-      res.Vm.Interp.cycles,
-      res.Vm.Interp.instructions ),
-    ( c.Vm.Interp.entries,
-      c.Vm.Interp.backedge_yps,
-      c.Vm.Interp.entry_yps,
-      c.Vm.Interp.checks,
-      c.Vm.Interp.samples,
-      c.Vm.Interp.thread_switches,
-      c.Vm.Interp.instrument_ops ),
-    (res.Vm.Interp.icache_misses, res.Vm.Interp.dcache_misses),
+  ( res,
     ( List.sort compare
         (Profiles.Call_edge.to_keyed collector.Profiles.Collector.call_edges),
       List.sort compare
@@ -163,13 +156,90 @@ let seeded_agree () =
       ignore (check_program ~fail:Alcotest.fail (Gen_jasm.render p)))
     progs
 
+(* ---- programs aimed at the call path and the i-cache miss path ---- *)
+
+(* Virtual dispatch over three receiver classes, each call with four
+   arguments: the virtual-call arm reads the receiver, dispatches, then
+   reads the other arguments straight into the callee's registers. *)
+let dispatch_src =
+  {|
+  class Shape {
+    var w: int;
+    fun area(a: int, b: int, c: int, d: int): int { return a + b + c + d; }
+  }
+  class Rect extends Shape {
+    fun area(a: int, b: int, c: int, d: int): int {
+      return this.w * a + b - c + d;
+    }
+  }
+  class Tri extends Shape {
+    fun area(a: int, b: int, c: int, d: int): int {
+      return (this.w * b) / 2 + a * c - d;
+    }
+  }
+  class Main {
+    static fun pick(k: int): Shape {
+      if (k == 0) { var r: Rect = new Rect; r.w = 3; return r; }
+      if (k == 1) { var t: Tri = new Tri; t.w = 5; return t; }
+      var s: Shape = new Shape;
+      s.w = 7;
+      return s;
+    }
+    static fun main(n: int): int {
+      var a: Shape = Main.pick(0);
+      var b: Shape = Main.pick(1);
+      var c: Shape = Main.pick(2);
+      var acc: int = 0;
+      var i: int = 0;
+      while (i < 300) {
+        acc = acc + a.area(i, n, acc & 15, 2) + b.area(n, i, 3, acc & 7)
+          + c.area(i, i, n, 1);
+        acc = acc & 65535;
+        i = i + 1;
+      }
+      print(acc);
+      return acc;
+    }
+  }
+|}
+
+(* 64 straight-line methods of 60 statements each, called in turn three
+   times: the hot code is larger than the 8K-word i-cache, so every
+   round evicts the previous one and the probe's miss path runs on
+   every line. *)
+let big_code_methods = 64
+
+let big_code_src =
+  let lines = String.concat "\n" in
+  let meth k =
+    lines
+      ([ Printf.sprintf "  static fun f%d(x: int): int {" k; "    var t: int = x;" ]
+      @ List.init 60 (fun j ->
+            Printf.sprintf "    t = (t * %d + %d) & 65535;" ((j mod 7) + 2) (k + j))
+      @ [ "    return t;"; "  }" ])
+  in
+  lines
+    ([ "class Main {" ]
+    @ List.init big_code_methods meth
+    @ [
+        "  static fun main(n: int): int {";
+        "    var s: int = n;";
+        "    var r: int = 0;";
+        "    while (r < 3) {";
+      ]
+    @ List.init big_code_methods (fun k -> Printf.sprintf "      s = Main.f%d(s);" k)
+    @ [ "      r = r + 1;"; "    }"; "    print(s);"; "    return s;"; "  }"; "}" ])
+
 (* Cut a run short at [cuts] points spread over its reference cycle
    count: every engine configuration must stop with the same outcome —
    the same result tuple if the cut falls past the end, else the same
    out-of-fuel message, whose pc is exact on both engines. *)
 let low_fuel_agree () =
   let rand = Random.State.make [| 0xF0E1 |] in
-  let progs = QCheck.Gen.generate ~n:5 ~rand Gen_jasm.program in
+  let progs =
+    List.map Gen_jasm.render (QCheck.Gen.generate ~n:5 ~rand Gen_jasm.program)
+    @ [ dispatch_src; big_code_src ]
+  in
   let trigger = Core.Sampler.Counter { interval = 3; jitter = 0 } in
   let cuts = 4 in
   let outcome f =
@@ -178,16 +248,13 @@ let low_fuel_agree () =
     | exception Vm.Interp.Runtime_error msg -> Error msg
   in
   List.iter
-    (fun p ->
-      let classes, funcs = compile (Gen_jasm.render p) in
+    (fun src ->
+      let classes, funcs = compile src in
       List.iter
         (fun (tname, transform) ->
           let funcs' = instrument transform funcs in
           let total =
-            let (_, _, cycles, _), _, _, _ =
-              observe ~engine:`Ref classes funcs' trigger
-            in
-            cycles
+            (fst (observe ~engine:`Ref classes funcs' trigger)).Vm.Interp.cycles
           in
           for k = 1 to cuts do
             let fuel = total * k / (cuts + 1) in
@@ -222,12 +289,198 @@ let low_fuel_agree () =
         transforms)
     progs
 
+(* ---- whole results on those programs, and across a migration ---- *)
+
+let slots_spec =
+  Core.Spec.combine
+    [
+      Core.Spec.call_edge;
+      Core.Spec.field_access;
+      Core.Spec.edge_profile;
+      Profiles.Specs.receiver_profile;
+    ]
+
+(* Fast == Ref on whole results, legacy and flat-slot recording, with
+   instrumented fused runs (exhaustive) and guarded ops (full-dup) *)
+let targeted_agree () =
+  let trigger = Core.Sampler.Counter { interval = 3; jitter = 0 } in
+  List.iter
+    (fun (pname, src) ->
+      let classes, funcs = compile src in
+      List.iter
+        (fun (tname, transform) ->
+          let funcs' = instrument transform funcs in
+          List.iter
+            (fun recording ->
+              let oracle = observe ~engine:`Ref ~recording classes funcs' trigger in
+              let got = observe ~engine:`Fast ~recording classes funcs' trigger in
+              if got <> oracle then
+                Alcotest.failf "%s: Fast diverges from Ref (transform %s, %s)"
+                  pname tname
+                  (match recording with `Legacy -> "legacy" | `Slots -> "slots"))
+            [ `Legacy; `Slots ])
+        [
+          ("baseline", None);
+          ("exhaustive", Some (Core.Transform.exhaustive slots_spec));
+          ("full-dup", Some (Core.Transform.full_dup slots_spec));
+        ])
+    [ ("dispatch", dispatch_src); ("big-code", big_code_src) ];
+  (* the big program really overflows the cache: more misses than the
+     cache has lines *)
+  let classes, funcs = compile big_code_src in
+  let res, _ = observe ~engine:`Fast classes funcs trigger in
+  if res.Vm.Interp.icache_misses <= 2 * 1024 then
+    Alcotest.failf "big-code: only %d i-cache misses" res.Vm.Interp.icache_misses
+
+(* A long-running loop whose virtual call the adaptive controller
+   inlines: the running [main] frame migrates to the new version at a
+   yieldpoint mid-loop (Machine.try_migrate).  The same run with
+   migration disarmed must differ, or the case would not cover it. *)
+let migrate_src =
+  {|
+  class W {
+    var acc: int;
+    fun step(k: int, m: int): int {
+      this.acc = (this.acc + k * m) & 65535;
+      return this.acc;
+    }
+  }
+  class V extends W {
+    fun step(k: int, m: int): int {
+      this.acc = (this.acc - k + m) & 65535;
+      return this.acc;
+    }
+  }
+  class Main {
+    static fun make(k: int): W {
+      if (k == 0) { return new V; }
+      return new W;
+    }
+    static fun main(n: int): int {
+      var w: W = Main.make(n);
+      var s: int = 0;
+      var i: int = 0;
+      while (i < 3000) {
+        s = (s + w.step(i, n)) & 1048575;
+        i = i + 1;
+      }
+      print(s);
+      return s;
+    }
+  }
+|}
+
+let migration_agree () =
+  let classes, funcs = compile migrate_src in
+  let funcs =
+    instrument (Some (Core.Transform.exhaustive Harness.Table_adaptive.spec)) funcs
+  in
+  let config =
+    {
+      Adaptive.Controller.default with
+      Adaptive.Controller.poll_period = 4000;
+      inline_threshold = 2;
+      reorder_threshold = 4;
+    }
+  in
+  let on_init_of ~migration sampler slots st =
+    Adaptive.Controller.on_init
+      (Adaptive.Controller.create ~config ~sampler slots)
+      st;
+    if not migration then st.Vm.Machine.migration <- false
+  in
+  let trigger = Core.Sampler.Counter { interval = 3; jitter = 0 } in
+  let run engine migration =
+    observe ~engine ~recording:`Slots ~on_init_of:(on_init_of ~migration)
+      classes funcs trigger
+  in
+  let oracle = run `Ref true in
+  if run `Fast true <> oracle then
+    Alcotest.fail "migrating adaptive run: Fast diverges from Ref";
+  if run `Fast false = oracle then
+    Alcotest.fail "no frame migrated: the case does not cover try_migrate"
+
+(* ---- allocation per call ---- *)
+
+(* Steady-state calls and returns allocate nothing: the callee frame is
+   the thread's next stack slot, the arguments go straight into its
+   registers, and nothing is consed for the thread's bookkeeping.
+   Measured as minor-heap words per loop iteration (one one-argument
+   virtual call and its return) between two run lengths, so set-up and
+   compilation cancel out. *)
+let alloc_src =
+  {|
+  class C {
+    var acc: int;
+    fun add(k: int): int { this.acc = this.acc + k; return this.acc; }
+  }
+  class D extends C {
+    fun add(k: int): int { this.acc = this.acc - k; return this.acc; }
+  }
+  class Main {
+    static fun make(k: int): C {
+      if (k == 0) { return new D; }
+      return new C;
+    }
+    static fun main(n: int): int {
+      var c: C = Main.make(n);
+      var s: int = 0;
+      var i: int = 0;
+      while (i < n) {
+        s = s + c.add(i);
+        i = i + 1;
+      }
+      return s;
+    }
+  }
+|}
+
+let alloc_per_call () =
+  let classes, funcs = compile alloc_src in
+  let virtual_1 =
+    List.exists
+      (fun (f : Lir.func) ->
+        Ir.Vec.exists
+          (fun (b : Lir.block) ->
+            Array.exists
+              (function
+                | Lir.Call { kind = Lir.Virtual; args = [ _; _ ]; _ } -> true
+                | _ -> false)
+              b.Lir.instrs)
+          f.Lir.blocks)
+      funcs
+  in
+  if not virtual_1 then Alcotest.fail "the loop's call is not a 1-arg virtual call";
+  let prog = Vm.Program.link classes ~funcs in
+  let words n =
+    let w0 = Gc.minor_words () in
+    ignore
+      (Vm.Interp.run ~engine:`Fast ~use_icache:true prog
+         ~entry:{ Lir.mclass = "Main"; mname = "main" }
+         ~args:[ n ] Vm.Interp.null_hooks
+        : Vm.Interp.result);
+    Gc.minor_words () -. w0
+  in
+  ignore (words 100 : float) (* compile *);
+  let n1 = 10_000 and n2 = 110_000 in
+  let w1 = words n1 in
+  let w2 = words n2 in
+  let per_call = (w2 -. w1) /. float_of_int (n2 - n1) in
+  if per_call > 0.5 then
+    Alcotest.failf "%.2f minor words per call and return (bound 0.5)" per_call
+
 let suite =
   [
     ( "engine",
       Alcotest.test_case "Fast == Ref on seeded programs" `Quick seeded_agree
       :: Alcotest.test_case "Fast == Ref at low-fuel cut points" `Quick
            low_fuel_agree
+      :: Alcotest.test_case "Fast == Ref on dispatch and i-cache programs"
+           `Quick targeted_agree
+      :: Alcotest.test_case "Fast == Ref across a frame migration" `Quick
+           migration_agree
+      :: Alcotest.test_case "no allocation per call and return" `Quick
+           alloc_per_call
       :: List.map
            (QCheck_alcotest.to_alcotest ~long:false)
            [ engines_agree ] );

@@ -24,33 +24,28 @@
 
 module Lir = Ir.Lir
 
-(* All seven profile kinds, split into two combos because the
-   transforms support at most one edge-site spec at a time (multiple
-   ops on one CFG edge are not grouped): edge_profile and path_profile
-   each get a run, every non-edge spec rides along in both. *)
-let non_edge_specs =
+(* All seven profile kinds, in the CLI's order *)
+let kinds =
   [
-    Core.Spec.call_edge;
-    Core.Spec.field_access;
-    Core.Spec.value_profile;
-    Profiles.Specs.cct_profile;
-    Profiles.Specs.receiver_profile;
+    ("call-edge", Core.Spec.call_edge);
+    ("field-access", Core.Spec.field_access);
+    ("edge", Core.Spec.edge_profile);
+    ("value", Core.Spec.value_profile);
+    ("path", Profiles.Specs.path_profile);
+    ("receiver", Profiles.Specs.receiver_profile);
+    ("cct", Profiles.Specs.cct_profile);
   ]
 
-let spec_edges = Core.Spec.combine (Core.Spec.edge_profile :: non_edge_specs)
-let spec_paths = Core.Spec.combine (Profiles.Specs.path_profile :: non_edge_specs)
+let spec_all = Core.Spec.combine (List.map snd kinds)
 
 (* exhaustive = unguarded ops (the bench configuration); full-dup and
    no-dup cover guarded ops on the duplicated and inline paths *)
 let transforms =
-  List.concat_map
-    (fun (pname, spec) ->
-      [
-        ("exhaustive/" ^ pname, Core.Transform.exhaustive spec);
-        ("full-dup/" ^ pname, Core.Transform.full_dup spec);
-        ("no-dup/" ^ pname, Core.Transform.no_dup spec);
-      ])
-    [ ("edges", spec_edges); ("paths", spec_paths) ]
+  [
+    ("exhaustive", Core.Transform.exhaustive spec_all);
+    ("full-dup", Core.Transform.full_dup spec_all);
+    ("no-dup", Core.Transform.no_dup spec_all);
+  ]
 
 let triggers =
   [
@@ -191,6 +186,44 @@ let seeded_agree () =
       ignore (check_program ~fail:Alcotest.fail (Gen_jasm.render p)))
     progs
 
+(* Any set of instrumentations composes: every non-empty subset of the
+   seven kinds, under every spec-driven variant, transforms to verified
+   code that runs.  Kinds that put ops on one CFG edge (edge and path
+   profiling) share that edge's split. *)
+let all_subsets_compose () =
+  let rand = Random.State.make [| 0x5E75 |] in
+  let p = List.hd (QCheck.Gen.generate ~n:1 ~rand Gen_jasm.program) in
+  let classes, funcs = compile (Gen_jasm.render p) in
+  let variants =
+    [
+      ("exhaustive", Core.Transform.exhaustive);
+      ("no-dup", Core.Transform.no_dup);
+      ("full-dup", Core.Transform.full_dup);
+      ("partial-dup", Core.Transform.partial_dup);
+      ("yp-opt", Core.Transform.full_dup_yieldpoint_opt);
+    ]
+  in
+  let n = List.length kinds in
+  for mask = 1 to (1 lsl n) - 1 do
+    let subset = List.filteri (fun i _ -> mask land (1 lsl i) <> 0) kinds in
+    let spec = Core.Spec.combine (List.map snd subset) in
+    List.iter
+      (fun (vname, variant) ->
+        let what () =
+          Printf.sprintf "%s -i %s" vname (String.concat "," (List.map fst subset))
+        in
+        match
+          let funcs' = instrument (variant spec) funcs in
+          List.iter Ir.Verify.check_exn funcs';
+          observe ~engine:`Fast ~recording:`Slots classes funcs'
+            (Core.Sampler.Counter { interval = 3; jitter = 0 })
+        with
+        | _ -> ()
+        | exception e ->
+            Alcotest.failf "%s: %s" (what ()) (Printexc.to_string e))
+      variants
+  done
+
 (* Satellite: cct max_depth counts only nodes where a walk ended or
    leaves — interior uncounted prefixes never determine the depth. *)
 let cct_max_depth () =
@@ -221,6 +254,8 @@ let suite =
           seeded_agree;
         Alcotest.test_case "cct max_depth: counted-or-leaf" `Quick
           cct_max_depth;
+        Alcotest.test_case "every subset of the seven kinds composes" `Quick
+          all_subsets_compose;
       ]
       @ List.map
           (QCheck_alcotest.to_alcotest ~long:false)
