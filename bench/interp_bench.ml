@@ -1,19 +1,17 @@
 (* Engine-vs-engine wall-clock benchmark.
 
    For every workload, links the baseline (uninstrumented) program once
-   and runs it to completion under three configurations — the reference
-   interpreter, the closure-compiled engine, and the closure-compiled
-   engine with the trace-recording tier armed (threshold 256) — timing
-   wall-clock per run and normalizing to nanoseconds per simulated
-   instruction.  Before timing, the three results are asserted identical
-   (return value, output, cycles, instructions, event counters, cache
-   misses): the benchmark refuses to compare configurations that
-   disagree.
+   and runs it to completion on both engines — the reference
+   interpreter and the closure-compiled engine — timing wall-clock per
+   run and normalizing to nanoseconds per simulated instruction.  Before
+   timing, the two results are asserted identical (return value,
+   output, cycles, instructions, event counters, cache misses): the
+   benchmark refuses to compare engines that disagree.
 
-   Timing is median-of-5 interleaved batches: each configuration's
+   Timing is median-of-5 interleaved batches: each engine's
    per-run time is measured five times, round-robin so slow machine
    drift cannot bias any one side, and the JSON reports min/median/max
-   per configuration — this container shows ±20-40% per-run wall-clock
+   per engine — this container shows ±20-40% per-run wall-clock
    variance, so a single-run (or best-run-only) number is
    untrustworthy.  Speedups are computed from medians.
 
@@ -22,7 +20,7 @@
    tiny time budget into BENCH_interp.smoke.json — one writer and one
    validator for both files, so smoke and full can never drift apart
    schema-wise — and then validates the JSON: it must parse, must
-   contain all three configurations' numbers for all ten workloads, and
+   contain both engines' numbers for all ten workloads, and
    a geomean speedup more than 10% below the committed BENCH_interp.json
    produces a WARNING (not a failure — scale-1 smoke timings are noisy;
    the committed full-scale file is the reference). *)
@@ -31,10 +29,6 @@ module M = Harness.Measure
 
 let out_file = "BENCH_interp.json"
 let smoke_file = "BENCH_interp.smoke.json"
-
-(* backedge hotness threshold for the trace-tier column; matches the
-   CLI's `--traces on` default *)
-let trace_threshold = 256
 
 type timing = { t_min : float; t_med : float; t_max : float }
 (* ns per simulated instruction, over the interleaved batches *)
@@ -46,11 +40,9 @@ type row = {
   instructions : int;
   ref_t : timing;
   fast_t : timing;
-  trace_t : timing; (* Fast engine + trace tier *)
 }
 
 let speedup r = r.ref_t.t_med /. r.fast_t.t_med
-let trace_speedup r = r.ref_t.t_med /. r.trace_t.t_med
 
 (* ---- measurement ---- *)
 
@@ -121,18 +113,12 @@ let bench_workload ~scale ~budget (b : Workloads.Suite.benchmark) =
     Vm.Interp.run ~engine prog ~entry:Workloads.Suite.entry ~args
       Vm.Interp.null_hooks
   in
-  let run_traced () =
-    Vm.Interp.run ~engine:`Fast ~trace_threshold prog
-      ~entry:Workloads.Suite.entry ~args Vm.Interp.null_hooks
-  in
   (* warm runs: differential check, plus the Fast warm run compiles the
      program so compilation cost stays out of the timed loop (it is
      cached on the linked program afterwards) *)
   let r_ref = run `Ref () and r_fast = run `Fast () in
-  let r_trace = run_traced () in
   let name = b.Workloads.Suite.bname in
   assert_identical name "engines" r_ref r_fast;
-  assert_identical name "trace tier on/off" r_fast r_trace;
   let instr = float_of_int r_ref.Vm.Interp.instructions in
   let norm t =
     {
@@ -141,9 +127,9 @@ let bench_workload ~scale ~budget (b : Workloads.Suite.benchmark) =
       t_max = t.t_max *. 1e9 /. instr;
     }
   in
-  let ref_t, fast_t, trace_t =
-    match time_all ~budget [ run `Ref; run `Fast; run_traced ] with
-    | [ a; b; c ] -> (norm a, norm b, norm c)
+  let ref_t, fast_t =
+    match time_all ~budget [ run `Ref; run `Fast ] with
+    | [ a; b ] -> (norm a, norm b)
     | _ -> assert false
   in
   let row =
@@ -154,15 +140,10 @@ let bench_workload ~scale ~budget (b : Workloads.Suite.benchmark) =
       instructions = r_ref.Vm.Interp.instructions;
       ref_t;
       fast_t;
-      trace_t;
     }
   in
-  Printf.printf
-    "  %-14s ref %7.2f ns/instr   fast %7.2f ns/instr (%4.2fx)   traced \
-     %7.2f ns/instr (%4.2fx)\n\
-     %!"
-    row.name row.ref_t.t_med row.fast_t.t_med (speedup row) row.trace_t.t_med
-    (trace_speedup row);
+  Printf.printf "  %-14s ref %7.2f ns/instr   fast %7.2f ns/instr (%4.2fx)\n%!"
+    row.name row.ref_t.t_med row.fast_t.t_med (speedup row);
   row
 
 (* ---- JSON out ---- *)
@@ -189,22 +170,18 @@ let json_of_rows rows =
       Buffer.add_string buf
         (Printf.sprintf
            "    { \"name\": %S, \"scale\": %d, \"cycles\": %d, \
-            \"instructions\": %d, %s, %s, %s, \"speedup\": %.3f, \
-            \"trace_speedup\": %.3f }%s\n"
+            \"instructions\": %d, %s, %s, \"speedup\": %.3f }%s\n"
            r.name r.scale r.cycles r.instructions
-           (timing "ref" r.ref_t) (timing "fast" r.fast_t)
-           (timing "traced" r.trace_t) (speedup r) (trace_speedup r)
+           (timing "ref" r.ref_t) (timing "fast" r.fast_t) (speedup r)
            (if i = List.length rows - 1 then "" else ",")))
     rows;
   Buffer.add_string buf
     (Printf.sprintf
        "  ],\n\
        \  \"timing\": \"median-of-%d interleaved batches\",\n\
-       \  \"geomean_speedup\": %.3f,\n\
-       \  \"geomean_trace_speedup\": %.3f\n\
+       \  \"geomean_speedup\": %.3f\n\
         }\n"
-       batches (geomean speedup rows)
-       (geomean trace_speedup rows));
+       batches (geomean speedup rows));
   Buffer.contents buf
 
 (* ---- JSON in (validation only; no JSON library in the repo) ---- *)
@@ -348,9 +325,8 @@ let validate_json ~file text =
     | Some (Arr rows) -> rows
     | _ -> failwith (file ^ ": missing \"benchmarks\" array")
   in
-  (* one schema for smoke and full: both must carry the geomeans *)
+  (* one schema for smoke and full: both must carry the geomean *)
   let gm = top_num "geomean_speedup" in
-  let gm_trace = top_num "geomean_trace_speedup" in
   let num obj k =
     match List.assoc_opt k obj with
     | Some (Num f) -> f
@@ -370,7 +346,7 @@ let validate_json ~file text =
                   failwith (file ^ ": non-positive ns/instr for " ^ cfg);
                 if mn > med || med > mx then
                   failwith (file ^ ": min/median/max out of order for " ^ cfg))
-              [ "ref"; "fast"; "traced" ];
+              [ "ref"; "fast" ];
             (match List.assoc_opt "name" o with
             | Some (Str s) -> s
             | _ -> failwith (file ^ ": row without a name"))
@@ -384,7 +360,7 @@ let validate_json ~file text =
           (Printf.sprintf "%s: missing workload %S" file
              b.Workloads.Suite.bname))
     Workloads.Suite.all;
-  (List.length names, gm, gm_trace)
+  (List.length names, gm)
 
 let committed_geomeans () =
   match
@@ -393,47 +369,22 @@ let committed_geomeans () =
   with
   | None -> None
   | Some text ->
-      let _, gm, gm_trace = validate_json ~file:out_file text in
-      Some (gm, gm_trace)
+      let _, gm = validate_json ~file:out_file text in
+      Some gm
 
 (* ---- entry points ---- *)
 
 let run_rows ~file ~scale ~budget =
   Printf.printf
-    "Engine benchmark: reference interpreter vs closure-compiled engine vs \
-     trace tier (threshold %d)\n"
-    trace_threshold;
+    "Engine benchmark: reference interpreter vs closure-compiled engine\n";
   let rows = List.map (bench_workload ~scale ~budget) Workloads.Suite.all in
   let oc = open_out file in
   output_string oc (json_of_rows rows);
   close_out oc;
   let n = List.length rows in
   let twice = List.length (List.filter (fun r -> speedup r >= 2.0) rows) in
-  Printf.printf
-    "  geometric-mean speedup %.2fx (traced %.2fx); fast >= 2x on %d/%d \
-     workloads\n"
-    (geomean speedup rows)
-    (geomean trace_speedup rows)
-    twice n;
-  (* acceptance guard: the trace tier must never lose to plain Fast.
-     The container's run-to-run wall-clock variance is well above 5%
-     even on medians-of-5 (see the header comment), so a median gap
-     inside that band with overlapping min/max ranges is measurement
-     noise, not a regression — report it as parity.  A median gap
-     beyond 5%, or disjoint ranges, is a real warning. *)
-  List.iter
-    (fun r ->
-      if r.trace_t.t_med > 1.05 *. r.fast_t.t_med then
-        Printf.printf
-          "WARNING: %s traced median %.2f ns/instr slower than fast %.2f\n"
-          r.name r.trace_t.t_med r.fast_t.t_med
-      else if r.trace_t.t_med > r.fast_t.t_med then
-        Printf.printf
-          "  note: %s traced %.2f vs fast %.2f ns/instr — within the 5%% \
-           noise band (ranges %.2f-%.2f vs %.2f-%.2f)\n"
-          r.name r.trace_t.t_med r.fast_t.t_med r.trace_t.t_min r.trace_t.t_max
-          r.fast_t.t_min r.fast_t.t_max)
-    rows;
+  Printf.printf "  geometric-mean speedup %.2fx; fast >= 2x on %d/%d workloads\n"
+    (geomean speedup rows) twice n;
   Printf.printf "  wrote %s\n" file;
   rows
 
@@ -442,25 +393,20 @@ let run () = ignore (run_rows ~file:out_file ~scale:None ~budget:0.3)
 let smoke () =
   let rows = run_rows ~file:smoke_file ~scale:(Some 1) ~budget:0.02 in
   let text = In_channel.with_open_text smoke_file In_channel.input_all in
-  let n, gm, gm_trace = validate_json ~file:smoke_file text in
+  let n, gm = validate_json ~file:smoke_file text in
   if n <> List.length rows then
     failwith (smoke_file ^ ": row count does not match the suite");
   (match committed_geomeans () with
   | None -> Printf.printf "  (no committed %s to compare against)\n" out_file
-  | Some (committed, committed_trace) ->
-      let check what got want =
-        if got < 0.9 *. want then
-          Printf.printf
-            "WARNING: smoke %s geomean %.2fx is >10%% below committed %.2fx \
-             (%s)\n"
-            what got want out_file
-        else
-          Printf.printf "  smoke %s geomean %.2fx vs committed %.2fx: OK\n"
-            what got want
-      in
-      check "engine" gm committed;
-      check "trace-tier" gm_trace committed_trace);
+  | Some committed ->
+      if gm < 0.9 *. committed then
+        Printf.printf
+          "WARNING: smoke engine geomean %.2fx is >10%% below committed \
+           %.2fx (%s)\n"
+          gm committed out_file
+      else
+        Printf.printf "  smoke engine geomean %.2fx vs committed %.2fx: OK\n"
+          gm committed);
   Printf.printf
-    "bench-smoke OK: %s parses, all three configurations present for all %d \
-     workloads\n"
+    "bench-smoke OK: %s parses, both engines present for all %d workloads\n"
     smoke_file n

@@ -56,11 +56,23 @@ let install_oneshot_signals () =
 
 let bench_arg =
   let doc = "Benchmark name (see $(b,isf list))." in
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCH" ~doc)
+  Arg.(
+    required
+    & pos 0 (some (name_conv "benchmark" Workloads.Suite.names)) None
+    & info [] ~docv:"BENCH" ~doc)
 
+(* the same rule serve job lines apply to their scale field *)
 let scale_arg =
-  let doc = "Workload scale factor (default: benchmark-specific)." in
-  Arg.(value & opt (some int) None & info [ "scale"; "s" ] ~docv:"N" ~doc)
+  let doc = "Workload scale factor, at least 1 (default: benchmark-specific)." in
+  let positive =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= 1 -> Ok n
+      | _ -> Error (`Msg (Printf.sprintf "expected a scale >= 1 (got %s)" s))
+    in
+    Arg.conv (parse, Format.pp_print_int)
+  in
+  Arg.(value & opt (some positive) None & info [ "scale"; "s" ] ~docv:"N" ~doc)
 
 let variant_arg =
   let doc =
@@ -139,44 +151,6 @@ let recording_arg =
     & opt (enum [ ("slots", `Slots); ("legacy", `Legacy) ]) `Slots
     & info [ "recording" ] ~docv:"PATH" ~doc)
 
-let traces_arg =
-  let doc =
-    "Trace-recording JIT tier (Fast engine only): $(b,on) arms hot-loop \
-     tracing with the default backedge threshold (256), $(b,off) (the \
-     default) disables it, and a positive integer $(i,N) sets the \
-     threshold directly.  Traced execution is bit-identical on every \
-     observable, so every number is trace-invariant; run-cache keys \
-     still record the setting."
-  in
-  let traces_conv =
-    let parse = function
-      | "on" -> Ok (Some 256)
-      | "off" -> Ok None
-      | s -> (
-          match int_of_string_opt s with
-          | Some n when n > 0 -> Ok (Some n)
-          | _ ->
-              Error
-                (`Msg
-                  (Printf.sprintf
-                     "expected on, off or a positive threshold (got %s)" s)))
-    in
-    let print ppf = function
-      | None -> Format.pp_print_string ppf "off"
-      | Some n -> Format.pp_print_int ppf n
-    in
-    Arg.conv (parse, print)
-  in
-  Arg.(value & opt traces_conv None & info [ "traces" ] ~docv:"MODE" ~doc)
-
-let stats_arg =
-  let doc =
-    "Dump the trace-tier event taxonomy (records, aborts, compiles, trace \
-     entries, side exits, invalidations) to stderr on exit.  Stdout is \
-     untouched, so byte-identity comparisons of command output still hold."
-  in
-  Arg.(value & flag & info [ "stats" ] ~doc)
-
 let chaos_arg =
   let doc =
     "Chaos mode: derive a deterministic fault plan from $(docv) for every \
@@ -218,27 +192,18 @@ let cache_arg =
   Arg.(
     value & opt (some string) None & info [ "cache" ] ~env ~docv:"DIR" ~doc)
 
-let set_cache cache =
-  try Harness.Runcache.set_dir cache
+(* a refused cache, checkpoint or journal, malformed job lines or jasm
+   source: one line on stderr and exit 2 instead of a backtrace *)
+let or_die f =
+  try f ()
   with Failure m ->
     prerr_endline ("isf: " ^ m);
     exit 2
 
+let set_cache cache = or_die (fun () -> Harness.Runcache.set_dir cache)
 let set_trace t = if t then Harness.Pool.trace := true
 let set_engine e = Measure.set_engine e
 let set_recording r = Measure.set_recording r
-let set_traces t = Measure.set_traces t
-
-(* --stats: the taxonomy goes to stderr after the command body ran, so
-   stdout stays the command's own bytes *)
-let with_stats stats f =
-  f ();
-  if stats then begin
-    Printf.eprintf "trace-tier events:\n";
-    List.iter
-      (fun (name, c) -> Printf.eprintf "  %-18s %d\n" name c)
-      (Vm.Trace.stats ())
-  end
 
 let set_robustness ?(chaos = None) ?(watchdog = 600.0) () =
   Measure.set_chaos chaos;
@@ -254,10 +219,7 @@ let set_checkpoint ~which ~scale ~engine ~chaos checkpoint =
       (match engine with `Ref -> "ref" | `Fast -> "fast")
       (match chaos with Some s -> string_of_int s | None -> "off")
   in
-  try Harness.Robust.set_checkpoint ~meta checkpoint
-  with Failure m ->
-    prerr_endline ("isf: " ^ m);
-    exit 2
+  or_die (fun () -> Harness.Robust.set_checkpoint ~meta checkpoint)
 
 (* ---- commands ---- *)
 
@@ -273,10 +235,8 @@ let list_cmd =
     Term.(const run $ const ())
 
 let run_cmd =
-  let run bench scale engine traces stats =
+  let run bench scale engine =
     set_engine engine;
-    set_traces traces;
-    with_stats stats @@ fun () ->
     let b = Workloads.Suite.find bench in
     let build = Measure.prepare ?scale b in
     let m = Measure.run_baseline build in
@@ -287,17 +247,14 @@ let run_cmd =
     print_string m.Measure.output
   in
   Cmd.v (Cmd.info "run" ~doc:"Run a benchmark without instrumentation")
-    Term.(
-      const run $ bench_arg $ scale_arg $ engine_arg $ traces_arg $ stats_arg)
+    Term.(const run $ bench_arg $ scale_arg $ engine_arg)
 
 let profile_cmd =
   let run bench scale variant instr interval jitter timer top csv engine
-      recording traces stats chaos =
+      recording chaos =
     set_engine engine;
     set_recording recording;
-    set_traces traces;
     set_robustness ~chaos ();
-    with_stats stats @@ fun () ->
     let b = Workloads.Suite.find bench in
     let build = Measure.prepare ?scale b in
     let base = Measure.run_baseline build in
@@ -336,7 +293,7 @@ let profile_cmd =
     Term.(
       const run $ bench_arg $ scale_arg $ variant_arg $ instr_arg
       $ interval_arg $ jitter_arg $ timer_arg $ top_arg $ csv_arg
-      $ engine_arg $ recording_arg $ traces_arg $ stats_arg $ chaos_arg)
+      $ engine_arg $ recording_arg $ chaos_arg)
 
 let dump_cmd =
   let run bench variant instr meth =
@@ -364,15 +321,14 @@ let dump_cmd =
 
 (* run or profile a user-provided .jasm file *)
 let exec_cmd =
-  let run file args variant instr interval jitter top engine traces stats =
+  let run file args variant instr interval jitter top engine =
     set_engine engine;
-    with_stats stats @@ fun () ->
     let src = In_channel.with_open_text file In_channel.input_all in
-    let classes = Jasm.Compile.compile_string ~file src in
+    let classes = or_die (fun () -> Jasm.Compile.compile_string ~file src) in
     let funcs = Opt.Pipeline.front (Bytecode.To_lir.program_to_funcs classes) in
     let entry = { Ir.Lir.mclass = "Main"; mname = "main" } in
     let baseline =
-      Vm.Interp.run ~engine ~use_icache:true ?trace_threshold:traces
+      Vm.Interp.run ~engine ~use_icache:true
         (Vm.Program.link classes ~funcs)
         ~entry ~args Vm.Interp.null_hooks
     in
@@ -393,7 +349,7 @@ let exec_cmd =
         Core.Sampler.create (Core.Sampler.Counter { interval; jitter })
       in
       let res =
-        Vm.Interp.run ~engine ~use_icache:true ?trace_threshold:traces
+        Vm.Interp.run ~engine ~use_icache:true
           (Vm.Program.link classes ~funcs:transformed)
           ~entry ~args
           (Profiles.Collector.hooks collector sampler)
@@ -423,17 +379,15 @@ let exec_cmd =
           instrumentation)")
     Term.(
       const run $ file_arg $ args_arg $ variant_arg $ instr_arg $ interval_arg
-      $ jitter_arg $ top_arg $ engine_arg $ traces_arg $ stats_arg)
+      $ jitter_arg $ top_arg $ engine_arg)
 
 let table_cmd =
-  let run which scale jobs trace engine recording traces stats chaos watchdog
-      checkpoint cache adaptive budget =
+  let run which scale jobs trace engine recording chaos watchdog checkpoint
+      cache adaptive budget =
     set_trace trace;
     set_engine engine;
     set_recording recording;
-    set_traces traces;
     set_robustness ~chaos ~watchdog ();
-    with_stats stats @@ fun () ->
     let name =
       match which with `All -> "all" | `One w -> Harness.Experiments.name w
     in
@@ -510,18 +464,15 @@ let table_cmd =
     (Cmd.info "table" ~doc:"Reproduce one of the paper's tables/figures")
     Term.(
       const run $ which_arg $ scale_arg $ jobs_arg $ trace_arg $ engine_arg
-      $ recording_arg $ traces_arg $ stats_arg $ chaos_arg $ watchdog_arg
-      $ checkpoint_arg $ cache_arg $ adaptive_arg $ budget_arg)
+      $ recording_arg $ chaos_arg $ watchdog_arg $ checkpoint_arg $ cache_arg
+      $ adaptive_arg $ budget_arg)
 
 let all_cmd =
-  let run scale jobs trace engine recording traces stats chaos watchdog
-      checkpoint cache =
+  let run scale jobs trace engine recording chaos watchdog checkpoint cache =
     set_trace trace;
     set_engine engine;
     set_recording recording;
-    set_traces traces;
     set_robustness ~chaos ~watchdog ();
-    with_stats stats @@ fun () ->
     set_checkpoint ~which:"everything" ~scale ~engine ~chaos checkpoint;
     set_cache cache;
     if Harness.Experiments.run_all ?scale ~jobs () <> [] then exit 2
@@ -530,15 +481,13 @@ let all_cmd =
     (Cmd.info "all" ~doc:"Reproduce every table and figure of the paper")
     Term.(
       const run $ scale_arg $ jobs_arg $ trace_arg $ engine_arg
-      $ recording_arg $ traces_arg $ stats_arg $ chaos_arg $ watchdog_arg
-      $ checkpoint_arg $ cache_arg)
+      $ recording_arg $ chaos_arg $ watchdog_arg $ checkpoint_arg $ cache_arg)
 
 let ablation_cmd =
-  let run scale jobs trace engine recording traces cache =
+  let run scale jobs trace engine recording cache =
     set_trace trace;
     set_engine engine;
     set_recording recording;
-    set_traces traces;
     set_cache cache;
     Harness.Ablation.run_all ?scale ~jobs ()
   in
@@ -549,7 +498,7 @@ let ablation_cmd =
           duplication strategy, per-thread counters)")
     Term.(
       const run $ scale_arg $ jobs_arg $ trace_arg $ engine_arg
-      $ recording_arg $ traces_arg $ cache_arg)
+      $ recording_arg $ cache_arg)
 
 (* ---- service mode ---- *)
 
@@ -591,14 +540,6 @@ let breaker_arg =
 
 let serve_config ~workers ~capacity ~retries ~quarantine_after ~breaker_after =
   { Serve.Daemon.workers; capacity; retries; quarantine_after; breaker_after }
-
-(* journal meta mismatch, malformed job lines: report like set_cache
-   does instead of dumping a backtrace *)
-let or_die f =
-  try f ()
-  with Failure m ->
-    prerr_endline ("isf: " ^ m);
-    exit 2
 
 (* everything that changes result bytes belongs in the journal meta;
    worker count and capacity deliberately do not (scheduling never

@@ -100,8 +100,6 @@ type t = {
   inlined : (int * int * int, unit) Hashtbl.t;  (* (caller, site, callee) *)
   mutable log : string list;  (* decision log, newest first *)
   mutable polls : int;
-  mutable swapped : bool;  (* a hot_swap happened during this poll *)
-  mutable trace_saved : int option;  (* threshold of a paused trace tier *)
 }
 
 let create ?(config = default) ?sampler slots =
@@ -122,8 +120,6 @@ let create ?(config = default) ?sampler slots =
     inlined = Hashtbl.create 16;
     log = [];
     polls = 0;
-    swapped = false;
-    trace_saved = None;
   }
 
 let decisions t = List.rev t.log
@@ -155,7 +151,6 @@ let stripped_version t (ms : mstate) =
 (* Swap in whichever variant the strip state selects. *)
 let activate t st (ms : mstate) =
   let m = if ms.is_stripped then stripped_version t ms else ms.lineage in
-  t.swapped <- true;
   Vm.Engine.hot_swap st m
 
 (* Replace the instrumented lineage (after inlining) and re-install. *)
@@ -345,28 +340,8 @@ let fdo_step t st =
 
 let poll t st =
   t.polls <- t.polls + 1;
-  (* Trace tier as a governor actuation: a poll that installed new code
-     pauses tracing until the next poll — hot_swap already invalidated
-     every trace in the swapped methods (Vm.Trace), so this only stops
-     the tier from re-recording loops the controller is still actively
-     reshaping.  The controller writes the threshold knob and never
-     reads trace state: decisions depend only on the knob's value, which
-     is set identically under both engines (Ref simply never consults
-     it), so decision logs stay engine-invariant.  The pause and resume
-     are not decisions and stay out of the log: it, and every count
-     taken from it, must not change with the trace tier's setting. *)
-  (match t.trace_saved with
-  | Some thr ->
-      t.trace_saved <- None;
-      st.Machine.trace_threshold <- thr
-  | None -> ());
-  t.swapped <- false;
   (match t.gov with Some g -> governor_step t st g | None -> ());
   if t.cfg.fdo then fdo_step t st;
-  if t.swapped && st.Machine.trace_threshold < max_int then begin
-    t.trace_saved <- Some st.Machine.trace_threshold;
-    st.Machine.trace_threshold <- max_int
-  end;
   st.Machine.next_adaptive <- st.Machine.cycles + t.cfg.poll_period
 
 let on_init t (st : Machine.state) =

@@ -59,7 +59,7 @@ let fault_plan (p : Fault.plan) =
       (Printf.sprintf "compile-fail-pct=%d\n" p.Fault.compile_fail_pct);
     hex (Buffer.contents b)
 
-let run_config ?adaptive ?traces ~kind ~bench ~scale ~funcs_digest ~engine
+let run_config ?adaptive ~kind ~bench ~scale ~funcs_digest ~engine
     ~recording ~trigger ~timer_period ~costs ~faults () =
   String.concat "\n"
     ([
@@ -79,7 +79,4 @@ let run_config ?adaptive ?traces ~kind ~bench ~scale ~funcs_digest ~engine
      ]
     (* appended only when the adaptive loop is on, so every legacy key
        stays byte-identical and warm caches survive this addition *)
-    @ (match adaptive with None -> [] | Some a -> [ "adaptive=" ^ a ])
-    (* likewise appended only when the trace tier is armed: tier-off
-       keys stay byte-identical to pre-trace keys *)
-    @ match traces with None -> [] | Some t -> [ "traces=" ^ t ])
+    @ match adaptive with None -> [] | Some a -> [ "adaptive=" ^ a ])

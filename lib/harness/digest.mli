@@ -45,7 +45,6 @@ val fault_plan : Fault.plan -> string
 
 val run_config :
   ?adaptive:string ->
-  ?traces:string ->
   kind:string ->
   bench:string ->
   scale:int ->
@@ -64,6 +63,4 @@ val run_config :
     controller configuration) is appended as an extra line only when
     the adaptive loop is on — keys of non-adaptive runs are
     byte-identical to what they were before the adaptive tier existed,
-    so warm on-disk caches stay valid.  [traces] (the rendered trace
-    tier configuration, e.g. ["threshold:64"]) follows the same
-    only-when-armed convention. *)
+    so warm on-disk caches stay valid. *)

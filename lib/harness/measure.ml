@@ -46,17 +46,6 @@ let recording : [ `Slots | `Legacy ] Atomic.t = Atomic.make `Slots
 let set_recording r = Atomic.set recording r
 let current_recording () = Atomic.get recording
 
-(* The trace-recording tier (isf --traces): [Some t] arms hot-loop
-   tracing on the Fast engine with backedge threshold [t].  Traced
-   execution is bit-identical on every observable (test/test_engine.ml
-   enforces this differentially), so results are trace-invariant — but
-   run keys still carry the setting so trace-on and trace-off
-   measurements never alias in the cache.  Ignored by [`Ref]. *)
-let traces : int option Atomic.t = Atomic.make None
-
-let set_traces t = Atomic.set traces t
-let current_traces () = Atomic.get traces
-
 (* Chaos mode (isf --chaos SEED): every measurement runs under a fault
    plan derived from the session seed and the cell's (benchmark, scale)
    — deliberately NOT from which table or worker asks, so concurrent
@@ -149,8 +138,8 @@ let execute ?engine ?timer_period build funcs mk =
   in
   let res =
     Vm.Interp.run ~engine ~use_icache:true ?timer_period ~faults ~label
-      ?deadline ?recorder:recording.r_recorder
-      ?trace_threshold:(Atomic.get traces) ?on_init:recording.r_on_init prog
+      ?deadline ?recorder:recording.r_recorder ?on_init:recording.r_on_init
+      prog
       ~entry:Workloads.Suite.entry ~args:[ build.scale ] recording.r_hooks
   in
   (metrics_of prog res (recording.r_decode ()), res)
@@ -184,14 +173,7 @@ let engine_str = function `Ref -> "ref" | `Fast -> "fast"
 
 let run_key ?adaptive ~kind ~funcs_digest ~engine ~recording ~trigger
     ~timer_period build =
-  let traces =
-    (* only the Fast engine consults the tier, so Ref keys stay stable
-       whatever the session-wide setting *)
-    match (engine, Atomic.get traces) with
-    | `Fast, Some t -> Some (Printf.sprintf "threshold:%d" t)
-    | _ -> None
-  in
-  Digest.run_config ?adaptive ?traces ~kind
+  Digest.run_config ?adaptive ~kind
     ~bench:build.bench.Workloads.Suite.bname ~scale:build.scale ~funcs_digest
     ~engine:(engine_str engine) ~recording ~trigger ~timer_period
     ~costs:(Digest.costs Vm.Costs.default)

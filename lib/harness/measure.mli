@@ -35,17 +35,6 @@ val set_recording : [ `Slots | `Legacy ] -> unit
 
 val current_recording : unit -> [ `Slots | `Legacy ]
 
-val set_traces : int option -> unit
-(** Arm ([Some threshold]) or disarm ([None], the default) the
-    trace-recording tier ({!Vm.Trace}) for every subsequent measurement:
-    on the Fast engine, a loop whose backedge executes [threshold] times
-    is recorded and compiled to a fused superinstruction closure.
-    Traced execution is bit-identical on every observable, so results
-    are trace-invariant; run keys still carry the setting so trace-on
-    and trace-off runs never alias in the cache.  Ignored by [`Ref]. *)
-
-val current_traces : unit -> int option
-
 val set_chaos : int option -> unit
 (** Arm ([Some seed]) or disarm ([None], the default) chaos mode: every
     subsequent measurement runs under a deterministic {!Fault.plan}

@@ -7,13 +7,15 @@
    are unary ([state -> unit], the cheapest indirect call OCaml native
    code can make — no caml_apply arity check); the running thread and
    frame travel in the [cur_th]/[cur_fr] scratch fields of the state,
-   written by the dispatcher.  Straight-line words come from
-   [Straight], both as per-word chains and as fused runs; DESIGN.md §5
-   ("Compiling straight-line words") gives why either is bit-identical
-   to the reference [Machine.step], which test/test_engine.ml checks
-   differentially.  This module compiles everything else (calls,
-   yielding intrinsics, yieldpoints, instrumentation, terminators) and
-   runs the dispatch loop.
+   written by the dispatcher.  Every word compiles to one closure that
+   does the word's work, then the dispatcher's per-word preamble for
+   the next word, then tail-calls it: one compiled form, the per-word
+   chain.  Straight-line words come from [Straight]; DESIGN.md §5
+   ("Compiling straight-line words") gives why the chain is
+   bit-identical to the reference [Machine.step], which
+   test/test_engine.ml checks differentially.  This module compiles
+   everything else (calls, yielding intrinsics, yieldpoints,
+   instrumentation, terminators) and runs the dispatch loop.
 
    Unresolvable references (an unknown field, class or call target) are
    compiled into closures that reproduce the reference interpreter's
@@ -32,7 +34,7 @@ type k = state -> unit
 
 (* [code] has one entry per instruction plus a final entry for the
    terminator; [code.(i)] executes the block from instruction [i] to the
-   next suspension point, with per-instruction accounting fused in, and
+   next suspension point, with per-instruction accounting folded in, and
    chains through intra-method control flow by tail call. *)
 type cblock = { code : k array }
 type cmeth = cblock array
@@ -66,14 +68,6 @@ type cprog = {
          an adaptive swap finish on the version they started in.  Only
          the adaptive tier appends here (single VM, at a safepoint), so
          no synchronization is needed. *)
-  n_sites : int Atomic.t;
-      (* trace-anchor site ids, minted per compiled backedge yieldpoint
-         (atomic: distinct methods may compile concurrently).  Site ids
-         name code locations; the per-run hotness counters and traces
-         they index live in each state's [trace] slot (see Trace). *)
-  n_fused : int Atomic.t;
-      (* ids of instrumented fused runs, minted at compile time; each
-         run's bound is cached per run in [state.fused_bound] *)
 }
 
 type Program.cache_slot += Compiled of cprog
@@ -167,49 +161,14 @@ let[@inline] push_frame st th callee ~ret_dst ~from_meth ~from_site =
   st.counters.entries <- st.counters.entries + 1;
   th.sp <- th.sp + 1
 
-(* instructions eligible for straight-line fusion: the straight-line
-   words plus instrumentation, whose worst-case charge the fused entry
-   reads from the flat recorder *)
-let fusable = function
-  | Lir.Instrument _ | Lir.Guarded_instrument _ -> true
-  | ins -> Straight.is_straight ins
-
-(* Worst-case charge of instrumented fused run [id]: [static] plus the
-   recorder's resolved cost of each op, stored in [st.fused_bound] once
-   every op has an event id; -1 (slow path) without a flat recorder or
-   while any op is unresolved. *)
-let fused_bound st (ops : Lir.instrument_op array) static id =
-  match st.recorder with
-  | None -> -1
-  | Some r ->
-      let d =
-        Array.fold_left
-          (fun acc (op : Lir.instrument_op) ->
-            if acc < 0 || op.Lir.slot < 0 then -1
-            else acc + r.ev_cost.(op.Lir.slot))
-          static ops
-      in
-      if d >= 0 then begin
-        let n = Array.length st.fused_bound in
-        if id >= n then begin
-          let b = Array.make (max (id + 1) (2 * n)) (-1) in
-          Array.blit st.fused_bound 0 b 0 n;
-          st.fused_bound <- b
-        end;
-        st.fused_bound.(id) <- d
-      end;
-      d
-
 (* Compile one instruction into its complete dispatch step.  [nxt] is the
-   already-compiled remainder of the block; [ni]/[naddr] say what follows
-   the body, as in [Straight.advance]: a per-word chain passes the next
-   word's index and address so the step performs the dispatcher's
-   preamble for it and tail-calls [nxt] (one indirect call per word); a
-   fused run passes [ni < 0] and the step goes straight to [nxt].
-   Instructions that can suspend or reschedule the current frame (calls,
-   intrinsics that yield or spawn) first store the resume index [ni] —
-   exactly where the reference leaves idx — and return to the dispatcher
-   when done; they never fuse.  Yieldpoints only do so when a switch
+   already-compiled remainder of the block, starting at word [ni] at
+   address [naddr]: the step performs the dispatcher's preamble for that
+   word ([Straight.advance]) and tail-calls [nxt] (one indirect call per
+   word).  Instructions that can suspend or reschedule the current
+   frame (calls, intrinsics that yield or spawn) first store the resume
+   index [ni] — exactly where the reference leaves idx — and return to
+   the dispatcher when done.  Yieldpoints only do so when a switch
    actually happens. *)
 let rec compile_instr (cp : cprog) (prog : Program.t) (m : Program.meth)
     ~(nxt : k) ~(naddr : int) ~(ni : int) (ins : Lir.instr) : k =
@@ -382,10 +341,6 @@ let rec compile_instr (cp : cprog) (prog : Program.t) (m : Program.meth)
             end
             else cont st
       | Lir.Yp_backedge ->
-          (* trace-tier anchor: every compiled backedge carries a site
-             id; the gate below is a single always-false compare until
-             a run arms [trace_threshold] *)
-          let site = Atomic.fetch_and_add cp.n_sites 1 in
           fun st ->
             charge st cc_yp;
             st.counters.backedge_yps <- st.counters.backedge_yps + 1;
@@ -401,11 +356,6 @@ let rec compile_instr (cp : cprog) (prog : Program.t) (m : Program.meth)
               st.switch_bit <- false;
               rotate_thread st
             end
-            else if st.trace_threshold < max_int && Trace.backedge st site ni
-            then ()
-              (* a compiled trace ran (or a recording stepped the
-                 machine): back to the dispatcher, which resumes at the
-                 written-back frame position with the standard preamble *)
             else cont st)
   | Lir.Instrument op ->
       (* Flat-slot recording compiles to a direct buffer bump (the
@@ -432,72 +382,6 @@ let rec compile_instr (cp : cprog) (prog : Program.t) (m : Program.meth)
         end;
         cont st
   | _ -> assert false (* straight-line words take the first arm *)
-
-(* ------------------------------------------------------------------ *)
-(* Straight-line fusion                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* One closure for the fusable run [a..b] of a block (DESIGN.md §5):
-   behind a single precheck against the guard gate, the run's bare steps
-   chained by tail calls, i-cache probes at line heads only, and an exit
-   step that adds the elided instruction counts in bulk and performs the
-   final word's preamble.  [slow] is the run's ordinary word-by-word
-   chain (taken near the gate or with a legacy recorder); [tail] is the
-   compiled continuation at word [b+1].  Runs containing instrumentation
-   enter the fast path only when the flat recorder is armed and every
-   op has a resolved slot: the recorder's per-event [ev_cost] then
-   bounds the dynamic part of the charge. *)
-and compile_fused (cp : cprog) (prog : Program.t) (m : Program.meth)
-    ~(instrs : Lir.instr array) ~(a : int) ~(b : int) ~(base : int) ~(slow : k)
-    ~(tail : k) : k =
-  let costs = cp.c_costs in
-  let cc_miss = costs.Costs.icache_miss in
-  let n_mid = b - a in
-  let exit_step st =
-    st.instructions <- st.instructions + n_mid;
-    Straight.advance st ~next:tail ~ni:(b + 1) ~naddr:(base + b + 1)
-  in
-  let chain = ref exit_step in
-  let delta = ref 0 in
-  let rops = ref [] in
-  for j = b downto a do
-    let ins = instrs.(j) in
-    let body = compile_instr cp prog m ~nxt:!chain ~naddr:(-1) ~ni:(-1) ins in
-    (* instrumentation adds its recorder event cost at entry; the
-       compiled image serves runs with and without a d-cache *)
-    let bound =
-      match ins with
-      | Lir.Instrument op ->
-          rops := op :: !rops;
-          0
-      | Lir.Guarded_instrument op ->
-          rops := op :: !rops;
-          costs.Costs.check
-      | _ -> Straight.bound costs prog ~dcache:true ins
-    in
-    delta := !delta + bound;
-    (* the reference probes word [j]'s address before executing it
-       (word [a]'s probe belongs to the predecessor); within the run
-       only line heads can miss, so only they are probed *)
-    if j > a && (base + j) mod Icache.default_line_words = 0 then begin
-      delta := !delta + cc_miss;
-      chain := Straight.probed ~addr:(base + j) body
-    end
-    else chain := body
-  done;
-  let fast = !chain in
-  let delta_static = !delta in
-  match Array.of_list !rops with
-  | [||] ->
-      fun st ->
-        if st.cycles + delta_static > st.guard_gate then slow st else fast st
-  | ops ->
-      let id = Atomic.fetch_and_add cp.n_fused 1 in
-      fun st ->
-        let b = st.fused_bound in
-        let d = if id < Array.length b then Array.unsafe_get b id else -1 in
-        let d = if d >= 0 then d else fused_bound st ops delta_static id in
-        if d < 0 || st.cycles + d > st.guard_gate then slow st else fast st
 
 (* ------------------------------------------------------------------ *)
 (* Terminator and block compilation                                    *)
@@ -643,48 +527,16 @@ and compile_method (cp : cprog) (prog : Program.t) (m : Program.meth) : cmeth =
        reference).  Built back to front so each closure captures its
        already-final successor: straight-line execution is a chain of
        tail calls with the per-word fuel/instruction/i-cache accounting
-       the dispatcher would have performed fused in. *)
+       the dispatcher would have performed folded in. *)
     let ks =
       Array.make (len + 1) (fun st ->
           timer_check st;
           tk st)
     in
-    (* Right-to-left scan, fusing maximal runs of fusable words.  The
-       run's plain word-by-word closures are built first (they are the
-       slow path, and the only entry points for a frame resumed
-       mid-block), then the fused closure replaces ks.(a) so every
-       predecessor — the word at a-1, a jump, the dispatcher — lands on
-       the batched version.  Compilation still visits words strictly
-       from len-1 down to 0, so yieldpoint site ids are minted in
-       exactly the order the unfused compiler minted them. *)
-    let i = ref (len - 1) in
-    while !i >= 0 do
-      if not (fusable instrs.(!i)) then begin
-        let ni = !i + 1 in
-        ks.(!i) <-
-          compile_instr cp prog m ~nxt:ks.(ni) ~naddr:(base + ni) ~ni
-            instrs.(!i);
-        decr i
-      end
-      else begin
-        let b = !i in
-        let a = ref b in
-        while !a > 0 && fusable instrs.(!a - 1) do
-          decr a
-        done;
-        let a = !a in
-        for j = b downto a do
-          let nj = j + 1 in
-          ks.(j) <-
-            compile_instr cp prog m ~nxt:ks.(nj) ~naddr:(base + nj) ~ni:nj
-              instrs.(j)
-        done;
-        if b - a + 1 >= 2 then
-          ks.(a) <-
-            compile_fused cp prog m ~instrs ~a ~b ~base ~slow:ks.(a)
-              ~tail:ks.(b + 1);
-        i := a - 1
-      end
+    for i = len - 1 downto 0 do
+      let ni = i + 1 in
+      ks.(i) <-
+        compile_instr cp prog m ~nxt:ks.(ni) ~naddr:(base + ni) ~ni instrs.(i)
     done;
     codes.(l) <- ks;
     { code = ks }
@@ -795,8 +647,6 @@ let cprog_of (prog : Program.t) (costs : Costs.t) =
                     (fun _ -> Atomic.make empty_cmeth);
                 c_costs = costs;
                 retired = [];
-                n_sites = Atomic.make 0;
-                n_fused = Atomic.make 0;
               }
             in
             prog.Program.engine_cache <- Some (Compiled cp);
@@ -818,10 +668,6 @@ let hot_swap st (nm : Program.meth) =
   let old = prog.Program.methods.(id) in
   if old != nm then begin
     prog.Program.methods.(id) <- nm;
-    (* traces recorded against the retired version must never run again
-       (their precheck's version guard would reject them anyway; this
-       makes the invalidation prompt and counted) *)
-    Trace.invalidate st id;
     match prog.Program.engine_cache with
     | Some (Compiled cp) -> (
         let old_cm = Atomic.get cp.by_id.(id) in

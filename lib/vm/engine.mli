@@ -3,8 +3,10 @@
     Translates each {!Program.meth} once into flat arrays of preallocated
     closures — operands resolved to register indices/immediates, field and
     static offsets, class ids, call targets and switch tables looked up at
-    compile time, straight-line runs fused into a single dispatch — and
-    runs the same {!Machine.state} as the reference interpreter.
+    compile time — and runs the same {!Machine.state} as the reference
+    interpreter.  Each word is one closure that ends with the
+    dispatcher's per-word preamble for its successor and tail-calls it:
+    the per-word chain is the engine's only compiled form.
 
     The engine is observationally {e bit-identical} to [Interp.step]'s
     loop: same return value, cycles, instruction count, event counters,

@@ -17,9 +17,7 @@ let log2_pow2 n =
   end
   else None
 
-let default_line_words = 8
-
-let create ?(lines = 1024) ?(line_words = default_line_words) () =
+let create ?(lines = 1024) ?(line_words = 8) () =
   {
     tags = Array.make lines (-1);
     line_words;

@@ -17,11 +17,6 @@ type t = {
     ({!access} spelled out; DESIGN.md §5): under dune's default profile
     a call into this module is out of line. *)
 
-val default_line_words : int
-(** Words per line of the instruction cache every {!Machine.state}
-    builds; the engine's fused runs probe only line heads of this
-    geometry. *)
-
 val create : ?lines:int -> ?line_words:int -> unit -> t
 (** Default geometry: 1024 lines of 8 instructions (8K-instruction cache,
     roughly a 32KB L1i with 4-byte instructions). *)

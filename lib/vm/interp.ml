@@ -54,17 +54,12 @@ type result = Machine.result = {
 let step = Machine.step
 
 let run ?(engine = `Fast) ?fuel ?use_icache ?use_dcache ?costs ?timer_period
-    ?seed ?faults ?label ?deadline ?deadline_poll ?recorder ?trace_threshold
-    ?on_init prog ~entry ~args hooks =
+    ?seed ?faults ?label ?deadline ?deadline_poll ?recorder ?on_init prog
+    ~entry ~args hooks =
   let st =
     Machine.init_state ?fuel ?use_icache ?use_dcache ?costs ?timer_period ?seed
       ?faults ?label ?deadline ?deadline_poll ?recorder prog hooks
   in
-  (* trace tier (Fast engine only; the reference stepper never consults
-     it): number of backedge executions before a loop is recorded *)
-  (match trace_threshold with
-  | Some t -> st.trace_threshold <- max 1 t
-  | None -> ());
   let m = Program.method_by_ref prog entry in
   ignore (spawn_thread st m args);
   (* adaptive tier attachment point: lets a controller capture the state

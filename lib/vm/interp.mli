@@ -10,7 +10,8 @@
 
     Two execution engines share one machine ({!Machine}): [`Ref], the
     reference interpreter (this module's [step]), and [`Fast], the
-    closure-compiled engine ({!Engine}).  They are observationally
+    closure-compiled engine ({!Engine}), whose one compiled form is a
+    per-word closure chain.  They are observationally
     bit-identical — same results, counters, cache misses, hook call
     sequence and errors — which test/test_engine.ml enforces
     differentially; [`Fast] is the default. *)
@@ -86,7 +87,6 @@ val run :
   ?deadline:float ->
   ?deadline_poll:int ->
   ?recorder:Machine.flat_recorder ->
-  ?trace_threshold:int ->
   ?on_init:(Machine.state -> unit) ->
   Program.t ->
   entry:Ir.Lir.method_ref ->
@@ -116,10 +116,4 @@ val run :
     record through preallocated buffers instead of [hooks.on_instrument];
     unresolved ops still use the hooks.  Both engines share the recording
     path, and the decoded profiles are bit-identical to the legacy
-    event-by-event collector.
-
-    [trace_threshold] arms the trace-recording tier ({!Trace}) on the
-    [`Fast] engine: a loop whose backedge executes that many times is
-    recorded and compiled to a fused superinstruction closure.  Traced
-    execution stays bit-identical on every observable.  Default
-    [max_int] (tier off); ignored by [`Ref]. *)
+    event-by-event collector. *)

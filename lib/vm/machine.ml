@@ -181,13 +181,6 @@ and state = {
   mutable cur_fr : frame;
   recorder : flat_recorder option;
       (* flat-slot recording; [None] = legacy event-by-event hooks *)
-  mutable fused_bound : int array;
-      (* worst-case instrumentation charge of each instrumented fused run
-         (Engine), by run id, summed once from [recorder]'s [ev_cost];
-         -1 = not yet known.  Per run, because a compiled image is shared
-         across domains and runs with different recorders.  A known sum
-         never goes stale: event ids only grow and keep their cost, and
-         a sum is stored only once every op of the run has its id. *)
   (* Adaptive tier (lib/adaptive).  [next_adaptive] = max_int keeps the
      poll a single always-false compare when the loop is off, so the
      byte-identity of non-adaptive runs is untouched. *)
@@ -196,18 +189,7 @@ and state = {
   mutable migration : bool;
       (* frame migration at yieldpoints armed (see [try_migrate]);
          false unless the adaptive loop is on *)
-  (* Trace tier (lib/vm/trace.ml).  Extensible like [Program.cache_slot]
-     so Machine stays below Trace in the build order; [No_trace] keeps
-     non-trace runs at a single immediate field. *)
-  mutable trace : trace_slot;
-  mutable trace_threshold : int;
-      (* backedge executions before a loop is recorded; max_int = trace
-         tier off (the engine's hot-site counter can never reach it) *)
 }
-
-and trace_slot = ..
-
-type trace_slot += No_trace
 
 let charge st c = st.cycles <- st.cycles + c
 
@@ -784,12 +766,9 @@ let init_state ?(fuel = 4_000_000_000) ?(use_icache = false)
     cur_th = dummy_thread;
     cur_fr = dummy_frame;
     recorder;
-    fused_bound = [||];
     next_adaptive = max_int;
     adaptive_poll = ignore;
     migration = false;
-    trace = No_trace;
-    trace_threshold = max_int;
   }
   in
   recompute_guard st;

@@ -1,12 +1,11 @@
-(* The straight-line word compiler shared by the Fast engine's
-   per-word chains and fused runs (Engine) and by the trace tier
-   (Trace): the one place, beside the reference [Machine.step], that
-   spells out what each straight-line LIR word does and what it may
-   cost, and the home of the per-word preamble ([advance]) with its
-   inlined i-cache probe.  DESIGN.md §5 gives the precheck argument the
-   worst-case [bound] serves ("Compiling straight-line words") and why
-   the hot helpers below are module-local copies ("Word preamble and
-   frame layout"). *)
+(* The straight-line word compiler of the Fast engine's per-word chains
+   (Engine): the one place, beside the reference [Machine.step], that
+   spells out what each straight-line LIR word does and what it costs,
+   and the home of the per-word preamble ([advance]) with its inlined
+   i-cache probe.  DESIGN.md §5 gives why a chain step is bit-identical
+   to a reference step ("Compiling straight-line words") and why the hot
+   helpers below are module-local copies ("Word preamble and frame
+   layout"). *)
 
 module Lir = Ir.Lir
 open Machine
@@ -99,33 +98,24 @@ let is_straight = function
   | Lir.Instrument _ | Lir.Guarded_instrument _ ->
       false
 
-(* The word's static cycle charge, made before any of its effects, and
-   whether it then probes the d-cache.  An unresolved field raises
-   before its probe, an unknown class before its charge. *)
+(* The word's static cycle charge, made before any of its effects (an
+   unknown class raises before it). *)
 let cost (costs : Costs.t) (prog : Program.t) ins =
-  let resolved tbl fld = Hashtbl.mem tbl (Lir.string_of_field_ref fld) in
   match ins with
-  | Lir.Move _ -> (costs.Costs.move, false)
-  | Lir.Unop _ | Lir.Binop _ -> (costs.Costs.alu, false)
-  | Lir.Get_field (_, _, fld) | Lir.Put_field (_, fld, _) ->
-      (costs.Costs.mem, resolved prog.Program.field_offset fld)
-  | Lir.Get_static (_, fld) | Lir.Put_static (fld, _) ->
-      (costs.Costs.mem, resolved prog.Program.static_offset fld)
-  | Lir.Array_load _ | Lir.Array_store _ -> (costs.Costs.mem, true)
-  | Lir.Array_length _ -> (costs.Costs.mem, false)
-  | Lir.Instance_test _ -> (costs.Costs.mem + costs.Costs.alu, false)
+  | Lir.Move _ -> costs.Costs.move
+  | Lir.Unop _ | Lir.Binop _ -> costs.Costs.alu
+  | Lir.Get_field _ | Lir.Put_field _ | Lir.Get_static _ | Lir.Put_static _
+  | Lir.Array_load _ | Lir.Array_store _ | Lir.Array_length _ ->
+      costs.Costs.mem
+  | Lir.Instance_test _ -> costs.Costs.mem + costs.Costs.alu
   | Lir.New_object (_, cname) -> (
       match Hashtbl.find_opt prog.Program.class_id_of_name cname with
       | Some cid ->
           let n = prog.Program.classes.(cid).Program.n_fields in
-          (costs.Costs.alloc_base + (costs.Costs.alloc_per_slot * n), false)
-      | None -> (0, false))
-  | Lir.Intrinsic _ when is_straight ins -> (costs.Costs.intrinsic, false)
+          costs.Costs.alloc_base + (costs.Costs.alloc_per_slot * n)
+      | None -> 0)
+  | Lir.Intrinsic _ when is_straight ins -> costs.Costs.intrinsic
   | _ -> invalid_arg "Straight.cost: not a straight-line word"
-
-let bound costs prog ~dcache ins =
-  let c, probes = cost costs prog ins in
-  if dcache && probes then c + costs.Costs.icache_miss else c
 
 (* Cold path of the per-word preamble.  When the reference run loop
    checks fuel before word [ni], its [step] has already advanced
@@ -136,22 +126,15 @@ let trip_at st ni =
   guard_trip st
 
 let[@inline] advance st ~next ~ni ~naddr =
-  if ni >= 0 then begin
-    if st.cycles > st.guard_gate then trip_at st ni;
-    st.instructions <- st.instructions + 1;
-    icache_access st naddr
-  end;
-  next st
-
-let probed ~addr (next : k) : k =
- fun st ->
-  icache_access st addr;
+  if st.cycles > st.guard_gate then trip_at st ni;
+  st.instructions <- st.instructions + 1;
+  icache_access st naddr;
   next st
 
 let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
     ~ni ~naddr (ins : Lir.instr) : k =
   let[@inline] cont st = advance st ~next ~ni ~naddr in
-  let c, _ = cost costs prog ins in
+  let c = cost costs prog ins in
   match ins with
   | Lir.Move (r, Lir.Imm n) ->
       fun st ->

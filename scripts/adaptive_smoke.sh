@@ -7,6 +7,10 @@
 # inert unless --adaptive arms them; this script is the end-to-end check
 # that merely linking the tier costs zero bytes of output.
 #
+# A chaos leg runs the same table under one deterministic fault plan on
+# both engines: some cells fail by design, so the exit code is
+# non-zero, and both the exit code and stdout must match.
+#
 # A final sanity leg runs the adaptive experiment (the loop ON, with
 # its governor) on both engines and requires their outputs identical to
 # each other: the loop itself must stay deterministic and
@@ -36,6 +40,24 @@ run fast-legacy       --engine fast --recording legacy
 run ref-legacy        --engine ref  --recording legacy
 run cache-cold        --engine fast --cache "$DIR/cache"
 run cache-warm        --engine fast --cache "$DIR/cache"
+
+# chaos: every fault event must land at the same cycle on both engines
+# (a chain-step bug that fires only on fault events shows here)
+rc_fast=0
+"$ISF" table all -j 2 --engine fast --chaos 7 \
+    > "$DIR/chaos-fast.txt" 2> /dev/null || rc_fast=$?
+rc_ref=0
+"$ISF" table all -j 2 --engine ref --chaos 7 \
+    > "$DIR/chaos-ref.txt" 2> /dev/null || rc_ref=$?
+if [ "$rc_fast" -ne "$rc_ref" ]; then
+    echo "FAIL: chaos exit codes differ fast ($rc_fast) vs ref ($rc_ref)" >&2
+    exit 1
+fi
+if ! cmp -s "$DIR/chaos-fast.txt" "$DIR/chaos-ref.txt"; then
+    echo "FAIL: fast output differs from ref under --chaos" >&2
+    diff "$DIR/chaos-fast.txt" "$DIR/chaos-ref.txt" >&2 || true
+    exit 1
+fi
 
 # the loop ON: deterministic, and identical across engines
 "$ISF" table adaptive -j 2 --engine fast --overhead-budget 10 \

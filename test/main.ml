@@ -8,5 +8,5 @@ let () =
    @ Test_slots.suite @ Test_shrink.suite @ Test_cache_model.suite
    @ Test_pool.suite @ Test_fault.suite @ Test_robust.suite
    @ Test_runcache.suite @ Test_adaptive.suite @ Test_inline.suite
-   @ Test_budget.suite @ Test_serve.suite @ Test_trace.suite
-   @ Test_merge.suite)
+   @ Test_budget.suite @ Test_serve.suite @ Test_merge.suite
+   @ Test_cli.suite)
