@@ -109,9 +109,11 @@ let bench_workload ~scale ~budget (b : Workloads.Suite.benchmark) =
   let build = M.prepare ?scale b in
   let prog = Vm.Program.link build.M.classes ~funcs:build.M.base_funcs in
   let args = [ build.M.scale ] in
+  (* with the i-cache model on, as every Measure run has it: the probe
+     is part of each word's preamble *)
   let run engine () =
-    Vm.Interp.run ~engine prog ~entry:Workloads.Suite.entry ~args
-      Vm.Interp.null_hooks
+    Vm.Interp.run ~engine ~use_icache:true prog ~entry:Workloads.Suite.entry
+      ~args Vm.Interp.null_hooks
   in
   (* warm runs: differential check, plus the Fast warm run compiles the
      program so compilation cost stays out of the timed loop (it is

@@ -327,11 +327,17 @@ let exec_cmd =
     let classes = or_die (fun () -> Jasm.Compile.compile_string ~file src) in
     let funcs = Opt.Pipeline.front (Bytecode.To_lir.program_to_funcs classes) in
     let entry = { Ir.Lir.mclass = "Main"; mname = "main" } in
-    let baseline =
-      Vm.Interp.run ~engine ~use_icache:true
-        (Vm.Program.link classes ~funcs)
-        ~entry ~args Vm.Interp.null_hooks
+    (* a program that faults while running is the user's error too *)
+    let run_or_die funcs hooks =
+      try
+        Vm.Interp.run ~engine ~use_icache:true
+          (Vm.Program.link classes ~funcs)
+          ~entry ~args hooks
+      with Vm.Interp.Runtime_error m ->
+        Printf.eprintf "isf: %s: runtime error: %s\n" file m;
+        exit 2
     in
+    let baseline = run_or_die funcs Vm.Interp.null_hooks in
     print_string baseline.Vm.Interp.output;
     Printf.printf "=> %s in %d cycles (%d instructions)\n"
       (match baseline.Vm.Interp.return_value with
@@ -349,10 +355,7 @@ let exec_cmd =
         Core.Sampler.create (Core.Sampler.Counter { interval; jitter })
       in
       let res =
-        Vm.Interp.run ~engine ~use_icache:true
-          (Vm.Program.link classes ~funcs:transformed)
-          ~entry ~args
-          (Profiles.Collector.hooks collector sampler)
+        run_or_die transformed (Profiles.Collector.hooks collector sampler)
       in
       Printf.printf
         "\nwith %s sampling (interval %d): %.1f%% overhead, %d samples\n\n"

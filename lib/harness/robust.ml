@@ -97,6 +97,17 @@ let load path =
 let resumed = ref 0
 let checkpointed_cells () = locked (fun () -> !resumed)
 
+(* an unusable checkpoint path as a [Failure] naming it once ([Sys_error]
+   messages sometimes start with the path, sometimes not) *)
+let refuse verb path m =
+  let prefix = path ^ ": " in
+  let m =
+    if String.starts_with ~prefix m then
+      String.sub m (String.length prefix) (String.length m - String.length prefix)
+    else m
+  in
+  failwith (Printf.sprintf "cannot %s checkpoint %s: %s" verb path m)
+
 let set_checkpoint ?(meta = "") path_opt =
   locked (fun () ->
       (match !chan with Some oc -> close_out oc | None -> ());
@@ -106,7 +117,9 @@ let set_checkpoint ?(meta = "") path_opt =
       match path_opt with
       | None -> ()
       | Some path ->
-          let tbl = load path in
+          let tbl =
+            try load path with Sys_error m -> refuse "read" path m
+          in
           (match Hashtbl.find_opt tbl meta_key with
           | Some payload ->
               let prev = (Marshal.from_string payload 0 : string) in
@@ -125,7 +138,10 @@ let set_checkpoint ?(meta = "") path_opt =
                 incr resumed
               end)
             tbl;
-          let oc = open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path in
+          let oc =
+            try open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path
+            with Sys_error m -> refuse "open" path m
+          in
           chan := Some oc;
           if not (Hashtbl.mem tbl meta_key) then begin
             Marshal.to_channel oc (meta_key, Marshal.to_string meta []) [];

@@ -123,7 +123,11 @@ let set_dir d =
   (match d with
   | None -> ()
   | Some d ->
-      mkdir_p d;
+      (try mkdir_p d
+       with Unix.Unix_error (e, _, _) ->
+         failwith
+           (Printf.sprintf "cannot create run cache directory %s: %s" d
+              (Unix.error_message e)));
       let swept = sweep_stale_tmps d in
       if swept > 0 && !Pool.trace then
         Printf.eprintf "[runcache] swept %d stale tmp file(s) in %s\n%!" swept d;

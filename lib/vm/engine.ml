@@ -98,6 +98,13 @@ let[@inline] timer_check st =
   if st.cycles >= st.next_timer then timer_fire st;
   adaptive_check st
 
+(* Cold path of a terminator step, out of line so the hot path (neither
+   the timer nor the adaptive poll due) makes no call but the tail call
+   of the terminator [tk]. *)
+let[@inline never] timer_then st (tk : k) =
+  timer_check st;
+  tk st
+
 let[@inline] fallback_state st id =
   if Array.length st.engine_fallback = 0 then 0
   else Array.unsafe_get st.engine_fallback id
@@ -107,22 +114,55 @@ let[@inline] heap_get st r =
   else if r > st.heap.Ir.Vec.len then rt_err "dangling reference %d" r
   else Array.unsafe_get st.heap.Ir.Vec.data (r - 1)
 
-let[@inline] record_flat st (r : flat_recorder) ev =
+(* [Machine.record_flat] for event [ev] whose counter is [c >= 0]; a
+   dynamic event ([c < 0]) runs its handler out of line *)
+let[@inline] record_flat st (r : flat_recorder) ev c =
   icharge st (Array.unsafe_get r.ev_cost ev);
-  let c = Array.unsafe_get r.ev_counter ev in
-  if c >= 0 then begin
-    let v = Array.unsafe_get r.counts c in
-    Array.unsafe_set r.counts c (v + 1);
-    if v = 0 then begin
-      r.touch.(r.n_touch) <- c;
-      r.n_touch <- r.n_touch + 1
-    end
+  let v = Array.unsafe_get r.counts c in
+  Array.unsafe_set r.counts c (v + 1);
+  if v = 0 then begin
+    r.touch.(r.n_touch) <- c;
+    r.n_touch <- r.n_touch + 1
   end
-  else (Array.unsafe_get r.dyn ev) st st.cur_th st.cur_fr
 
 (* ------------------------------------------------------------------ *)
 (* Instruction compilation                                             *)
 (* ------------------------------------------------------------------ *)
+
+(* Cold paths of the yieldpoint and instrumentation words, out of line
+   and reached by tail call so the words' hot paths keep no stack
+   frame; each ends in the word's own continuation. *)
+let[@inline never] yield_slow st ~nxt ~ni ~line ~probe =
+  adaptive_check st;
+  if st.migration && try_migrate st st.cur_fr ni then begin
+    (* frame re-pinned to the freshly-installed version: return to the
+       dispatcher, which re-fetches its compiled code and resumes at the
+       migrated index (same fuel/preamble sequence the reference
+       performs) *)
+    if st.switch_bit then begin
+      st.switch_bit <- false;
+      rotate_thread st
+    end
+  end
+  else if st.switch_bit then begin
+    st.cur_fr.idx <- ni;
+    st.switch_bit <- false;
+    rotate_thread st
+  end
+  else Straight.advance st ~next:nxt ~ni ~line ~probe
+
+(* a dynamic flat event, or the legacy hooks *)
+let[@inline never] instrument_slow st (op : Lir.instrument_op) ~nxt ~ni ~line
+    ~probe =
+  (match st.recorder with
+  | Some r when op.Lir.slot >= 0 ->
+      let ev = op.Lir.slot in
+      icharge st (Array.unsafe_get r.ev_cost ev);
+      (Array.unsafe_get r.dyn ev) st st.cur_th st.cur_fr
+  | _ ->
+      icharge st (st.hooks.instr_cost op);
+      st.hooks.on_instrument (make_ctx st st.cur_th st.cur_fr) op);
+  Straight.advance st ~next:nxt ~ni ~line ~probe
 
 (* Take the stack slot above the caller for a callee built from
    template [t], registers zeroed: [Machine.take_frame] plus the entry
@@ -171,12 +211,12 @@ let[@inline] push_frame st th callee ~ret_dst ~from_meth ~from_site =
    the dispatcher when done.  Yieldpoints only do so when a switch
    actually happens. *)
 let rec compile_instr (cp : cprog) (prog : Program.t) (m : Program.meth)
-    ~(nxt : k) ~(naddr : int) ~(ni : int) (ins : Lir.instr) : k =
-  let[@inline] cont st = Straight.advance st ~next:nxt ~ni ~naddr in
+    ~(nxt : k) ~(ni : int) ~line ~probe (ins : Lir.instr) : k =
+  let[@inline] cont st = Straight.advance st ~next:nxt ~ni ~line ~probe in
   let costs = cp.c_costs in
   match ins with
   | _ when Straight.is_straight ins ->
-      Straight.compile costs prog m ~next:nxt ~ni ~naddr ins
+      Straight.compile costs prog m ~next:nxt ~ni ~line ~probe ins
   | Lir.New_array (r, len) ->
       let el = Straight.cop len in
       let cc_base = costs.Costs.alloc_base in
@@ -240,7 +280,8 @@ let rec compile_instr (cp : cprog) (prog : Program.t) (m : Program.meth)
                     (* chain straight into the callee: the same preamble
                        the dispatcher would run for its first instruction *)
                     st.cur_fr <- callee;
-                    Straight.advance st ~next:cm.(t.t_entry_blk).code.(0) ~ni:0
+                    Straight.advance_addr st
+                      ~next:cm.(t.t_entry_blk).code.(0) ~ni:0
                       ~naddr:t.t_entry_base
                   end
           | None ->
@@ -295,8 +336,8 @@ let rec compile_instr (cp : cprog) (prog : Program.t) (m : Program.meth)
               if cm == empty_cmeth then ()
               else begin
                 st.cur_fr <- callee;
-                Straight.advance st ~next:cm.(t.t_entry_blk).code.(0) ~ni:0
-                  ~naddr:t.t_entry_base
+                Straight.advance_addr st ~next:cm.(t.t_entry_blk).code.(0)
+                  ~ni:0 ~naddr:t.t_entry_base
               end)
   | Lir.Intrinsic { dst; name; args } -> (
       match (name, args) with
@@ -315,49 +356,26 @@ let rec compile_instr (cp : cprog) (prog : Program.t) (m : Program.meth)
             intrinsic st st.cur_th fr dst name args)
   | Lir.Yieldpoint yp -> (
       (* conditional break: only an actual thread switch returns to the
-         dispatcher; the common (no-switch) case keeps going.  The
+         dispatcher; the common case (no adaptive poll due, no migration
+         armed, no switch pending) keeps going without a call.  The
          counter bump is inlined per kind (an indirect call otherwise). *)
       let cc_yp = costs.Costs.yieldpoint in
+      let[@inline] quiet st =
+        st.cycles < st.next_adaptive && (not st.migration)
+        && not st.switch_bit
+      in
       match yp with
       | Lir.Yp_entry ->
           fun st ->
             charge st cc_yp;
             st.counters.entry_yps <- st.counters.entry_yps + 1;
-            adaptive_check st;
-            if st.migration && try_migrate st st.cur_fr ni then begin
-              (* frame re-pinned to the freshly-installed version:
-                 return to the dispatcher, which re-fetches its compiled
-                 code and resumes at the migrated index (same
-                 fuel/preamble sequence the reference performs) *)
-              if st.switch_bit then begin
-                st.switch_bit <- false;
-                rotate_thread st
-              end
-            end
-            else if st.switch_bit then begin
-              st.cur_fr.idx <- ni;
-              st.switch_bit <- false;
-              rotate_thread st
-            end
-            else cont st
+            if quiet st then cont st else yield_slow st ~nxt ~ni ~line ~probe
       | Lir.Yp_backedge ->
           fun st ->
             charge st cc_yp;
             st.counters.backedge_yps <- st.counters.backedge_yps + 1;
-            adaptive_check st;
-            if st.migration && try_migrate st st.cur_fr ni then begin
-              if st.switch_bit then begin
-                st.switch_bit <- false;
-                rotate_thread st
-              end
-            end
-            else if st.switch_bit then begin
-              st.cur_fr.idx <- ni;
-              st.switch_bit <- false;
-              rotate_thread st
-            end
-            else cont st)
-  | Lir.Instrument op ->
+            if quiet st then cont st else yield_slow st ~nxt ~ni ~line ~probe)
+  | Lir.Instrument op -> (
       (* Flat-slot recording compiles to a direct buffer bump (the
          [record_flat] body): no ctx allocation, no hook-name match, no
          string building.  [op.slot] is read at run time, not captured,
@@ -365,12 +383,16 @@ let rec compile_instr (cp : cprog) (prog : Program.t) (m : Program.meth)
          assignment is deterministic per program (Profiles.Slots). *)
       fun st ->
         st.counters.instrument_ops <- st.counters.instrument_ops + 1;
-        (match st.recorder with
-        | Some r when op.Lir.slot >= 0 -> record_flat st r op.Lir.slot
-        | _ ->
-            icharge st (st.hooks.instr_cost op);
-            st.hooks.on_instrument (make_ctx st st.cur_th st.cur_fr) op);
-        cont st
+        match st.recorder with
+        | Some r when op.Lir.slot >= 0 ->
+            let ev = op.Lir.slot in
+            let c = Array.unsafe_get r.ev_counter ev in
+            if c >= 0 then begin
+              record_flat st r ev c;
+              cont st
+            end
+            else instrument_slow st op ~nxt ~ni ~line ~probe
+        | None | Some _ -> instrument_slow st op ~nxt ~ni ~line ~probe)
   | Lir.Guarded_instrument op ->
       let cc_check = costs.Costs.check in
       fun st ->
@@ -390,27 +412,38 @@ let rec compile_instr (cp : cprog) (prog : Program.t) (m : Program.meth)
 (* [jump st fr l] transfers control to block [l] of the same method
    and keeps executing: it writes the frame's int position fields (no
    pointer, so no write barrier), performs the dispatcher's step
-   preamble for the first word of the target block and tail-calls into
-   its compiled chain, so intra-method control flow never returns to the
-   dispatch loop.  It is local to [compile_term] (direct call — passing
+   preamble for the first word of the target block (its i-cache line
+   [blines.(l)] computed when the method was compiled) and tail-calls
+   into its compiled chain, so intra-method control flow never returns
+   to the dispatch loop.  It is local to [compile_term] (direct call — passing
    it in would make every taken branch a caml_apply).  Returns likewise
    pop the frame exactly like [Machine.do_return] and chain into the
    caller's resume point; only a thread death falls back to the
    dispatcher. *)
 and compile_term (cp : cprog) (prog : Program.t) ~(baddr : int array)
-    ~(codes : k array array) (t : Lir.terminator) : k =
+    ~(blines : int array) ~(codes : k array array) (t : Lir.terminator) : k =
   let costs = cp.c_costs in
   let cc_branch = costs.Costs.branch in
   let jump st (fr : frame) l =
-    let addr = Array.unsafe_get baddr l in
     fr.blk <- l;
     fr.idx <- 0;
-    fr.base_addr <- addr;
+    fr.base_addr <- Array.unsafe_get baddr l;
     let next = Array.unsafe_get (Array.unsafe_get codes l) 0 in
-    Straight.advance st ~next ~ni:0 ~naddr:addr
+    Straight.advance st ~next ~ni:0 ~line:(Array.unsafe_get blines l)
+      ~probe:true
   in
   (* pop the returning frame; resume the caller's compiled code, or hand
      a dead thread or a degraded caller back to the dispatcher *)
+  let[@inline] resume st parent cm =
+    st.cur_fr <- parent;
+    let i = parent.idx in
+    Straight.advance_addr st ~next:cm.(parent.blk).code.(i) ~ni:i
+      ~naddr:(parent.base_addr + i)
+  in
+  let[@inline never] resume_slow st parent =
+    let cm = fetch_for_frame st cp prog parent in
+    if cm == empty_cmeth then () else resume st parent cm
+  in
   let return st th =
     let sp = th.sp - 1 in
     th.sp <- sp;
@@ -420,14 +453,17 @@ and compile_term (cp : cprog) (prog : Program.t) ~(baddr : int array)
     end
     else begin
       let parent = Array.unsafe_get th.stack sp in
-      let cm = fetch_for_frame st cp prog parent in
-      if cm == empty_cmeth then ()
-      else begin
-        st.cur_fr <- parent;
-        let i = parent.idx in
-        Straight.advance st ~next:cm.(parent.blk).code.(i) ~ni:i
-          ~naddr:(parent.base_addr + i)
-      end
+      let m = parent.m in
+      let id = m.Program.id in
+      (* [fetch_for_frame]'s common case inline, the rest by tail call:
+         the caller runs its method's current, compiled version *)
+      let cm =
+        if m == prog.Program.methods.(id) && fallback_state st id = 0 then
+          Atomic.get cp.by_id.(id)
+        else empty_cmeth
+      in
+      if cm != empty_cmeth then resume st parent cm
+      else resume_slow st parent
     end
   in
   match t with
@@ -512,6 +548,7 @@ and compile_method (cp : cprog) (prog : Program.t) (m : Program.meth) : cmeth =
   let f = m.Program.func in
   let n = Lir.num_blocks f in
   let baddr = m.Program.code_addr in
+  let blines = Array.map Straight.line_of baddr in
   (* per-block chains, filled below; the terminators' [jump] dereferences
      [codes] at run time, by which point every block of the method is
      compiled *)
@@ -521,22 +558,26 @@ and compile_method (cp : cprog) (prog : Program.t) (m : Program.meth) : cmeth =
     let instrs = b.Lir.instrs in
     let len = Array.length instrs in
     let base = baddr.(l) in
-    let tk = compile_term cp prog ~baddr ~codes b.Lir.term in
+    let tk = compile_term cp prog ~baddr ~blines ~codes b.Lir.term in
     (* ks.(i) runs the block from instruction i; ks.(len) is the
        terminator step (the timer is only consulted there, like the
        reference).  Built back to front so each closure captures its
        already-final successor: straight-line execution is a chain of
        tail calls with the per-word fuel/instruction/i-cache accounting
-       the dispatcher would have performed folded in. *)
+       the dispatcher would have performed folded in.  Word [ni] sits at
+       [base + ni], right after word [i], so when both share a line its
+       probe is elided (DESIGN.md §5). *)
     let ks =
       Array.make (len + 1) (fun st ->
-          timer_check st;
-          tk st)
+          if st.cycles >= st.next_timer || st.cycles >= st.next_adaptive then
+            timer_then st tk
+          else tk st)
     in
     for i = len - 1 downto 0 do
       let ni = i + 1 in
-      ks.(i) <-
-        compile_instr cp prog m ~nxt:ks.(ni) ~naddr:(base + ni) ~ni instrs.(i)
+      let line = Straight.line_of (base + ni) in
+      let probe = line <> Straight.line_of (base + i) in
+      ks.(i) <- compile_instr cp prog m ~nxt:ks.(ni) ~ni ~line ~probe instrs.(i)
     done;
     codes.(l) <- ks;
     { code = ks }
@@ -688,6 +729,10 @@ let hot_swap st (nm : Program.meth) =
 let exec st =
   let prog = st.prog in
   let cp = cprog_of prog st.costs in
+  (match st.icache with
+  | Some c when c.Icache.shift <> Icache.default_shift ->
+      invalid_arg "Engine.exec: the i-cache must have the default line size"
+  | _ -> ());
   while st.alive > 0 do
     fuel_check st;
     let th = st.threads.(st.current) in
@@ -706,7 +751,7 @@ let exec st =
            any idx in [0, len] resumes with a single indexed dispatch
            (the fuel check above makes the preamble's a no-op) *)
         let i = fr.idx in
-        Straight.advance st ~next:cm.(fr.blk).code.(i) ~ni:i
+        Straight.advance_addr st ~next:cm.(fr.blk).code.(i) ~ni:i
           ~naddr:(fr.base_addr + i)
       end
     end

@@ -1,44 +1,40 @@
+(* Direct-mapped cache model: one tag per line, power-of-two geometry
+   only, so a line number is a shift and its slot a mask.  The machine's
+   i-cache is always [create ()]; the Fast engine compiles the default
+   line size into its probes (Straight). *)
 type t = {
   tags : int array;
-  line_words : int;
-  shift : int; (* log2 line_words when a power of two, else -1 *)
-  mask : int; (* lines - 1 when a power of two, else -1 *)
+  shift : int; (* log2 line_words *)
+  mask : int; (* lines - 1 *)
   mutable miss_count : int;
-  mutable access_count : int;
 }
 
-let log2_pow2 n =
+let default_lines = 1024
+let default_line_words = 8
+
+let log2_pow2 what n =
   if n > 0 && n land (n - 1) = 0 then begin
     let k = ref 0 in
     while 1 lsl !k < n do
       incr k
     done;
-    Some !k
+    !k
   end
-  else None
+  else
+    invalid_arg
+      (Printf.sprintf "Icache.create: %s = %d is not a power of two" what n)
 
-let create ?(lines = 1024) ?(line_words = 8) () =
-  {
-    tags = Array.make lines (-1);
-    line_words;
-    shift = (match log2_pow2 line_words with Some k -> k | None -> -1);
-    mask = (if log2_pow2 lines <> None then lines - 1 else -1);
-    miss_count = 0;
-    access_count = 0;
-  }
+let default_shift = log2_pow2 "line_words" default_line_words
 
-(* Addresses are non-negative, so the shift/mask fast path (taken for the
-   default power-of-two geometries) computes exactly the same line number
-   and index as the division/modulo slow path. *)
+let create ?(lines = default_lines) ?(line_words = default_line_words) () =
+  let shift = log2_pow2 "line_words" line_words in
+  ignore (log2_pow2 "lines" lines : int);
+  { tags = Array.make lines (-1); shift; mask = lines - 1; miss_count = 0 }
+
+(* Probe [addr]; true on a miss, which installs its line. *)
 let access t addr =
-  t.access_count <- t.access_count + 1;
-  let line_no =
-    if t.shift >= 0 then addr lsr t.shift else addr / t.line_words
-  in
-  let idx =
-    if t.mask >= 0 then line_no land t.mask
-    else line_no mod Array.length t.tags
-  in
+  let line_no = addr lsr t.shift in
+  let idx = line_no land t.mask in
   if t.tags.(idx) = line_no then false
   else begin
     t.tags.(idx) <- line_no;
@@ -47,14 +43,8 @@ let access t addr =
   end
 
 let misses t = t.miss_count
-let accesses t = t.access_count
-
-let reset t =
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
-  t.miss_count <- 0;
-  t.access_count <- 0
 
 (* Invalidate without rewriting history: every line becomes cold again
-   but the miss/access counts stand, so an injected flush perturbs only
-   the future of a run. *)
+   but the miss count stands, so an injected flush perturbs only the
+   future of a run. *)
 let flush t = Array.fill t.tags 0 (Array.length t.tags) (-1)

@@ -3,9 +3,10 @@
    spells out what each straight-line LIR word does and what it costs,
    and the home of the per-word preamble ([advance]) with its inlined
    i-cache probe.  DESIGN.md §5 gives why a chain step is bit-identical
-   to a reference step ("Compiling straight-line words") and why the hot
-   helpers below are module-local copies ("Word preamble and frame
-   layout"). *)
+   to a reference step ("Compiling straight-line words"), and why the
+   preamble keeps word closures frame-free, may skip a same-line probe
+   and the hot helpers below are module-local copies ("Word preamble
+   and frame layout"). *)
 
 module Lir = Ir.Lir
 open Machine
@@ -18,30 +19,35 @@ type k = state -> unit
    the differential tests hold the two to the same observables. *)
 let[@inline] charge st c = st.cycles <- st.cycles + c
 
-(* [Icache.access] spelled out, charging a miss; the division/modulo
-   fallback serves geometries that are not powers of two *)
-let[@inline] probe st (c : Icache.t) addr =
-  c.Icache.access_count <- c.Icache.access_count + 1;
-  let line =
-    if c.Icache.shift >= 0 then addr lsr c.Icache.shift
-    else addr / c.Icache.line_words
-  in
-  let tags = c.Icache.tags in
-  let i =
-    if c.Icache.mask >= 0 then line land c.Icache.mask
-    else line mod Array.length tags
-  in
-  if Array.unsafe_get tags i <> line then begin
-    Array.unsafe_set tags i line;
-    c.Icache.miss_count <- c.Icache.miss_count + 1;
-    charge st st.costs.Costs.icache_miss
-  end
+(* The i-cache line size compiled into every instruction probe: the
+   machine's i-cache is always [Icache.create ()] ([Engine.exec] checks
+   it), so a word's line is [addr lsr Icache.default_shift]. *)
+let line_of addr = addr lsr Icache.default_shift
 
-let[@inline] icache_access st addr =
-  match st.icache with None -> () | Some c -> probe st c addr
+(* the miss side of [Icache.access], charged *)
+let[@inline] install st (c : Icache.t) (tags : int array) i line =
+  Array.unsafe_set tags i line;
+  c.Icache.miss_count <- c.Icache.miss_count + 1;
+  charge st st.costs.Costs.icache_miss
+
+(* [Icache.access] spelled out for a line already computed *)
+let[@inline] icache_probe st line =
+  match st.icache with
+  | None -> ()
+  | Some c ->
+      let tags = c.Icache.tags in
+      let i = line land c.Icache.mask in
+      if Array.unsafe_get tags i <> line then install st c tags i line
+
+(* d-cache probe: run-time address, the cache's own geometry *)
+let[@inline] data_probe st (c : Icache.t) addr =
+  let line = addr lsr c.Icache.shift in
+  let tags = c.Icache.tags in
+  let i = line land c.Icache.mask in
+  if Array.unsafe_get tags i <> line then install st c tags i line
 
 let[@inline] data_access st addr =
-  match st.dcache with None -> () | Some c -> probe st c addr
+  match st.dcache with None -> () | Some c -> data_probe st c addr
 
 (* word [i] of heap cell [r]: the address is only computed when a
    d-cache is present to probe *)
@@ -49,22 +55,32 @@ let[@inline] data_access_cell st r i =
   match st.dcache with
   | None -> ()
   | Some c ->
-      probe st c (Array.unsafe_get st.heap_addrs.Ir.Vec.data (r - 1) + i)
+      data_probe st c
+        (Array.unsafe_get st.heap_addrs.Ir.Vec.data (r - 1) + i)
 
-let[@inline] heap_get st r =
-  if r <= 0 then rt_err "null dereference"
-  else if r > st.heap.Ir.Vec.len then rt_err "dangling reference %d" r
-  else Array.unsafe_get st.heap.Ir.Vec.data (r - 1)
+(* Heap access and its faults.  The faults are out of line, so the
+   register forms of the heap words reach them by tail call and keep no
+   stack frame. *)
+let[@inline] live st r = r > 0 && r <= st.heap.Ir.Vec.len
+let[@inline] cell st r = Array.unsafe_get st.heap.Ir.Vec.data (r - 1)
+
+let[@inline never] bad_ref r =
+  if r <= 0 then rt_err "null dereference" else rt_err "dangling reference %d" r
+
+let[@inline never] not_obj () = rt_err "expected object, found array"
+let[@inline never] not_arr () = rt_err "expected array, found object"
+let[@inline never] div_zero () = rt_err "division by zero"
+
+let[@inline never] bad_index i mstr =
+  rt_err "array index %d out of bounds (%s)" i mstr
 
 let[@inline] obj_fields st r =
-  match heap_get st r with
-  | Obj o -> o.fields
-  | Arr _ -> rt_err "expected object, found array"
+  if not (live st r) then bad_ref r
+  else match cell st r with Obj o -> o.fields | Arr _ -> not_obj ()
 
 let[@inline] arr_cells st r =
-  match heap_get st r with
-  | Arr a -> a
-  | Obj _ -> rt_err "expected array, found object"
+  if not (live st r) then bad_ref r
+  else match cell st r with Arr a -> a | Obj _ -> not_arr ()
 
 let cop = function
   | Lir.Reg r -> fun (fr : frame) -> fr.regs.(r)
@@ -74,8 +90,8 @@ let binop_fn = function
   | Lir.Add -> ( + )
   | Lir.Sub -> ( - )
   | Lir.Mul -> ( * )
-  | Lir.Div -> fun a b -> if b = 0 then rt_err "division by zero" else a / b
-  | Lir.Rem -> fun a b -> if b = 0 then rt_err "division by zero" else a mod b
+  | Lir.Div -> fun a b -> if b = 0 then div_zero () else a / b
+  | Lir.Rem -> fun a b -> if b = 0 then div_zero () else a mod b
   | Lir.And -> ( land )
   | Lir.Or -> ( lor )
   | Lir.Xor -> ( lxor )
@@ -117,23 +133,37 @@ let cost (costs : Costs.t) (prog : Program.t) ins =
   | Lir.Intrinsic _ when is_straight ins -> costs.Costs.intrinsic
   | _ -> invalid_arg "Straight.cost: not a straight-line word"
 
-(* Cold path of the per-word preamble.  When the reference run loop
-   checks fuel before word [ni], its [step] has already advanced
-   [fr.idx] to [ni]; writing it here makes an out-of-fuel message name
-   the same pc on both engines. *)
-let trip_at st ni =
+(* The per-word preamble before word [ni] on line [line]: fuel gate,
+   instruction count, i-cache probe (skipped when [probe] is false: a
+   same-line fallthrough, whose probe is a guaranteed hit, DESIGN.md §5),
+   then a tail call of [next].  Its hot path makes no other call, so a
+   word closure that ends in it needs no stack frame.  The gate's cold
+   path is [trip], out of line: when the reference run loop checks fuel
+   before word [ni], its [step] has already advanced [fr.idx] to [ni],
+   so [trip] writes it first and an out-of-fuel message names the same
+   pc on both engines.  A fault event applied by [guard_trip] may flush
+   the i-cache, so [trip] always probes. *)
+let[@inline never] trip st next ni line =
   st.cur_fr.idx <- ni;
-  guard_trip st
-
-let[@inline] advance st ~next ~ni ~naddr =
-  if st.cycles > st.guard_gate then trip_at st ni;
+  guard_trip st;
   st.instructions <- st.instructions + 1;
-  icache_access st naddr;
+  icache_probe st line;
   next st
 
+let[@inline] advance st ~next ~ni ~line ~probe =
+  if st.cycles > st.guard_gate then trip st next ni line
+  else begin
+    st.instructions <- st.instructions + 1;
+    if probe then icache_probe st line;
+    next st
+  end
+
+let advance_addr st ~next ~ni ~naddr =
+  advance st ~next ~ni ~line:(line_of naddr) ~probe:true
+
 let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
-    ~ni ~naddr (ins : Lir.instr) : k =
-  let[@inline] cont st = advance st ~next ~ni ~naddr in
+    ~ni ~line ~probe (ins : Lir.instr) : k =
+  let[@inline] cont st = advance st ~next ~ni ~line ~probe in
   let c = cost costs prog ins in
   match ins with
   | Lir.Move (r, Lir.Imm n) ->
@@ -321,15 +351,67 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
             let regs = st.cur_fr.regs in
             regs.(r) <- (if regs.(x) <> n then 1 else 0);
             cont st
-      (* the rest (shifts, division, Imm-first shapes) through the
-         shared operator table *)
-      | _, Lir.Reg x, Lir.Reg y ->
-          let f = binop_fn op in
+      | Lir.Shl, Lir.Reg x, Lir.Reg y ->
           fun st ->
             charge st c;
             let regs = st.cur_fr.regs in
-            regs.(r) <- f regs.(x) regs.(y);
+            regs.(r) <- regs.(x) lsl (regs.(y) land 31);
             cont st
+      | Lir.Shr, Lir.Reg x, Lir.Reg y ->
+          fun st ->
+            charge st c;
+            let regs = st.cur_fr.regs in
+            regs.(r) <- regs.(x) asr (regs.(y) land 31);
+            cont st
+      | Lir.Shl, Lir.Reg x, Lir.Imm n ->
+          let n = n land 31 in
+          fun st ->
+            charge st c;
+            let regs = st.cur_fr.regs in
+            regs.(r) <- regs.(x) lsl n;
+            cont st
+      | Lir.Shr, Lir.Reg x, Lir.Imm n ->
+          let n = n land 31 in
+          fun st ->
+            charge st c;
+            let regs = st.cur_fr.regs in
+            regs.(r) <- regs.(x) asr n;
+            cont st
+      (* a zero divisor faults by tail call, keeping the frame away *)
+      | Lir.Div, Lir.Reg x, Lir.Reg y ->
+          fun st ->
+            charge st c;
+            let regs = st.cur_fr.regs in
+            let d = regs.(y) in
+            if d = 0 then div_zero ()
+            else begin
+              regs.(r) <- regs.(x) / d;
+              cont st
+            end
+      | Lir.Rem, Lir.Reg x, Lir.Reg y ->
+          fun st ->
+            charge st c;
+            let regs = st.cur_fr.regs in
+            let d = regs.(y) in
+            if d = 0 then div_zero ()
+            else begin
+              regs.(r) <- regs.(x) mod d;
+              cont st
+            end
+      | Lir.Div, Lir.Reg x, Lir.Imm n when n <> 0 ->
+          fun st ->
+            charge st c;
+            let regs = st.cur_fr.regs in
+            regs.(r) <- regs.(x) / n;
+            cont st
+      | Lir.Rem, Lir.Reg x, Lir.Imm n when n <> 0 ->
+          fun st ->
+            charge st c;
+            let regs = st.cur_fr.regs in
+            regs.(r) <- regs.(x) mod n;
+            cont st
+      (* the rest (a zero immediate divisor, Imm-first shapes) through
+         the shared operator table *)
       | _, Lir.Reg x, Lir.Imm n ->
           let f = binop_fn op in
           fun st ->
@@ -361,10 +443,15 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
                 charge st c;
                 let regs = st.cur_fr.regs in
                 let obj = regs.(ro) in
-                let fields = obj_fields st obj in
-                data_access_cell st obj off;
-                regs.(r) <- fields.(off);
-                cont st
+                if not (live st obj) then bad_ref obj
+                else begin
+                  match cell st obj with
+                  | Arr _ -> not_obj ()
+                  | Obj o ->
+                      data_access_cell st obj off;
+                      regs.(r) <- o.fields.(off);
+                      cont st
+                end
           | Lir.Imm _ as o ->
               let eo = cop o in
               fun st ->
@@ -394,10 +481,15 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
                 charge st c;
                 let regs = st.cur_fr.regs in
                 let obj = regs.(ro) in
-                let fields = obj_fields st obj in
-                data_access_cell st obj off;
-                fields.(off) <- regs.(rv);
-                cont st
+                if not (live st obj) then bad_ref obj
+                else begin
+                  match cell st obj with
+                  | Arr _ -> not_obj ()
+                  | Obj o ->
+                      data_access_cell st obj off;
+                      o.fields.(off) <- regs.(rv);
+                      cont st
+                end
           | _ ->
               let ev = cop v in
               fun st ->
@@ -431,17 +523,24 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
             charge st c;
             rt_err "unresolved static field %s" fstr)
   | Lir.Put_static (fld, v) -> (
-      let ev = cop v in
       match
         Hashtbl.find_opt prog.Program.static_offset
           (Lir.string_of_field_ref fld)
       with
-      | Some off ->
-          fun st ->
-            charge st c;
-            data_access st off;
-            st.globals.(off) <- ev st.cur_fr;
-            cont st
+      | Some off -> (
+          match v with
+          | Lir.Reg rv ->
+              fun st ->
+                charge st c;
+                data_access st off;
+                st.globals.(off) <- st.cur_fr.regs.(rv);
+                cont st
+          | Lir.Imm n ->
+              fun st ->
+                charge st c;
+                data_access st off;
+                st.globals.(off) <- n;
+                cont st)
       | None ->
           let fstr = Lir.string_of_field_ref fld in
           fun st ->
@@ -466,13 +565,19 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
             charge st c;
             let regs = st.cur_fr.regs in
             let arr = regs.(ra) in
-            let cells = arr_cells st arr in
-            let i = regs.(ri) in
-            if i < 0 || i >= Array.length cells then
-              rt_err "array index %d out of bounds (%s)" i mstr;
-            data_access_cell st arr i;
-            regs.(r) <- cells.(i);
-            cont st
+            if not (live st arr) then bad_ref arr
+            else begin
+              match cell st arr with
+              | Obj _ -> not_arr ()
+              | Arr cells ->
+                  let i = regs.(ri) in
+                  if i < 0 || i >= Array.length cells then bad_index i mstr
+                  else begin
+                    data_access_cell st arr i;
+                    regs.(r) <- Array.unsafe_get cells i;
+                    cont st
+                  end
+            end
       | _ ->
           let ea = cop a in
           let ei = cop i in
@@ -482,8 +587,7 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
             let arr = ea fr in
             let cells = arr_cells st arr in
             let i = ei fr in
-            if i < 0 || i >= Array.length cells then
-              rt_err "array index %d out of bounds (%s)" i mstr;
+            if i < 0 || i >= Array.length cells then bad_index i mstr;
             data_access_cell st arr i;
             fr.regs.(r) <- cells.(i);
             cont st)
@@ -495,13 +599,19 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
             charge st c;
             let regs = st.cur_fr.regs in
             let arr = regs.(ra) in
-            let cells = arr_cells st arr in
-            let i = regs.(ri) in
-            if i < 0 || i >= Array.length cells then
-              rt_err "array index %d out of bounds (%s)" i mstr;
-            data_access_cell st arr i;
-            cells.(i) <- regs.(rv);
-            cont st
+            if not (live st arr) then bad_ref arr
+            else begin
+              match cell st arr with
+              | Obj _ -> not_arr ()
+              | Arr cells ->
+                  let i = regs.(ri) in
+                  if i < 0 || i >= Array.length cells then bad_index i mstr
+                  else begin
+                    data_access_cell st arr i;
+                    Array.unsafe_set cells i regs.(rv);
+                    cont st
+                  end
+            end
       | _ ->
           let ea = cop a in
           let ei = cop i in
@@ -512,8 +622,7 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
             let arr = ea fr in
             let cells = arr_cells st arr in
             let i = ei fr in
-            if i < 0 || i >= Array.length cells then
-              rt_err "array index %d out of bounds (%s)" i mstr;
+            if i < 0 || i >= Array.length cells then bad_index i mstr;
             data_access_cell st arr i;
             cells.(i) <- ev fr;
             cont st)

@@ -42,6 +42,18 @@ let test_input_errors () =
   let bad_jasm = Filename.temp_file "isf_cli" ".jasm" in
   Out_channel.with_open_text bad_jasm (fun oc ->
       output_string oc "class Main {\n  static fun main(");
+  (* well-formed, but divides by zero when run *)
+  let faulting_jasm = Filename.temp_file "isf_cli" ".jasm" in
+  Out_channel.with_open_text faulting_jasm (fun oc ->
+      output_string oc
+        "class Main {\n\
+        \  static fun main(n: int): int {\n\
+        \    var z: int = 0;\n\
+        \    return 1 / z;\n\
+        \  }\n\
+         }\n");
+  (* a regular file where a cache or checkpoint directory should be *)
+  let not_dir = Filename.temp_file "isf_cli" ".file" in
   (* [usage]: rejected while parsing the command line (cmdliner's 124),
      before any cell runs *)
   List.iter
@@ -63,11 +75,18 @@ let test_input_errors () =
       ([ "run"; "compress"; "--scale"; "0" ], true);
       ([ "table"; "1"; "--scale=-2" ], true);
       ([ "exec"; bad_jasm ], false);
+      ([ "exec"; faulting_jasm ], false);
+      ([ "table"; "1"; "--cache"; Filename.concat not_dir "sub" ], false);
+      ([ "table"; "1"; "--checkpoint"; Filename.concat not_dir "ck" ], false);
     ];
   let _, err = run_isf [ "exec"; bad_jasm ] in
   check_bool "jasm error names the file" true
     (contains err ("isf: " ^ bad_jasm ^ ":"));
-  Sys.remove bad_jasm
+  let code, err = run_isf [ "exec"; faulting_jasm ] in
+  Alcotest.(check int) "runtime error exits 2" 2 code;
+  check_bool "runtime error names the file and the fault" true
+    (contains err ("isf: " ^ faulting_jasm ^ ": runtime error: division by zero"));
+  List.iter Sys.remove [ bad_jasm; faulting_jasm; not_dir ]
 
 let suite =
   [

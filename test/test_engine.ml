@@ -517,6 +517,49 @@ let chaos_agree () =
     [ 1; 2; 3; 42; 1234 ];
   if !changed = 0 then Alcotest.fail "no chaos plan changed the run"
 
+(* ---- forced trips ---- *)
+
+(* Every workload with the fuel gate tripping every few cycles: a
+   7-cycle watchdog poll (its deadline an hour away), a 400k-cycle fuel
+   limit, and 300 i-cache flushes on consecutive cycles from cycle 5000,
+   each applied inside a trip.  A trip must run the full preamble, probe
+   included, even for a word whose same-line probe the chain elides; a
+   flush then sits between a word and its elided successor.  Fast must
+   match Ref on cycles, instructions and i-cache misses, or on the
+   out-of-fuel message, and the flushes must change at least one run. *)
+let forced_trip_agree () =
+  let flushes =
+    Fault.make
+      (List.init 300 (fun k ->
+           { Fault.at_cycle = 5000 + k; action = Fault.Flush_icache }))
+  in
+  let changed = ref 0 in
+  List.iter
+    (fun (b : Workloads.Suite.benchmark) ->
+      let classes = Workloads.Suite.compile b in
+      let funcs =
+        Opt.Pipeline.front (Bytecode.To_lir.program_to_funcs classes)
+      in
+      let prog = Vm.Program.link classes ~funcs in
+      let outcome ~engine faults =
+        match
+          Vm.Interp.run ~engine ~use_icache:true ~fuel:400_000 ~faults
+            ~deadline:(Unix.gettimeofday () +. 3600.) ~deadline_poll:7 prog
+            ~entry:Workloads.Suite.entry ~args:[ 1 ] Vm.Interp.null_hooks
+        with
+        | r ->
+            Ok (r.Vm.Interp.cycles, r.Vm.Interp.instructions,
+                r.Vm.Interp.icache_misses)
+        | exception Vm.Interp.Runtime_error msg -> Error msg
+      in
+      let oracle = outcome ~engine:`Ref flushes in
+      if outcome ~engine:`Fast flushes <> oracle then
+        Alcotest.failf "%s: Fast diverges from Ref under forced trips"
+          b.Workloads.Suite.bname;
+      if oracle <> outcome ~engine:`Ref Fault.none then incr changed)
+    Workloads.Suite.all;
+  if !changed = 0 then Alcotest.fail "no workload felt the flushes"
+
 (* ---- adaptive hot-swap between calls ---- *)
 
 (* Aggressive controller thresholds (as in Test_adaptive) so the small
@@ -669,6 +712,8 @@ let suite =
            `Quick late_flip_agree
       :: Alcotest.test_case "Fast == Ref under seeded chaos plans" `Quick
            chaos_agree
+      :: Alcotest.test_case "Fast == Ref under forced trips" `Quick
+           forced_trip_agree
       :: Alcotest.test_case "Fast == Ref across adaptive hot-swaps" `Quick
            hot_swap_agree
       :: Alcotest.test_case "no allocation per call and return" `Quick

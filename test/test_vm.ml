@@ -141,8 +141,14 @@ let icache_model () =
   (* address 64 maps to line 16 mod 4 = 0: evicts line 0 *)
   check_bool "conflict evicts" true (Vm.Icache.access ic 64);
   check_bool "original line misses again" true (Vm.Icache.access ic 0);
-  check_int "accesses" 5 (Vm.Icache.accesses ic);
-  check_int "misses" 4 (Vm.Icache.misses ic)
+  check_int "misses" 4 (Vm.Icache.misses ic);
+  (* only power-of-two geometries: a line is a shift, a set a mask *)
+  List.iter
+    (fun (lines, line_words) ->
+      match Vm.Icache.create ~lines ~line_words () with
+      | _ -> Alcotest.failf "geometry %d x %d accepted" lines line_words
+      | exception Invalid_argument _ -> ())
+    [ (3, 4); (4, 6); (0, 8) ]
 
 let icache_in_vm () =
   let classes, funcs = Helpers.build Helpers.loop_src in
