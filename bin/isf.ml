@@ -696,7 +696,8 @@ let serve_cmd =
   let socket_arg =
     let doc =
       "Serve jobs over the Unix-domain socket at $(docv) (line protocol: \
-       HELLO, SUBMIT, STATS, PING, QUIT; results push asynchronously)."
+       SUBMIT*, PROFILES, STATS, PING, QUIT; results push asynchronously \
+       as RESULT* frames)."
     in
     Arg.(value & opt (some string) None & info [ "socket" ] ~docv:"PATH" ~doc)
   in

@@ -6,13 +6,11 @@
    backoff, and — when a checkpoint file is armed — persists each
    completed cell so a killed run resumes where it stopped.
 
-   The checkpoint is an append-only sequence of marshaled
-   [(key, payload)] records.  Append-only is what makes it crash-safe: a
-   kill can at worst truncate the final record, and the loader stops at
-   the first undecodable tail instead of failing, so every fully written
-   cell survives.  Only [Ok] payloads are persisted — a failed cell is
-   re-attempted on resume, which is what you want after fixing whatever
-   killed it. *)
+   The checkpoint is a {!Log} of marshaled [(key, payload)] records, so
+   a kill or a corrupt byte costs at most the cells from the first bad
+   record on, and every cell before it survives.  Only [Ok] payloads
+   are persisted — a failed cell is re-attempted on resume, which is
+   what you want after fixing whatever killed it. *)
 
 type failure = {
   key : string;
@@ -41,14 +39,12 @@ let context () = Domain.DLS.get ctx_key
 (* Classification                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let has_prefix p s =
-  String.length s >= String.length p && String.sub s 0 (String.length p) = p
-
 let classify = function
   | Vm.Interp.Runtime_error m ->
-      if has_prefix "injected fault" m then "fault"
-      else if has_prefix "out of fuel" m then "fuel"
-      else if has_prefix "wall-clock watchdog" m then "timeout"
+      let has prefix = String.starts_with ~prefix m in
+      if has "injected fault" then "fault"
+      else if has "out of fuel" then "fuel"
+      else if has "wall-clock watchdog" then "timeout"
       else "bug"
   | Transient _ | Sys_error _ | Out_of_memory -> "transient"
   | _ -> "bug"
@@ -63,33 +59,13 @@ let message_of = function
 (* Checkpoint store                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* "\000" cannot start a cell key (keys are human-readable table/bench
-   paths), so this name can never collide. *)
-let meta_key = "\000meta"
-
 let lock = Mutex.create ()
 let store : (string, string) Hashtbl.t = Hashtbl.create 64
-let chan : out_channel option ref = ref None
+let log : Log.t option ref = ref None
 
 let locked f =
   Mutex.lock lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
-
-(* Read every complete record; a truncated or corrupt tail (the record
-   being written when the process died) ends the load silently. *)
-let load path =
-  let tbl = Hashtbl.create 64 in
-  if Sys.file_exists path then begin
-    let ic = open_in_bin path in
-    (try
-       while true do
-         let k, payload = (Marshal.from_channel ic : string * string) in
-         Hashtbl.replace tbl k payload
-       done
-     with End_of_file | Failure _ -> ());
-    close_in ic
-  end;
-  tbl
 
 (* Cells resumed from an armed checkpoint file, as opposed to persisted
    by this process: lets the scheduler skip its prewarm on a resume,
@@ -97,67 +73,32 @@ let load path =
 let resumed = ref 0
 let checkpointed_cells () = locked (fun () -> !resumed)
 
-(* an unusable checkpoint path as a [Failure] naming it once ([Sys_error]
-   messages sometimes start with the path, sometimes not) *)
-let refuse verb path m =
-  let prefix = path ^ ": " in
-  let m =
-    if String.starts_with ~prefix m then
-      String.sub m (String.length prefix) (String.length m - String.length prefix)
-    else m
-  in
-  failwith (Printf.sprintf "cannot %s checkpoint %s: %s" verb path m)
-
 let set_checkpoint ?(meta = "") path_opt =
   locked (fun () ->
-      (match !chan with Some oc -> close_out oc | None -> ());
-      chan := None;
+      Option.iter Log.close !log;
+      log := None;
       Hashtbl.reset store;
       resumed := 0;
-      match path_opt with
-      | None -> ()
-      | Some path ->
-          let tbl =
-            try load path with Sys_error m -> refuse "read" path m
-          in
-          (match Hashtbl.find_opt tbl meta_key with
-          | Some payload ->
-              let prev = (Marshal.from_string payload 0 : string) in
-              if prev <> meta then
-                failwith
-                  (Printf.sprintf
-                     "checkpoint %s was written by a different run \
-                      configuration (%S, this run is %S); delete it or point \
-                      --checkpoint elsewhere"
-                     path prev meta)
-          | None -> ());
-          Hashtbl.iter
-            (fun k v ->
-              if k <> meta_key then begin
-                Hashtbl.replace store k v;
-                incr resumed
-              end)
-            tbl;
-          let oc =
-            try open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path
-            with Sys_error m -> refuse "open" path m
-          in
-          chan := Some oc;
-          if not (Hashtbl.mem tbl meta_key) then begin
-            Marshal.to_channel oc (meta_key, Marshal.to_string meta []) [];
-            flush oc
-          end)
+      Option.iter
+        (fun path ->
+          let l, records = Log.open_ ~what:"checkpoint" ~meta path in
+          List.iter
+            (fun r ->
+              let k, payload = (Marshal.from_string r 0 : string * string) in
+              Hashtbl.replace store k payload)
+            records;
+          resumed := Hashtbl.length store;
+          log := Some l)
+        path_opt)
 
 let lookup key = locked (fun () -> Hashtbl.find_opt store key)
 
 let persist key payload =
   locked (fun () ->
       Hashtbl.replace store key payload;
-      match !chan with
-      | None -> ()
-      | Some oc ->
-          Marshal.to_channel oc (key, payload) [];
-          flush oc)
+      Option.iter
+        (fun l -> Log.append l (Marshal.to_string (key, payload) []))
+        !log)
 
 (* ------------------------------------------------------------------ *)
 (* The cell runner                                                     *)

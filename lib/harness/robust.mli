@@ -8,11 +8,11 @@
     via {!set_checkpoint}, persists every completed cell so a killed run
     resumes exactly where it stopped (ISSUE 3).
 
-    The checkpoint file is an append-only sequence of marshaled
-    [(key, payload)] records: a kill can at worst truncate the record
-    being written, and the loader tolerates that truncated tail, so all
-    fully completed cells survive any crash.  Only successful cells are
-    persisted; failed cells are re-attempted on resume. *)
+    The checkpoint file is a {!Log} of marshaled [(key, payload)]
+    records.  A resume gets back every cell up to the first record that
+    fails its MD5 (a torn tail, a flipped byte) and recomputes the rest.
+    Only successful cells are persisted; failed cells are re-attempted
+    on resume. *)
 
 type failure = {
   key : string;  (** the cell's stable identity, e.g. ["table1/raytrace/call-edge"] *)
@@ -39,13 +39,16 @@ val context : unit -> string
 val classify : exn -> string
 (** The [classification] {!cell} would assign this exception. *)
 
+val message_of : exn -> string
+(** The [message] {!cell} would record for this exception. *)
+
 val set_checkpoint : ?meta:string -> string option -> unit
 (** Arm ([Some path]) or disarm ([None]) the checkpoint store.  Arming
-    loads every complete record already in the file (tolerating a
-    truncated tail) and appends subsequent completed cells to it.
-    [meta] fingerprints the run configuration; arming a file written
-    under a different [meta] raises [Failure] rather than resuming into
-    inconsistent results. *)
+    loads every verified cell already in the file, drops the rest, and
+    appends subsequent completed cells to it.  [meta] fingerprints the
+    run configuration.  Raises [Failure] (see {!Log.open_}) for an
+    unusable path, a file written under a different [meta], and a
+    non-empty file that is not a checkpoint. *)
 
 val checkpointed_cells : unit -> int
 (** Number of cells the armed checkpoint resumed from disk (0 when no

@@ -1,7 +1,7 @@
 (* Two-tier content-addressed run cache.  See runcache.mli for the
-   contract; the design mirrors robust.ml's checkpoints where the two
-   overlap (Marshal payloads, tolerance of torn tails, loud refusal of
-   a store written by a different configuration). *)
+   contract: each entry file holds a magic line, the full run key and
+   the MD5 of its Marshal payload; a torn or foreign entry is
+   recomputed, a store written by a different version refused loudly. *)
 
 type stats = {
   mem_hits : int;

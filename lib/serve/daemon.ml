@@ -66,15 +66,6 @@ type t = {
   mutable loud_cache_failures : int;
 }
 
-let message_of = function
-  | Vm.Interp.Runtime_error m -> m
-  | Robust.Transient m -> "transient: " ^ m
-  | Failure m -> m
-  | e -> Printexc.to_string e
-
-let has_prefix p s =
-  String.length s >= String.length p && String.sub s 0 (String.length p) = p
-
 (* ------------------------------------------------------------------ *)
 (* Circuit breaker                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -130,8 +121,9 @@ let run_job t job =
         match Job.execute_full job with
         | s, merge -> (Job.Done s, Some (Profiles.Merge.render merge))
         | exception e ->
-            let msg = message_of e in
-            if has_prefix "run cache" msg && cache_left > 0 then begin
+            let msg = Robust.message_of e in
+            if String.starts_with ~prefix:"run cache" msg && cache_left > 0
+            then begin
               note_loud_cache_failure t;
               attempt ~transient_left ~cache_left:(cache_left - 1)
             end

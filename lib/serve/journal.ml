@@ -1,22 +1,16 @@
-(* Append-only job journal: the daemon's crash-recovery log, following
-   the checkpoint discipline of Harness.Robust (PR 3): marshaled
-   records appended and flushed one at a time, so a kill can at worst
-   truncate the final record; the loader stops at the first
-   undecodable tail and every fully written record survives.  A
-   journal written under a different meta fingerprint (different job
-   file, engine, recording, cache setting) is refused loudly rather
-   than resumed into inconsistent results. *)
+(* Append-only job journal: the daemon's crash-recovery log, one
+   marshaled record per {!Harness.Log} record.  The log hands back only
+   records whose MD5 verified, so a kill or a corrupt byte costs at most
+   the records from the first bad one on; a journal written under a
+   different meta fingerprint (job file, chaos, watchdog, retry and
+   quarantine budgets) is refused rather than resumed into inconsistent
+   results. *)
 
 type record =
-  | Meta of string
   | Submitted of { id : int; client : string; line : string }
   | Completed of { id : int; result : string }
   | Quarantined of { digest : string; report : string }
   | Profile of { id : int; payload : string }
-      (* appended after this variant's original constructors so the
-         Marshal tags of old journals still decode: a journal written
-         before profile capture replays fine, its completed jobs just
-         carry no payload *)
 
 type recovered = {
   pending : (int * string * string) list; (* id, client, canonical job line *)
@@ -26,26 +20,7 @@ type recovered = {
   next_id : int;
 }
 
-type t = { mu : Mutex.t; oc : out_channel; path : string }
-
-(* Returns the records and the byte offset of the clean prefix: the
-   caller truncates the torn tail away before appending, otherwise new
-   records would land after undecodable garbage and be unreachable on
-   the next load. *)
-let load path =
-  let records = ref [] in
-  let clean = ref 0 in
-  if Sys.file_exists path then begin
-    let ic = open_in_bin path in
-    (try
-       while true do
-         records := (Marshal.from_channel ic : record) :: !records;
-         clean := pos_in ic
-       done
-     with End_of_file | Failure _ -> ());
-    close_in_noerr ic
-  end;
-  (List.rev !records, !clean)
+type t = Harness.Log.t
 
 let recover records =
   let submitted = Hashtbl.create 64 in
@@ -56,7 +31,6 @@ let recover records =
   List.iter
     (fun r ->
       match r with
-      | Meta _ -> ()
       | Submitted { id; client; line } ->
           Hashtbl.replace submitted id (client, line);
           if id >= !next_id then next_id := id + 1
@@ -99,53 +73,9 @@ let recover records =
   }
 
 let open_ ?(meta = "") path =
-  let records, clean = load path in
-  (match records with
-  | Meta prev :: _ ->
-      if not (String.equal prev meta) then
-        failwith
-          (Printf.sprintf
-             "job journal %s was written by a different daemon configuration \
-              (%S, this daemon is %S); delete it or point --journal elsewhere"
-             path prev meta)
-  | _ :: _ ->
-      failwith
-        (Printf.sprintf "job journal %s does not start with a meta record" path)
-  | [] ->
-      (* an empty (or absent) file is a fresh journal, but a non-empty
-         file yielding zero decodable records is some other file
-         entirely — refuse rather than truncate it to nothing *)
-      if Sys.file_exists path && (Unix.stat path).Unix.st_size > 0 then
-        failwith
-          (Printf.sprintf
-             "job journal %s is non-empty but contains no journal records; \
-              refusing to truncate it — delete it or point --journal \
-              elsewhere"
-             path));
-  (* drop the torn tail a kill may have left, so appends continue the
-     clean record stream *)
-  if Sys.file_exists path && (Unix.stat path).Unix.st_size > clean then
-    Unix.truncate path clean;
-  let oc = open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path in
-  let t = { mu = Mutex.create (); oc; path } in
-  if records = [] then begin
-    Marshal.to_channel oc (Meta meta) [];
-    flush oc
-  end;
-  (t, recover records)
+  let log, bodies = Harness.Log.open_ ~what:"job journal" ~meta path in
+  (log, recover (List.map (fun b -> (Marshal.from_string b 0 : record)) bodies))
 
-let append t r =
-  Mutex.lock t.mu;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.mu)
-    (fun () ->
-      Marshal.to_channel t.oc r [];
-      flush t.oc)
-
-let close t =
-  Mutex.lock t.mu;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.mu)
-    (fun () -> try close_out t.oc with Sys_error _ -> ())
-
-let path t = t.path
+let append t r = Harness.Log.append t (Marshal.to_string r [])
+let close = Harness.Log.close
+let path = Harness.Log.path

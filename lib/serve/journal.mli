@@ -1,10 +1,10 @@
 (** Append-only job journal — the daemon's crash-recovery log.
 
-    Same discipline as {!Harness.Robust}'s checkpoints (PR 3): each
-    record is marshaled, appended and flushed individually, so a
-    SIGKILL can at worst truncate the record being written; the loader
-    tolerates that torn tail and every fully written record survives.
-    Opening a journal whose meta fingerprint differs from this
+    Each record is marshaled into one {!Harness.Log} record, written and
+    flushed on its own.  A reader gets back every record up to the first
+    one that fails its MD5 — a SIGKILL's torn tail or a corrupt byte —
+    and the file is truncated there, so nothing past the damage is ever
+    decoded.  Opening a journal whose meta fingerprint differs from this
     daemon's configuration raises [Failure] — resume must be exact or
     refused.
 
@@ -16,7 +16,6 @@
     job is never retried, even by a fresh daemon. *)
 
 type record =
-  | Meta of string
   | Submitted of { id : int; client : string; line : string }
   | Completed of { id : int; result : string }
   | Quarantined of { digest : string; report : string }
@@ -24,8 +23,7 @@ type record =
       (** canonical {!Profiles.Merge.render} of a completed job's
           profile, written immediately before its [Completed] record so
           a resumed fleet can still be merged without re-running
-          anything.  Appended last in the variant: journals written
-          before profile capture still decode. *)
+          anything. *)
 
 type recovered = {
   pending : (int * string * string) list;
@@ -34,23 +32,23 @@ type recovered = {
   quarantined : (string * string) list;  (** (job digest, report) *)
   profiles : (int * string) list;
       (** (id, profile rendering) for completed ids whose [Profile]
-          record survived — ids completed by a pre-profile journal are
-          absent, and the merge path recomputes them through the run
-          cache *)
+          record survived; the merge path recomputes any absent id
+          through the run cache *)
   next_id : int;  (** 1 + highest id seen *)
 }
 
 type t
 
 val open_ : ?meta:string -> string -> t * recovered
-(** Open (creating if missing) and replay the journal.  Raises
-    [Failure] when the existing journal's meta record differs from
-    [meta], and when the file is non-empty but holds no decodable
-    records at all (it is some other file — truncating it to "fix" the
-    tail would destroy it). *)
+(** Open (creating if missing) and replay the journal's verified
+    records.  Raises [Failure] naming the path (see
+    {!Harness.Log.open_}) when it cannot be opened or read, when the
+    existing journal's meta record differs from [meta], and when the
+    file is non-empty but holds no verified record (it is some other
+    file, left untouched). *)
 
 val append : t -> record -> unit
-(** Marshal, append, flush.  Domain-safe. *)
+(** Marshal, append, flush (no fsync).  Domain-safe. *)
 
 val close : t -> unit
 val path : t -> string

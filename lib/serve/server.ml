@@ -3,9 +3,7 @@
    Line control plane (newline-terminated, text) plus length-prefixed
    payload frames for profile data:
      client -> server
-       HELLO <name>          name this connection's client queue
-       SUBMIT <job-line>     canonical Job line
-       SUBMIT* <k>           batch: the next k lines are each
+       SUBMIT* <k>           the next k lines are each
                              "<client> <canonical job line>" — many
                              submissions per syscall, one reply line
        PROFILES on|off       opt into PROFILE payload frames
@@ -13,28 +11,24 @@
        PING
        QUIT
      server -> client
-       OK hello <name> | OK accepted <id> | OK pong | OK stats <k=v ...>
+       OK pong | OK stats <k=v ...>
        OK batch <k> <tok ...> one token per batch line, in order:
                              the accepted id, "shed", "closed" or "err"
        OK profiles on|off
-       SHED                  admission queue saturated; try again later
-       ERR <message>         malformed request (job parse errors included)
-       RESULT <result-line>  pushed asynchronously on job completion
-       RESULT* <k>           corked batch: the next k lines are result
-                             lines — completions that were queued
-                             together leave in one write
+       ERR <message>         malformed request
+       RESULT* <k>           pushed asynchronously on job completion:
+                             the next k lines are result lines —
+                             completions queued together leave in one
+                             write
        PROFILE <id> <len>    followed by exactly len payload bytes and
                              a newline: the completed job's canonical
                              profile rendering (only when PROFILES on)
 
    A single select loop owns every fd (listen socket, connections, and
-   a self-pipe the worker domains poke after queueing a RESULT), so
+   a self-pipe the worker domains poke after queueing a result), so
    reads and accepts never block the daemon and a flooding connection
    cannot wedge the loop.  Replies to a connection's requests are
-   written in request order; RESULT lines interleave as jobs finish.
-   The flush path has always concatenated every queued line into one
-   write; RESULT* makes the framing itself cheaper too (one header per
-   run of completions instead of one per line). *)
+   written in request order; results interleave as jobs finish. *)
 
 (* what sits in a connection's outbox: control replies, result lines
    (corked into RESULT* runs at flush time), and profile payloads *)
@@ -47,7 +41,6 @@ type conn = {
   inbuf : Buffer.t;
   outbox : entry Queue.t; (* guarded by the server mutex *)
   mutable outtail : string; (* written only by the select-loop thread *)
-  mutable client : string;
   mutable want_profiles : bool;
   (* SUBMIT* parsing state: lines of the current batch still expected,
      and the reply tokens accumulated so far (reversed) *)
@@ -66,7 +59,6 @@ type t = {
   routes : (int, conn) Hashtbl.t; (* job id -> submitting connection *)
   unrouted : (int, string * string option) Hashtbl.t;
       (* completions racing registration: result line + profile payload *)
-  mutable conn_seq : int;
   (* batch observability for STATS *)
   mutable submit_batches : int;
   mutable submit_batch_max : int;
@@ -93,7 +85,6 @@ let create ~socket:socket_path =
     conns = Hashtbl.create 16;
     routes = Hashtbl.create 64;
     unrouted = Hashtbl.create 16;
-    conn_seq = 0;
     submit_batches = 0;
     submit_batch_max = 0;
     result_batches = 0;
@@ -123,8 +114,8 @@ let push_result conn id line payload =
    A job can finish before the submitting thread has registered the
    id -> conn route (quarantine answer, warm run cache, poison job
    failing instantly): such completions are buffered in [unrouted] and
-   flushed by the SUBMIT handler when it registers the route, so the
-   RESULT line is delivered, never dropped. *)
+   flushed by the SUBMIT* handler when it registers the route, so the
+   result line is delivered, never dropped. *)
 let on_result t id _client _job line payload =
   let routed =
     locked t (fun () ->
@@ -166,17 +157,11 @@ let stats_line t d =
 (* Submit one job on behalf of [conn], registering the id -> conn route
    and taking any completion that beat the registration in one critical
    section: the result either lands in [unrouted] before this block
-   (flushed here) or finds the route after it — no window drops it.
-   [ack] builds the control reply queued in the same section, so the
-   ack always precedes the RESULT even for an instant completion. *)
-let submit_routed t d conn ~client ~ack job =
+   (flushed here) or finds the route after it — no window drops it. *)
+let submit_routed t d conn ~client job =
   match Daemon.submit d ~client job with
   | `Accepted id ->
       locked t (fun () ->
-          (match ack with
-          | Some mk ->
-              if conn.alive then Queue.push (Ctl (mk id)) conn.outbox
-          | None -> ());
           match Hashtbl.find_opt t.unrouted id with
           | Some (line, payload) ->
               Hashtbl.remove t.unrouted id;
@@ -199,7 +184,7 @@ let handle_batch_item t d conn raw =
         match Job.parse body with
         | exception Failure _ -> "err"
         | job -> (
-            match submit_routed t d conn ~client ~ack:None job with
+            match submit_routed t d conn ~client job with
             | `Accepted id -> string_of_int id
             | `Shed -> "shed"
             | `Closed -> "closed"))
@@ -228,16 +213,6 @@ let handle_line t d conn line =
     else if String.equal line "STATS" then reply (stats_line t d)
     else
       match String.index_opt line ' ' with
-      | Some i when String.equal (String.sub line 0 i) "HELLO" ->
-          let name =
-            String.trim (String.sub line (i + 1) (String.length line - i - 1))
-          in
-          if not (String.equal name "") && not (String.contains name ' ')
-          then begin
-            conn.client <- name;
-            reply ("OK hello " ^ name)
-          end
-          else reply "ERR bad client name"
       | Some i when String.equal (String.sub line 0 i) "PROFILES" -> (
           match
             String.trim (String.sub line (i + 1) (String.length line - i - 1))
@@ -261,19 +236,6 @@ let handle_line t d conn line =
               reply
                 (Printf.sprintf "ERR bad batch size %s (1..%d)"
                    (String.escaped arg) max_batch))
-      | Some i when String.equal (String.sub line 0 i) "SUBMIT" -> (
-          let body = String.sub line (i + 1) (String.length line - i - 1) in
-          match Job.parse body with
-          | exception Failure m -> reply ("ERR " ^ String.escaped m)
-          | job -> (
-              match
-                submit_routed t d conn ~client:conn.client
-                  ~ack:(Some (Printf.sprintf "OK accepted %d"))
-                  job
-              with
-              | `Accepted _ -> ()
-              | `Shed -> reply "SHED"
-              | `Closed -> reply "ERR daemon is stopping"))
       | _ -> reply ("ERR unknown request " ^ String.escaped line)
 
 let close_conn t conn =
@@ -282,26 +244,16 @@ let close_conn t conn =
       Hashtbl.remove t.conns conn.fd);
   try Unix.close conn.fd with Unix.Unix_error _ -> ()
 
-(* Write as much of each connection's queued output as its socket
-   accepts right now.  Connection fds are non-blocking: a partial
-   write or EAGAIN (slow reader, full send buffer) leaves the
-   remaining bytes in [outtail] — retried when select reports the fd
-   writable — instead of dropping them mid-line or wedging the loop.
-   Only the select-loop thread touches [outtail]. *)
-(* Render a drained outbox to wire bytes, corking consecutive result
-   lines: a run of >= 2 leaves as one "RESULT* <k>" header plus the bare
-   lines, a singleton stays a plain "RESULT <line>" (back-compatible).
-   Returns the rendering plus the RESULT* runs emitted (for STATS). *)
+(* Render a drained outbox to wire bytes, corking each run of
+   consecutive result lines into one "RESULT* <k>" header plus the bare
+   lines.  Returns the rendering plus the RESULT* runs emitted (for
+   STATS). *)
 let render_entries entries =
   let buf = Buffer.create 256 in
   let batches = ref 0 and batch_max = ref 0 in
   let flush_run run =
     match List.rev run with
     | [] -> ()
-    | [ line ] ->
-        Buffer.add_string buf "RESULT ";
-        Buffer.add_string buf line;
-        Buffer.add_char buf '\n'
     | lines ->
         let k = List.length lines in
         incr batches;
@@ -335,6 +287,12 @@ let render_entries entries =
   flush_run run;
   (Buffer.contents buf, !batches, !batch_max)
 
+(* Write as much of each connection's queued output as its socket
+   accepts right now.  Connection fds are non-blocking: a partial
+   write or EAGAIN (slow reader, full send buffer) leaves the
+   remaining bytes in [outtail] — retried when select reports the fd
+   writable — instead of dropping them mid-line or wedging the loop.
+   Only the select-loop thread touches [outtail]. *)
 let flush_outboxes t =
   let pending =
     locked t (fun () ->
@@ -412,9 +370,6 @@ let accept_conn t =
           inbuf = Buffer.create 256;
           outbox = Queue.create ();
           outtail = "";
-          client = (locked t (fun () ->
-              t.conn_seq <- t.conn_seq + 1;
-              Printf.sprintf "conn-%d" t.conn_seq));
           want_profiles = false;
           batch_left = 0;
           batch_toks = [];
@@ -470,12 +425,12 @@ let run t d ~stop =
    frames of [batch] lines — all batches go out before any ack is
    awaited, so submission costs one write per batch instead of one
    round-trip per job.  Each batch line carries its own client name, so
-   fairness attribution needs no HELLO interleaving.  Shed tokens are
+   fairness attribution needs no per-connection state.  Shed tokens are
    collected and resubmitted in fresh batches after a short backoff —
    client-side backpressure.  With [profiles], the daemon streams each
    completed job's canonical profile rendering as a PROFILE frame.
 
-   A RESULT can arrive before its batch ack (a warm-cache job finishes
+   A result can arrive before its batch ack (a warm-cache job finishes
    while the daemon is still parsing the rest of the batch), so
    completion is tracked with expected/received counters, not a
    per-submission wait.  Batch acks do arrive in submission order —
@@ -483,7 +438,7 @@ let run t d ~stop =
 
    Returns (results sorted by id, sheds observed, profiles sorted by
    id).  Failure is loud, never a hang: an ERR reply, a rejected batch
-   line and a receive timeout (a RESULT lost to a daemon kill) all
+   line and a receive timeout (a result lost to a daemon kill) all
    raise instead of waiting forever. *)
 let client_run ?(timeout = 120.0) ?(batch = 32) ?(profiles = false)
     ~socket:path entries =
@@ -566,7 +521,6 @@ let client_run ?(timeout = 120.0) ?(batch = 32) ?(profiles = false)
         for _ = 1 to k do
           note_result (read_line_exn ~while_:"reading a result batch" ())
         done
-    | "RESULT" :: rest -> note_result (String.concat " " rest)
     | [ "PROFILE"; id; len ] ->
         let id = int_of_string id and len = int_of_string len in
         let b = Bytes.create len in
@@ -613,7 +567,7 @@ let client_run ?(timeout = 120.0) ?(batch = 32) ?(profiles = false)
   List.iter submit_chunk (chunks entries);
   (* Done when every batch is acked, nothing awaits resubmission, every
      accepted job has a result, and (with profiles on) every OK result's
-     PROFILE frame has arrived — the frame follows its RESULT in-stream,
+     PROFILE frame has arrived — the frame follows its result in-stream,
      so the count converges. *)
   let finished () =
     Queue.is_empty pending_acks

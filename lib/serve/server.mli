@@ -4,8 +4,6 @@
     frames for profile data:
     {v
     client -> server                    server -> client
-      HELLO <name>                       OK hello <name>
-      SUBMIT <canonical job line>        OK accepted <id> | SHED | ERR <msg>
       SUBMIT* <k>                        OK batch <k> <tok ...>
         (then k lines, each                (one token per line, in order:
          "<client> <job line>")             accepted id, shed, closed, err)
@@ -13,10 +11,10 @@
       STATS                              OK stats accepted=... shed=...
       PING                               OK pong
       QUIT
-                                         RESULT <result-line>   (async push)
-                                         RESULT* <k>            (then k
-                                           result lines: completions queued
-                                           together leave in one write)
+                                         RESULT* <k>            (async push,
+                                           then k result lines: completions
+                                           queued together leave in one
+                                           write)
                                          PROFILE <id> <len>     (then len
                                            payload bytes + newline: the
                                            job's canonical profile
@@ -25,17 +23,17 @@
 
     One select loop owns every fd — the listen socket, the
     connections, and a self-pipe the worker domains poke after queueing
-    a RESULT — so a flooding or half-dead connection can never wedge
-    the daemon.  [SHED] is the admission-control rejection: explicit
-    backpressure the client retries on, never an unbounded queue.
+    a result — so a flooding or half-dead connection can never wedge
+    the daemon.  A [shed] token is the admission-control rejection:
+    explicit backpressure the client retries on, never an unbounded
+    queue.
 
-    [SUBMIT*] is the batched data plane: many submissions per syscall
-    and one ack line per batch instead of one round-trip per job.  Each
-    batch line names its own client, so round-robin fairness
-    attribution needs no HELLO interleaving.  On the way back, runs of
-    consecutive completions are corked into [RESULT*] batches at flush
-    time; a singleton stays a plain [RESULT], so pre-batch clients keep
-    working unchanged. *)
+    [SUBMIT*] is the only submission framing: many submissions per
+    syscall and one ack line per batch instead of one round-trip per
+    job.  Each batch line names its own client, so round-robin fairness
+    needs no per-connection state.  On the way back, every run of
+    consecutive completions — a lone one included — leaves as one
+    [RESULT*] frame. *)
 
 type t
 

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Crash-recovery smoke test: start `isf table 1 --checkpoint`, kill it
 # mid-run, resume from the checkpoint, and require the recovered output
-# to be byte-identical to an uninterrupted run.
+# to be byte-identical to an uninterrupted run; then do the same from
+# copies of the finished checkpoint cut at 1/4, 1/2 and 3/4.
 #
 # Usage: scripts/crash_recovery.sh [path-to-isf]
 set -eu
@@ -49,5 +50,19 @@ if "$ISF" table 1 -j 2 --engine ref --checkpoint "$CKPT" > /dev/null 2>&1; then
     echo "FAIL: mismatched configuration resumed from the checkpoint" >&2
     exit 1
 fi
+
+# a checkpoint torn at 1/4, 1/2 and 3/4 of the finished file: the
+# resume and the run after it must both be byte-identical
+SIZE=$(wc -c < "$CKPT")
+for Q in 1 2 3; do
+    head -c $((SIZE * Q / 4)) "$CKPT" > "$DIR/torn.ckpt"
+    for LEG in resume rerun; do
+        "$ISF" table 1 -j 2 --checkpoint "$DIR/torn.ckpt" > "$DIR/torn.txt"
+        cmp -s "$DIR/expected.txt" "$DIR/torn.txt" || {
+            echo "FAIL: $LEG of a checkpoint cut at $Q/4 differs" >&2
+            exit 1
+        }
+    done
+done
 
 echo "crash recovery OK"

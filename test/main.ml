@@ -6,7 +6,7 @@ let () =
    @ Test_workloads.suite @ Test_paths.suite @ Test_validate.suite
    @ Test_harness.suite @ Test_differential.suite @ Test_engine.suite
    @ Test_slots.suite @ Test_shrink.suite @ Test_cache_model.suite
-   @ Test_pool.suite @ Test_fault.suite @ Test_robust.suite
+   @ Test_pool.suite @ Test_fault.suite @ Test_robust.suite @ Test_log.suite
    @ Test_runcache.suite @ Test_adaptive.suite @ Test_inline.suite
    @ Test_budget.suite @ Test_serve.suite @ Test_merge.suite
    @ Test_cli.suite)

@@ -52,8 +52,17 @@ let test_input_errors () =
         \    return 1 / z;\n\
         \  }\n\
          }\n");
-  (* a regular file where a cache or checkpoint directory should be *)
+  (* a regular file where a cache, checkpoint or journal directory
+     should be *)
   let not_dir = Filename.temp_file "isf_cli" ".file" in
+  let job_file = Filename.temp_file "isf_cli" ".jobs" in
+  Out_channel.with_open_text job_file (fun oc ->
+      Printf.fprintf oc "c %s\n"
+        (Serve.Job.render (List.hd (Serve.Fleet.jobs ~seed:1 ~n:1 ()))));
+  (* a non-empty file that is not a checkpoint *)
+  let text = Filename.temp_file "isf_cli" ".txt" in
+  let text_body = "these are notes, not a checkpoint\n" in
+  Out_channel.with_open_text text (fun oc -> output_string oc text_body);
   (* [usage]: rejected while parsing the command line (cmdliner's 124),
      before any cell runs *)
   List.iter
@@ -86,7 +95,28 @@ let test_input_errors () =
   Alcotest.(check int) "runtime error exits 2" 2 code;
   check_bool "runtime error names the file and the fault" true
     (contains err ("isf: " ^ faulting_jasm ^ ": runtime error: division by zero"));
-  List.iter Sys.remove [ bad_jasm; faulting_jasm; not_dir ]
+  (* an unusable journal or a foreign checkpoint is one isf: line and
+     exit 2, and the foreign file is left as it was *)
+  List.iter
+    (fun (args, path) ->
+      let what = String.concat " " args in
+      let code, err = run_isf args in
+      Alcotest.(check int) (what ^ ": exit 2") 2 code;
+      check_bool (what ^ ": one isf: line naming the file") true
+        (String.starts_with ~prefix:"isf: " err
+        && String.index_opt err '\n' = Some (String.length err - 1)
+        && contains err path))
+    [
+      ( [ "serve"; "--job-file"; job_file; "--journal";
+          Filename.concat not_dir "sub" ],
+        Filename.concat not_dir "sub" );
+      ([ "table"; "1"; "--checkpoint"; text ], text);
+    ];
+  Alcotest.(check string)
+    "a refused checkpoint is left byte-for-byte" text_body
+    (In_channel.with_open_bin text In_channel.input_all);
+  List.iter Sys.remove
+    [ bad_jasm; faulting_jasm; not_dir; job_file; text ]
 
 let suite =
   [

@@ -621,7 +621,8 @@ let test_socket_pipelined_batches_and_profiles () =
         (Profiles.Merge.render m_seq)
         (Profiles.Merge.render m_sock))
 
-(* Control-plane corners: PING, PROFILES ack, SUBMIT* bounds, and the
+(* Control-plane corners: PING, PROFILES ack, SUBMIT* bounds, the
+   retired singleton framings, a lone result as RESULT* 1, and the
    extended STATS counters. *)
 let test_socket_protocol_basics () =
   with_socket_server (fun sock ->
@@ -646,6 +647,28 @@ let test_socket_protocol_basics () =
       (match String.split_on_char ' ' (input_line ic) with
       | "ERR" :: _ -> ()
       | l -> Alcotest.failf "oversized batch accepted: %s" (String.concat " " l));
+      let job = Job.render (List.hd (Fleet.jobs ~seed:2 ~n:1 ())) in
+      List.iter
+        (fun req ->
+          send (req ^ "\n");
+          check_bool
+            (List.hd (String.split_on_char ' ' req) ^ " is an unknown request")
+            true
+            (String.starts_with ~prefix:"ERR unknown request" (input_line ic)))
+        [ "HELLO c"; "SUBMIT " ^ job ];
+      send ("SUBMIT* 1\nc " ^ job ^ "\n");
+      (* the ack and the lone result may arrive in either order *)
+      let rec await ack result =
+        if ack && result then ()
+        else
+          match String.split_on_char ' ' (input_line ic) with
+          | [ "OK"; "batch"; "1"; _ ] -> await true result
+          | [ "RESULT*"; "1" ] ->
+              ignore (input_line ic);
+              await ack true
+          | l -> Alcotest.failf "unexpected reply: %s" (String.concat " " l)
+      in
+      await false false;
       send "STATS\n";
       let stats = input_line ic in
       List.iter
