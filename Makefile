@@ -2,7 +2,7 @@
 
 DUNE ?= dune
 
-.PHONY: all build test test-all fmt bench-smoke bench-interp bench-profiles bench-harness bench-adaptive bench-serve cache-smoke crash-smoke adaptive-smoke serve-smoke merge-smoke ci clean
+.PHONY: all build build-flags test test-all fmt bench-smoke bench-interp bench-profiles bench-harness bench-adaptive bench-serve cache-smoke crash-smoke adaptive-smoke serve-smoke merge-smoke ci clean
 
 all: build
 
@@ -95,7 +95,27 @@ fmt:
 crash-smoke: build
 	sh scripts/crash_recovery.sh
 
-ci: build fmt
+# the default build (dune-workspace: the release profile) must compile
+# lib/vm without -opaque, so Machine's and Straight's helpers inline
+# into the word closures, and must keep dev's warning set as errors
+# (the root dune file's env stanza)
+VM_CMX = _build/default/lib/vm/.vm.objs/native/vm__Straight.cmx
+DEV_FLAGS = @1..3@5..28@30..39@43@46..47@49..57@61..62-40 -strict-sequence \
+  -strict-formats -short-paths -keep-locs
+build-flags:
+	@rules=$$($(DUNE) rules $(VM_CMX)) || exit 1; \
+	echo "$$rules" | grep -q ocamlopt || { \
+	  echo "build-flags: no ocamlopt rule for $(VM_CMX)" >&2; exit 1; }; \
+	if echo "$$rules" | grep -q -- -opaque; then \
+	  echo "build-flags: lib/vm is compiled with -opaque" >&2; exit 1; fi
+	@env=$$($(DUNE) printenv .) || exit 1; \
+	for f in $(DEV_FLAGS); do \
+	  echo "$$env" | grep -q -F -- "$$f" || { \
+	    echo "build-flags: dune printenv lacks $$f" >&2; exit 1; }; \
+	done
+	@echo "build flags OK"
+
+ci: build fmt build-flags
 	$(DUNE) exec test/main.exe
 	$(DUNE) exec bin/isf.exe -- table 1 -j 2 > /dev/null
 	$(MAKE) crash-smoke

@@ -78,41 +78,26 @@ let empty_cmeth : cmeth = [||]
 (* Hot helpers                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Module-local so they inline into the closures: under dune's default
-   profile (-opaque) a call into Machine is out of line (DESIGN.md §5,
-   "Word preamble and frame layout").  Apart from [fallback_state],
-   which only the engine reads, each is the fast path of the Machine
-   function of the same name; cold paths stay there. *)
-let[@inline] charge st c = st.cycles <- st.cycles + c
+(* The charges, the fuel and adaptive gates and the heap lookup are
+   [Machine]'s own: the build compiles without -opaque, so they inline
+   across the module boundary (DESIGN.md §5, "Word preamble and frame
+   layout").  Only the engine's own fast paths live here. *)
 
-let[@inline] icharge st c =
-  st.cycles <- st.cycles + c;
-  st.icycles <- st.icycles + c
-
-let[@inline] fuel_check st = if st.cycles > st.guard_gate then guard_trip st
-
-let[@inline] adaptive_check st =
-  if st.cycles >= st.next_adaptive then adaptive_fire st
-
-let[@inline] timer_check st =
-  if st.cycles >= st.next_timer then timer_fire st;
-  adaptive_check st
+(* The timer or the adaptive poll is due: the reference step consults
+   both before every terminator ([Machine.timer_check]). *)
+let[@inline] due st =
+  st.cycles >= st.next_timer || st.cycles >= st.next_adaptive
 
 (* Cold path of a terminator step, out of line so the hot path (neither
    the timer nor the adaptive poll due) makes no call but the tail call
-   of the terminator [tk]. *)
-let[@inline never] timer_then st (tk : k) =
+   of the next word: the poll, then the step's untimed [body]. *)
+let[@inline never] timer_then st (body : k) =
   timer_check st;
-  tk st
+  body st
 
 let[@inline] fallback_state st id =
   if Array.length st.engine_fallback = 0 then 0
   else Array.unsafe_get st.engine_fallback id
-
-let[@inline] heap_get st r =
-  if r <= 0 then rt_err "null dereference"
-  else if r > st.heap.Ir.Vec.len then rt_err "dangling reference %d" r
-  else Array.unsafe_get st.heap.Ir.Vec.data (r - 1)
 
 (* [Machine.record_flat] for event [ev] whose counter is [c >= 0]; a
    dynamic event ([c < 0]) runs its handler out of line *)
@@ -201,18 +186,59 @@ let[@inline] push_frame st th callee ~ret_dst ~from_meth ~from_site =
   st.counters.entries <- st.counters.entries + 1;
   th.sp <- th.sp + 1
 
+(* [jump ~baddr ~blines ~codes st fr l] transfers control to block [l]
+   of the same method and keeps executing: it writes the frame's int
+   position fields (no pointer, so no write barrier), performs the
+   dispatcher's step preamble for the first word of the target block
+   (its i-cache line [blines.(l)] computed when the method was
+   compiled) and tail-calls into its compiled chain, so intra-method
+   control flow never returns to the dispatch loop.  [codes] is
+   dereferenced at run time, by which point every block of the method
+   is compiled. *)
+let[@inline] jump ~baddr ~blines ~codes st (fr : frame) l =
+  fr.blk <- l;
+  fr.idx <- 0;
+  fr.base_addr <- Array.unsafe_get baddr l;
+  let next = Array.unsafe_get (Array.unsafe_get codes l) 0 in
+  Straight.advance st ~next ~ni:0 ~line:(Array.unsafe_get blines l)
+    ~probe:true
+
+(* The untimed bodies of the frequent terminators: Goto (and a branch
+   or switch on an immediate), If on a register, and the sampling
+   check.  Closed, so a step that inlines one reads its own captures. *)
+let[@inline] goto_body ~baddr ~blines ~codes st c l =
+  charge st c;
+  jump ~baddr ~blines ~codes st st.cur_fr l
+
+let[@inline] if_body ~baddr ~blines ~codes st c rc if_true if_false =
+  charge st c;
+  let fr = st.cur_fr in
+  jump ~baddr ~blines ~codes st fr
+    (if fr.regs.(rc) <> 0 then if_true else if_false)
+
+let[@inline] check_body ~baddr ~blines ~codes st cc_check cc_sample on_sample
+    fall =
+  st.counters.checks <- st.counters.checks + 1;
+  icharge st cc_check;
+  if st.hooks.fire st.cur_th.tid then begin
+    st.counters.samples <- st.counters.samples + 1;
+    icharge st cc_sample;
+    jump ~baddr ~blines ~codes st st.cur_fr on_sample
+  end
+  else jump ~baddr ~blines ~codes st st.cur_fr fall
+
 (* Compile one instruction into its complete dispatch step.  [nxt] is the
-   already-compiled remainder of the block, starting at word [ni] at
-   address [naddr]: the step performs the dispatcher's preamble for that
-   word ([Straight.advance]) and tail-calls [nxt] (one indirect call per
-   word).  Instructions that can suspend or reschedule the current
-   frame (calls, intrinsics that yield or spawn) first store the resume
-   index [ni] — exactly where the reference leaves idx — and return to
-   the dispatcher when done.  Yieldpoints only do so when a switch
-   actually happens. *)
+   already-compiled remainder of the block, starting at word [ni] on
+   i-cache line [line]: the step performs the dispatcher's preamble for
+   that word ([Straight.advance], its probe skipped when [probe] is
+   false) and tail-calls [nxt] (one indirect call per word).
+   Instructions that can suspend or reschedule the current frame
+   (calls, intrinsics that yield or spawn) first store the resume index
+   [ni] — exactly where the reference leaves idx — and return to the
+   dispatcher when done.  Yieldpoints only do so when a switch actually
+   happens. *)
 let rec compile_instr (cp : cprog) (prog : Program.t) (m : Program.meth)
     ~(nxt : k) ~(ni : int) ~line ~probe (ins : Lir.instr) : k =
-  let[@inline] cont st = Straight.advance st ~next:nxt ~ni ~line ~probe in
   let costs = cp.c_costs in
   match ins with
   | _ when Straight.is_straight ins ->
@@ -227,7 +253,7 @@ let rec compile_instr (cp : cprog) (prog : Program.t) (m : Program.meth)
         if n < 0 then rt_err "negative array length %d" n;
         charge st (cc_base + (cc_slot * n));
         fr.regs.(r) <- alloc st (Arr (Array.make (max n 1) 0));
-        cont st
+        Straight.advance st ~next:nxt ~ni ~line ~probe
   | Lir.Call { dst; kind; target; args; site } -> (
       let nargs = List.length args in
       let aev = Array.of_list (List.map Straight.cop args) in
@@ -369,12 +395,14 @@ let rec compile_instr (cp : cprog) (prog : Program.t) (m : Program.meth)
           fun st ->
             charge st cc_yp;
             st.counters.entry_yps <- st.counters.entry_yps + 1;
-            if quiet st then cont st else yield_slow st ~nxt ~ni ~line ~probe
+            if quiet st then Straight.advance st ~next:nxt ~ni ~line ~probe
+            else yield_slow st ~nxt ~ni ~line ~probe
       | Lir.Yp_backedge ->
           fun st ->
             charge st cc_yp;
             st.counters.backedge_yps <- st.counters.backedge_yps + 1;
-            if quiet st then cont st else yield_slow st ~nxt ~ni ~line ~probe)
+            if quiet st then Straight.advance st ~next:nxt ~ni ~line ~probe
+            else yield_slow st ~nxt ~ni ~line ~probe)
   | Lir.Instrument op -> (
       (* Flat-slot recording compiles to a direct buffer bump (the
          [record_flat] body): no ctx allocation, no hook-name match, no
@@ -389,7 +417,7 @@ let rec compile_instr (cp : cprog) (prog : Program.t) (m : Program.meth)
             let c = Array.unsafe_get r.ev_counter ev in
             if c >= 0 then begin
               record_flat st r ev c;
-              cont st
+              Straight.advance st ~next:nxt ~ni ~line ~probe
             end
             else instrument_slow st op ~nxt ~ni ~line ~probe
         | None | Some _ -> instrument_slow st op ~nxt ~ni ~line ~probe)
@@ -402,35 +430,31 @@ let rec compile_instr (cp : cprog) (prog : Program.t) (m : Program.meth)
           st.counters.samples <- st.counters.samples + 1;
           run_instrument st st.cur_th st.cur_fr op
         end;
-        cont st
+        Straight.advance st ~next:nxt ~ni ~line ~probe
   | _ -> assert false (* straight-line words take the first arm *)
 
 (* ------------------------------------------------------------------ *)
 (* Terminator and block compilation                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* [jump st fr l] transfers control to block [l] of the same method
-   and keeps executing: it writes the frame's int position fields (no
-   pointer, so no write barrier), performs the dispatcher's step
-   preamble for the first word of the target block (its i-cache line
-   [blines.(l)] computed when the method was compiled) and tail-calls
-   into its compiled chain, so intra-method control flow never returns
-   to the dispatch loop.  It is local to [compile_term] (direct call — passing
-   it in would make every taken branch a caml_apply).  Returns likewise
-   pop the frame exactly like [Machine.do_return] and chain into the
-   caller's resume point; only a thread death falls back to the
-   dispatcher. *)
+(* Each terminator step first tests whether the timer or the adaptive
+   poll is due ([due]); if so it tail-calls [timer_then] on an untimed
+   closure of its own body, built beside it, else it runs that body
+   inline.  A block's last chain entry, [ks.(len)], is this step itself.
+   Branch bodies are the closed functions above, so that inlined they
+   read the step's own captures.  Returns pop the frame exactly like
+   [Machine.do_return] and chain into the caller's resume point; only a
+   thread death falls back to the dispatcher. *)
 and compile_term (cp : cprog) (prog : Program.t) ~(baddr : int array)
     ~(blines : int array) ~(codes : k array array) (t : Lir.terminator) : k =
   let costs = cp.c_costs in
   let cc_branch = costs.Costs.branch in
-  let jump st (fr : frame) l =
-    fr.blk <- l;
-    fr.idx <- 0;
-    fr.base_addr <- Array.unsafe_get baddr l;
-    let next = Array.unsafe_get (Array.unsafe_get codes l) 0 in
-    Straight.advance st ~next ~ni:0 ~line:(Array.unsafe_get blines l)
-      ~probe:true
+  (* a branch whose target is known when the chain is built *)
+  let goto c l =
+    let body st = goto_body ~baddr ~blines ~codes st c l in
+    fun st ->
+      if due st then timer_then st body
+      else goto_body ~baddr ~blines ~codes st c l
   in
   (* pop the returning frame; resume the caller's compiled code, or hand
      a dead thread or a degraded caller back to the dispatcher *)
@@ -467,22 +491,16 @@ and compile_term (cp : cprog) (prog : Program.t) ~(baddr : int array)
     end
   in
   match t with
-  | Lir.Goto l ->
+  | Lir.Goto l -> goto cc_branch l
+  | Lir.If { cond = Lir.Imm n; if_true; if_false } ->
+      goto cc_branch (if n <> 0 then if_true else if_false)
+  | Lir.If { cond = Lir.Reg rc; if_true; if_false } ->
+      let body st =
+        if_body ~baddr ~blines ~codes st cc_branch rc if_true if_false
+      in
       fun st ->
-        charge st cc_branch;
-        jump st st.cur_fr l
-  | Lir.If { cond; if_true; if_false } -> (
-      match cond with
-      | Lir.Reg rc ->
-          fun st ->
-            charge st cc_branch;
-            let fr = st.cur_fr in
-            jump st fr (if fr.regs.(rc) <> 0 then if_true else if_false)
-      | Lir.Imm n ->
-          let l = if n <> 0 then if_true else if_false in
-          fun st ->
-            charge st cc_branch;
-            jump st st.cur_fr l)
+        if due st then timer_then st body
+        else if_body ~baddr ~blines ~codes st cc_branch rc if_true if_false
   | Lir.Switch { scrut; cases; default } -> (
       let cc_switch = costs.Costs.switch in
       let tbl = Hashtbl.create (max 4 (2 * List.length cases)) in
@@ -490,29 +508,27 @@ and compile_term (cp : cprog) (prog : Program.t) ~(baddr : int array)
       List.iter
         (fun (v, l) -> if not (Hashtbl.mem tbl v) then Hashtbl.add tbl v l)
         cases;
-      let sel st (fr : frame) v =
-        let target =
-          match Hashtbl.find_opt tbl v with Some l -> l | None -> default
-        in
-        jump st fr target
+      let target v =
+        match Hashtbl.find_opt tbl v with Some l -> l | None -> default
       in
       match scrut with
+      | Lir.Imm n -> goto cc_switch (target n)
       | Lir.Reg rs ->
-          fun st ->
+          let body st =
             charge st cc_switch;
             let fr = st.cur_fr in
-            sel st fr fr.regs.(rs)
-      | Lir.Imm n ->
-          fun st ->
-            charge st cc_switch;
-            sel st st.cur_fr n)
+            jump ~baddr ~blines ~codes st fr (target fr.regs.(rs))
+          in
+          fun st -> if due st then timer_then st body else body st)
   | Lir.Return None ->
       let cc_ret = costs.Costs.ret in
-      fun st ->
+      let body st =
         let th = st.cur_th in
         charge st cc_ret;
         if th.sp = 0 && th.tid = 0 then st.main_result <- None;
         return st th
+      in
+      fun st -> if due st then timer_then st body else body st
   | Lir.Return (Some op) -> (
       let cc_ret = costs.Costs.ret in
       let finish st x =
@@ -529,49 +545,47 @@ and compile_term (cp : cprog) (prog : Program.t) ~(baddr : int array)
         return st th
       in
       match op with
-      | Lir.Reg r -> fun st -> finish st st.cur_fr.regs.(r)
-      | Lir.Imm n -> fun st -> finish st n)
+      | Lir.Reg r ->
+          let body st = finish st st.cur_fr.regs.(r) in
+          fun st -> if due st then timer_then st body else body st
+      | Lir.Imm n ->
+          let body st = finish st n in
+          fun st -> if due st then timer_then st body else body st)
   | Lir.Check { on_sample; fall } ->
       let cc_check = costs.Costs.check in
       let cc_sample = costs.Costs.sample_jump in
+      let body st =
+        check_body ~baddr ~blines ~codes st cc_check cc_sample on_sample fall
+      in
       fun st ->
-        st.counters.checks <- st.counters.checks + 1;
-        icharge st cc_check;
-        if st.hooks.fire st.cur_th.tid then begin
-          st.counters.samples <- st.counters.samples + 1;
-          icharge st cc_sample;
-          jump st st.cur_fr on_sample
-        end
-        else jump st st.cur_fr fall
+        if due st then timer_then st body
+        else
+          check_body ~baddr ~blines ~codes st cc_check cc_sample on_sample fall
 
 and compile_method (cp : cprog) (prog : Program.t) (m : Program.meth) : cmeth =
   let f = m.Program.func in
   let n = Lir.num_blocks f in
   let baddr = m.Program.code_addr in
   let blines = Array.map Straight.line_of baddr in
-  (* per-block chains, filled below; the terminators' [jump] dereferences
-     [codes] at run time, by which point every block of the method is
-     compiled *)
+  (* per-block chains, filled below; [jump] dereferences [codes] at run
+     time *)
   let codes : k array array = Array.make n [||] in
   let compile_block l =
     let b = Lir.block f l in
     let instrs = b.Lir.instrs in
     let len = Array.length instrs in
     let base = baddr.(l) in
-    let tk = compile_term cp prog ~baddr ~blines ~codes b.Lir.term in
     (* ks.(i) runs the block from instruction i; ks.(len) is the
-       terminator step (the timer is only consulted there, like the
-       reference).  Built back to front so each closure captures its
-       already-final successor: straight-line execution is a chain of
-       tail calls with the per-word fuel/instruction/i-cache accounting
-       the dispatcher would have performed folded in.  Word [ni] sits at
-       [base + ni], right after word [i], so when both share a line its
-       probe is elided (DESIGN.md §5). *)
+       terminator step, which consults the timer and the adaptive poll
+       like the reference.  Built back to front so each closure
+       captures its already-final successor: straight-line execution is
+       a chain of tail calls with the per-word fuel/instruction/i-cache
+       accounting the dispatcher would have performed folded in.  Word
+       [ni] sits at [base + ni], right after word [i], so when both
+       share a line its probe is elided (DESIGN.md §5). *)
     let ks =
-      Array.make (len + 1) (fun st ->
-          if st.cycles >= st.next_timer || st.cycles >= st.next_adaptive then
-            timer_then st tk
-          else tk st)
+      Array.make (len + 1)
+        (compile_term cp prog ~baddr ~blines ~codes b.Lir.term)
     in
     for i = len - 1 downto 0 do
       let ni = i + 1 in

@@ -191,7 +191,7 @@ and state = {
          false unless the adaptive loop is on *)
 }
 
-let charge st c = st.cycles <- st.cycles + c
+let[@inline] charge st c = st.cycles <- st.cycles + c
 
 (* Instrumentation charge: same cycle accounting as [charge] plus the
    overhead meter the adaptive governor reads. *)
@@ -266,7 +266,7 @@ let guard_trip st =
   if st.cycles > st.fuel then out_of_fuel st;
   recompute_guard st
 
-let fuel_check st = if st.cycles > st.guard_gate then guard_trip st
+let[@inline] fuel_check st = if st.cycles > st.guard_gate then guard_trip st
 
 (* Adaptive safepoint: when armed (next_adaptive < max_int) and due,
    disarm and hand control to the controller.  The controller re-arms by
@@ -478,10 +478,13 @@ let spawn_thread st (m : Program.meth) args =
   st.alive <- st.alive + 1;
   th
 
-let heap_get st r =
+(* Reads the vector's fields in place: [Ir.Vec.unsafe_get] is
+   polymorphic and not inlined, so calling it would leave an
+   out-of-line call in the Fast engine's virtual-call closure. *)
+let[@inline] heap_get st r =
   if r <= 0 then rt_err "null dereference"
-  else if r > Ir.Vec.length st.heap then rt_err "dangling reference %d" r
-  else Ir.Vec.unsafe_get st.heap (r - 1)
+  else if r > st.heap.Ir.Vec.len then rt_err "dangling reference %d" r
+  else Array.unsafe_get st.heap.Ir.Vec.data (r - 1)
 
 let data_access st addr =
   match st.dcache with

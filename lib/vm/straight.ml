@@ -4,20 +4,13 @@
    and the home of the per-word preamble ([advance]) with its inlined
    i-cache probe.  DESIGN.md §5 gives why a chain step is bit-identical
    to a reference step ("Compiling straight-line words"), and why the
-   preamble keeps word closures frame-free, may skip a same-line probe
-   and the hot helpers below are module-local copies ("Word preamble
-   and frame layout"). *)
+   preamble keeps word closures frame-free and may skip a same-line
+   probe ("Word preamble and frame layout"). *)
 
 module Lir = Ir.Lir
 open Machine
 
 type k = state -> unit
-
-(* Per-word helpers kept local so they inline into every step: under
-   dune's default (dev) profile a call into Machine or Icache would be
-   out of line.  The reference step keeps its own copies in Machine;
-   the differential tests hold the two to the same observables. *)
-let[@inline] charge st c = st.cycles <- st.cycles + c
 
 (* The i-cache line size compiled into every instruction probe: the
    machine's i-cache is always [Icache.create ()] ([Engine.exec] checks
@@ -158,25 +151,28 @@ let[@inline] advance st ~next ~ni ~line ~probe =
     next st
   end
 
-let advance_addr st ~next ~ni ~naddr =
+let[@inline] advance_addr st ~next ~ni ~naddr =
   advance st ~next ~ni ~line:(line_of naddr) ~probe:true
 
+(* Word [ins]'s closure.  Each closure captures [next], [ni], [line] and
+   [probe] itself and ends in [advance]: no shared continuation closure
+   whose environment it would have to load them from (DESIGN.md §5,
+   "Word preamble and frame layout"). *)
 let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
     ~ni ~line ~probe (ins : Lir.instr) : k =
-  let[@inline] cont st = advance st ~next ~ni ~line ~probe in
   let c = cost costs prog ins in
   match ins with
   | Lir.Move (r, Lir.Imm n) ->
       fun st ->
         charge st c;
         st.cur_fr.regs.(r) <- n;
-        cont st
+        advance st ~next ~ni ~line ~probe
   | Lir.Move (r, Lir.Reg s) ->
       fun st ->
         charge st c;
         let regs = st.cur_fr.regs in
         regs.(r) <- regs.(s);
-        cont st
+        advance st ~next ~ni ~line ~probe
   | Lir.Unop (r, op, a) -> (
       match (op, a) with
       | Lir.Neg, Lir.Reg s ->
@@ -184,25 +180,25 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
             charge st c;
             let regs = st.cur_fr.regs in
             regs.(r) <- -regs.(s);
-            cont st
+            advance st ~next ~ni ~line ~probe
       | Lir.Not, Lir.Reg s ->
           fun st ->
             charge st c;
             let regs = st.cur_fr.regs in
             regs.(r) <- (if regs.(s) = 0 then 1 else 0);
-            cont st
+            advance st ~next ~ni ~line ~probe
       | Lir.Neg, Lir.Imm n ->
           let v = -n in
           fun st ->
             charge st c;
             st.cur_fr.regs.(r) <- v;
-            cont st
+            advance st ~next ~ni ~line ~probe
       | Lir.Not, Lir.Imm n ->
           let v = if n = 0 then 1 else 0 in
           fun st ->
             charge st c;
             st.cur_fr.regs.(r) <- v;
-            cont st)
+            advance st ~next ~ni ~line ~probe)
   | Lir.Binop (r, op, a, b) -> (
       match (op, a, b) with
       (* hand-specialized hot operators: without flambda a shared
@@ -212,171 +208,171 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
             charge st c;
             let regs = st.cur_fr.regs in
             regs.(r) <- regs.(x) + regs.(y);
-            cont st
+            advance st ~next ~ni ~line ~probe
       | Lir.Add, Lir.Reg x, Lir.Imm n ->
           fun st ->
             charge st c;
             let regs = st.cur_fr.regs in
             regs.(r) <- regs.(x) + n;
-            cont st
+            advance st ~next ~ni ~line ~probe
       | Lir.Sub, Lir.Reg x, Lir.Reg y ->
           fun st ->
             charge st c;
             let regs = st.cur_fr.regs in
             regs.(r) <- regs.(x) - regs.(y);
-            cont st
+            advance st ~next ~ni ~line ~probe
       | Lir.Sub, Lir.Reg x, Lir.Imm n ->
           fun st ->
             charge st c;
             let regs = st.cur_fr.regs in
             regs.(r) <- regs.(x) - n;
-            cont st
+            advance st ~next ~ni ~line ~probe
       | Lir.Mul, Lir.Reg x, Lir.Reg y ->
           fun st ->
             charge st c;
             let regs = st.cur_fr.regs in
             regs.(r) <- regs.(x) * regs.(y);
-            cont st
+            advance st ~next ~ni ~line ~probe
       | Lir.Mul, Lir.Reg x, Lir.Imm n ->
           fun st ->
             charge st c;
             let regs = st.cur_fr.regs in
             regs.(r) <- regs.(x) * n;
-            cont st
+            advance st ~next ~ni ~line ~probe
       | Lir.And, Lir.Reg x, Lir.Reg y ->
           fun st ->
             charge st c;
             let regs = st.cur_fr.regs in
             regs.(r) <- regs.(x) land regs.(y);
-            cont st
+            advance st ~next ~ni ~line ~probe
       | Lir.And, Lir.Reg x, Lir.Imm n ->
           fun st ->
             charge st c;
             let regs = st.cur_fr.regs in
             regs.(r) <- regs.(x) land n;
-            cont st
+            advance st ~next ~ni ~line ~probe
       | Lir.Or, Lir.Reg x, Lir.Reg y ->
           fun st ->
             charge st c;
             let regs = st.cur_fr.regs in
             regs.(r) <- regs.(x) lor regs.(y);
-            cont st
+            advance st ~next ~ni ~line ~probe
       | Lir.Or, Lir.Reg x, Lir.Imm n ->
           fun st ->
             charge st c;
             let regs = st.cur_fr.regs in
             regs.(r) <- regs.(x) lor n;
-            cont st
+            advance st ~next ~ni ~line ~probe
       | Lir.Xor, Lir.Reg x, Lir.Reg y ->
           fun st ->
             charge st c;
             let regs = st.cur_fr.regs in
             regs.(r) <- regs.(x) lxor regs.(y);
-            cont st
+            advance st ~next ~ni ~line ~probe
       | Lir.Xor, Lir.Reg x, Lir.Imm n ->
           fun st ->
             charge st c;
             let regs = st.cur_fr.regs in
             regs.(r) <- regs.(x) lxor n;
-            cont st
+            advance st ~next ~ni ~line ~probe
       | Lir.Lt, Lir.Reg x, Lir.Reg y ->
           fun st ->
             charge st c;
             let regs = st.cur_fr.regs in
             regs.(r) <- (if regs.(x) < regs.(y) then 1 else 0);
-            cont st
+            advance st ~next ~ni ~line ~probe
       | Lir.Lt, Lir.Reg x, Lir.Imm n ->
           fun st ->
             charge st c;
             let regs = st.cur_fr.regs in
             regs.(r) <- (if regs.(x) < n then 1 else 0);
-            cont st
+            advance st ~next ~ni ~line ~probe
       | Lir.Le, Lir.Reg x, Lir.Reg y ->
           fun st ->
             charge st c;
             let regs = st.cur_fr.regs in
             regs.(r) <- (if regs.(x) <= regs.(y) then 1 else 0);
-            cont st
+            advance st ~next ~ni ~line ~probe
       | Lir.Le, Lir.Reg x, Lir.Imm n ->
           fun st ->
             charge st c;
             let regs = st.cur_fr.regs in
             regs.(r) <- (if regs.(x) <= n then 1 else 0);
-            cont st
+            advance st ~next ~ni ~line ~probe
       | Lir.Gt, Lir.Reg x, Lir.Reg y ->
           fun st ->
             charge st c;
             let regs = st.cur_fr.regs in
             regs.(r) <- (if regs.(x) > regs.(y) then 1 else 0);
-            cont st
+            advance st ~next ~ni ~line ~probe
       | Lir.Gt, Lir.Reg x, Lir.Imm n ->
           fun st ->
             charge st c;
             let regs = st.cur_fr.regs in
             regs.(r) <- (if regs.(x) > n then 1 else 0);
-            cont st
+            advance st ~next ~ni ~line ~probe
       | Lir.Ge, Lir.Reg x, Lir.Reg y ->
           fun st ->
             charge st c;
             let regs = st.cur_fr.regs in
             regs.(r) <- (if regs.(x) >= regs.(y) then 1 else 0);
-            cont st
+            advance st ~next ~ni ~line ~probe
       | Lir.Ge, Lir.Reg x, Lir.Imm n ->
           fun st ->
             charge st c;
             let regs = st.cur_fr.regs in
             regs.(r) <- (if regs.(x) >= n then 1 else 0);
-            cont st
+            advance st ~next ~ni ~line ~probe
       | Lir.Eq, Lir.Reg x, Lir.Reg y ->
           fun st ->
             charge st c;
             let regs = st.cur_fr.regs in
             regs.(r) <- (if regs.(x) = regs.(y) then 1 else 0);
-            cont st
+            advance st ~next ~ni ~line ~probe
       | Lir.Eq, Lir.Reg x, Lir.Imm n ->
           fun st ->
             charge st c;
             let regs = st.cur_fr.regs in
             regs.(r) <- (if regs.(x) = n then 1 else 0);
-            cont st
+            advance st ~next ~ni ~line ~probe
       | Lir.Ne, Lir.Reg x, Lir.Reg y ->
           fun st ->
             charge st c;
             let regs = st.cur_fr.regs in
             regs.(r) <- (if regs.(x) <> regs.(y) then 1 else 0);
-            cont st
+            advance st ~next ~ni ~line ~probe
       | Lir.Ne, Lir.Reg x, Lir.Imm n ->
           fun st ->
             charge st c;
             let regs = st.cur_fr.regs in
             regs.(r) <- (if regs.(x) <> n then 1 else 0);
-            cont st
+            advance st ~next ~ni ~line ~probe
       | Lir.Shl, Lir.Reg x, Lir.Reg y ->
           fun st ->
             charge st c;
             let regs = st.cur_fr.regs in
             regs.(r) <- regs.(x) lsl (regs.(y) land 31);
-            cont st
+            advance st ~next ~ni ~line ~probe
       | Lir.Shr, Lir.Reg x, Lir.Reg y ->
           fun st ->
             charge st c;
             let regs = st.cur_fr.regs in
             regs.(r) <- regs.(x) asr (regs.(y) land 31);
-            cont st
+            advance st ~next ~ni ~line ~probe
       | Lir.Shl, Lir.Reg x, Lir.Imm n ->
           let n = n land 31 in
           fun st ->
             charge st c;
             let regs = st.cur_fr.regs in
             regs.(r) <- regs.(x) lsl n;
-            cont st
+            advance st ~next ~ni ~line ~probe
       | Lir.Shr, Lir.Reg x, Lir.Imm n ->
           let n = n land 31 in
           fun st ->
             charge st c;
             let regs = st.cur_fr.regs in
             regs.(r) <- regs.(x) asr n;
-            cont st
+            advance st ~next ~ni ~line ~probe
       (* a zero divisor faults by tail call, keeping the frame away *)
       | Lir.Div, Lir.Reg x, Lir.Reg y ->
           fun st ->
@@ -386,7 +382,7 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
             if d = 0 then div_zero ()
             else begin
               regs.(r) <- regs.(x) / d;
-              cont st
+              advance st ~next ~ni ~line ~probe
             end
       | Lir.Rem, Lir.Reg x, Lir.Reg y ->
           fun st ->
@@ -396,20 +392,20 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
             if d = 0 then div_zero ()
             else begin
               regs.(r) <- regs.(x) mod d;
-              cont st
+              advance st ~next ~ni ~line ~probe
             end
       | Lir.Div, Lir.Reg x, Lir.Imm n when n <> 0 ->
           fun st ->
             charge st c;
             let regs = st.cur_fr.regs in
             regs.(r) <- regs.(x) / n;
-            cont st
+            advance st ~next ~ni ~line ~probe
       | Lir.Rem, Lir.Reg x, Lir.Imm n when n <> 0 ->
           fun st ->
             charge st c;
             let regs = st.cur_fr.regs in
             regs.(r) <- regs.(x) mod n;
-            cont st
+            advance st ~next ~ni ~line ~probe
       (* the rest (a zero immediate divisor, Imm-first shapes) through
          the shared operator table *)
       | _, Lir.Reg x, Lir.Imm n ->
@@ -418,20 +414,20 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
             charge st c;
             let regs = st.cur_fr.regs in
             regs.(r) <- f regs.(x) n;
-            cont st
+            advance st ~next ~ni ~line ~probe
       | _, Lir.Imm n, Lir.Reg y ->
           let f = binop_fn op in
           fun st ->
             charge st c;
             let regs = st.cur_fr.regs in
             regs.(r) <- f n regs.(y);
-            cont st
+            advance st ~next ~ni ~line ~probe
       | _, Lir.Imm n, Lir.Imm p ->
           let f = binop_fn op in
           fun st ->
             charge st c;
             st.cur_fr.regs.(r) <- f n p;
-            cont st)
+            advance st ~next ~ni ~line ~probe)
   | Lir.Get_field (r, o, fld) -> (
       match
         Hashtbl.find_opt prog.Program.field_offset (Lir.string_of_field_ref fld)
@@ -450,7 +446,7 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
                   | Obj o ->
                       data_access_cell st obj off;
                       regs.(r) <- o.fields.(off);
-                      cont st
+                      advance st ~next ~ni ~line ~probe
                 end
           | Lir.Imm _ as o ->
               let eo = cop o in
@@ -461,7 +457,7 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
                 let fields = obj_fields st obj in
                 data_access_cell st obj off;
                 fr.regs.(r) <- fields.(off);
-                cont st)
+                advance st ~next ~ni ~line ~probe)
       | None ->
           let eo = cop o in
           let fstr = Lir.string_of_field_ref fld in
@@ -488,7 +484,7 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
                   | Obj o ->
                       data_access_cell st obj off;
                       o.fields.(off) <- regs.(rv);
-                      cont st
+                      advance st ~next ~ni ~line ~probe
                 end
           | _ ->
               let ev = cop v in
@@ -499,7 +495,7 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
                 let fields = obj_fields st obj in
                 data_access_cell st obj off;
                 fields.(off) <- ev fr;
-                cont st)
+                advance st ~next ~ni ~line ~probe)
       | None ->
           let fstr = Lir.string_of_field_ref fld in
           fun st ->
@@ -516,7 +512,7 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
             charge st c;
             data_access st off;
             st.cur_fr.regs.(r) <- st.globals.(off);
-            cont st
+            advance st ~next ~ni ~line ~probe
       | None ->
           let fstr = Lir.string_of_field_ref fld in
           fun st ->
@@ -534,13 +530,13 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
                 charge st c;
                 data_access st off;
                 st.globals.(off) <- st.cur_fr.regs.(rv);
-                cont st
+                advance st ~next ~ni ~line ~probe
           | Lir.Imm n ->
               fun st ->
                 charge st c;
                 data_access st off;
                 st.globals.(off) <- n;
-                cont st)
+                advance st ~next ~ni ~line ~probe)
       | None ->
           let fstr = Lir.string_of_field_ref fld in
           fun st ->
@@ -555,7 +551,7 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
             charge st c;
             st.cur_fr.regs.(r) <-
               alloc st (Obj { cls = cid; fields = Array.make slots 0 });
-            cont st
+            advance st ~next ~ni ~line ~probe
       | None -> fun _ -> rt_err "unknown class %s" cname)
   | Lir.Array_load (r, a, i) -> (
       let mstr = Lir.string_of_method_ref m.Program.mref in
@@ -575,7 +571,7 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
                   else begin
                     data_access_cell st arr i;
                     regs.(r) <- Array.unsafe_get cells i;
-                    cont st
+                    advance st ~next ~ni ~line ~probe
                   end
             end
       | _ ->
@@ -590,7 +586,7 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
             if i < 0 || i >= Array.length cells then bad_index i mstr;
             data_access_cell st arr i;
             fr.regs.(r) <- cells.(i);
-            cont st)
+            advance st ~next ~ni ~line ~probe)
   | Lir.Array_store (a, i, v) -> (
       let mstr = Lir.string_of_method_ref m.Program.mref in
       match (a, i, v) with
@@ -609,7 +605,7 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
                   else begin
                     data_access_cell st arr i;
                     Array.unsafe_set cells i regs.(rv);
-                    cont st
+                    advance st ~next ~ni ~line ~probe
                   end
             end
       | _ ->
@@ -625,14 +621,14 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
             if i < 0 || i >= Array.length cells then bad_index i mstr;
             data_access_cell st arr i;
             cells.(i) <- ev fr;
-            cont st)
+            advance st ~next ~ni ~line ~probe)
   | Lir.Array_length (r, a) ->
       let ea = cop a in
       fun st ->
         charge st c;
         let fr = st.cur_fr in
         fr.regs.(r) <- Array.length (arr_cells st (ea fr));
-        cont st
+        advance st ~next ~ni ~line ~probe
   | Lir.Instance_test (r, o, cname) ->
       let eo = cop o in
       let cid =
@@ -650,14 +646,14 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
              match Array.unsafe_get st.heap.Ir.Vec.data (v - 1) with
              | Obj obj -> if obj.cls = cid then 1 else 0
              | Arr _ -> 0);
-        cont st
+        advance st ~next ~ni ~line ~probe
   | Lir.Intrinsic { dst = _; name = "print"; args = [ a ] } ->
       let e = cop a in
       fun st ->
         charge st c;
         Buffer.add_string st.out (string_of_int (e st.cur_fr));
         Buffer.add_char st.out '\n';
-        cont st
+        advance st ~next ~ni ~line ~probe
   | Lir.Intrinsic { dst; name = "rand"; args = [ a ] } -> (
       match (a, dst) with
       | Lir.Reg s, Some r ->
@@ -665,19 +661,19 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
             charge st c;
             let fr = st.cur_fr in
             fr.regs.(r) <- next_rand st fr.regs.(s);
-            cont st
+            advance st ~next ~ni ~line ~probe
       | a, Some r ->
           let e = cop a in
           fun st ->
             charge st c;
             let fr = st.cur_fr in
             fr.regs.(r) <- next_rand st (e fr);
-            cont st
+            advance st ~next ~ni ~line ~probe
       | a, None ->
           (* the reference advances the RNG even with no destination *)
           let e = cop a in
           fun st ->
             charge st c;
             ignore (next_rand st (e st.cur_fr) : int);
-            cont st)
+            advance st ~next ~ni ~line ~probe)
   | _ -> invalid_arg "Straight.compile: not a straight-line word"

@@ -1,13 +1,15 @@
 #!/bin/sh
-# Crash-recovery smoke test: start `isf table 1 --checkpoint`, kill it
-# mid-run, resume from the checkpoint, and require the recovered output
-# to be byte-identical to an uninterrupted run; then do the same from
-# copies of the finished checkpoint cut at 1/4, 1/2 and 3/4.
+# Crash-recovery smoke test: start `isf table 1 --checkpoint`, SIGKILL
+# it once a first cell is checkpointed, resume from the checkpoint, and
+# require the recovered output to be byte-identical to an uninterrupted
+# run; then do the same from copies of the finished checkpoint cut at
+# 1/4, 1/2 and 3/4.
 #
 # Usage: scripts/crash_recovery.sh [path-to-isf]
 set -eu
 
 ISF=${1:-_build/default/bin/isf.exe}
+. "$(dirname "$0")/kill_mid_run.sh"
 DIR=$(mktemp -d)
 trap 'rm -rf "$DIR"' EXIT
 
@@ -16,18 +18,10 @@ CKPT=$DIR/table1.ckpt
 # the uninterrupted reference run (2 domains, same config as below)
 "$ISF" table 1 -j 2 > "$DIR/expected.txt"
 
-# start the same run with a checkpoint, kill it mid-flight
+# start the same run with a checkpoint; kill it once a first cell is
+# checkpointed
 "$ISF" table 1 -j 2 --checkpoint "$CKPT" > "$DIR/killed.txt" 2>/dev/null &
-PID=$!
-sleep 1
-if kill -KILL "$PID" 2>/dev/null; then
-    echo "killed run $PID after 1s"
-else
-    # the run may legitimately finish in under a second on a fast
-    # machine; the resume below then just replays the full checkpoint
-    echo "run $PID finished before the kill"
-fi
-wait "$PID" 2>/dev/null || true
+kill_mid_run $! "$CKPT" 1 "run $!"
 
 # resume: completed cells come from the checkpoint, the rest recompute
 "$ISF" table 1 -j 2 --checkpoint "$CKPT" > "$DIR/resumed.txt"

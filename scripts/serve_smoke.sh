@@ -12,6 +12,7 @@
 set -eu
 
 ISF=${1:-_build/default/bin/isf.exe}
+. "$(dirname "$0")/kill_mid_run.sh"
 DIR=$(mktemp -d)
 trap 'rm -rf "$DIR"' EXIT
 
@@ -31,17 +32,12 @@ for engine in fast ref; do
     "$ISF" fleet --file "$JOBS" --sequential --out "$DIR/expected.$tag" \
         > /dev/null
 
-    # daemon drain with journal + cache, killed mid-fleet
+    # daemon drain with journal + cache, killed mid-fleet: after N+1
+    # records past the meta, at most N of which are submissions, so at
+    # least one job has run
     "$ISF" serve --job-file "$JOBS" --journal "$JOURNAL" --cache "$CACHE" \
         -j 3 --results "$DIR/killed.$tag" > /dev/null 2>&1 &
-    PID=$!
-    sleep 1
-    if kill -KILL "$PID" 2>/dev/null; then
-        echo "[$tag] killed daemon $PID after 1s"
-    else
-        echo "[$tag] daemon finished before the kill"
-    fi
-    wait "$PID" 2>/dev/null || true
+    kill_mid_run $! "$JOURNAL" $((N + 1)) "[$tag] daemon $!"
 
     # restart on the same journal: completed jobs replay, in-flight jobs
     # re-run, nothing is lost

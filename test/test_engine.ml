@@ -560,6 +560,59 @@ let forced_trip_agree () =
     Workloads.Suite.all;
   if !changed = 0 then Alcotest.fail "no workload felt the flushes"
 
+(* ---- the timer due at every terminator ---- *)
+
+(* Every workload, Full-Duplication instrumented (so blocks end in
+   checks as well as gotos, branches, switches and returns), with a
+   1-cycle timer period: every terminator step finds the timer due and
+   takes its cold path.  Fast must match Ref on cycles, instructions,
+   i-cache misses, output and counters (the whole run result), and the
+   Fast runs must have ticked the timer more than 1,000 times. *)
+let timer_every_terminator () =
+  let ticks = ref 0 in
+  List.iter
+    (fun (b : Workloads.Suite.benchmark) ->
+      let classes = Workloads.Suite.compile b in
+      let funcs =
+        Opt.Pipeline.front (Bytecode.To_lir.program_to_funcs classes)
+        |> instrument (Some (Core.Transform.full_dup spec))
+      in
+      let outcome ~engine =
+        let prog = Vm.Program.link classes ~funcs in
+        let c = Profiles.Collector.create () in
+        let hooks =
+          Profiles.Collector.hooks c (Core.Sampler.create trigger_3)
+        in
+        let hooks =
+          if engine = `Fast then
+            {
+              hooks with
+              Vm.Interp.on_timer_tick =
+                (fun () ->
+                  incr ticks;
+                  hooks.Vm.Interp.on_timer_tick ());
+            }
+          else hooks
+        in
+        match
+          Vm.Interp.run ~engine ~use_icache:true ~timer_period:1 prog
+            ~entry:Workloads.Suite.entry ~args:[ 1 ] hooks
+        with
+        | r -> Ok r
+        | exception Vm.Interp.Runtime_error msg -> Error msg
+      in
+      let oracle = outcome ~engine:`Ref in
+      (match oracle with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "%s: %s" b.Workloads.Suite.bname msg);
+      if outcome ~engine:`Fast <> oracle then
+        Alcotest.failf "%s: Fast diverges from Ref with the timer always due"
+          b.Workloads.Suite.bname)
+    Workloads.Suite.all;
+  if !ticks <= 1000 then
+    Alcotest.failf "only %d timer ticks: the cold paths were not exercised"
+      !ticks
+
 (* ---- adaptive hot-swap between calls ---- *)
 
 (* Aggressive controller thresholds (as in Test_adaptive) so the small
@@ -714,6 +767,8 @@ let suite =
            chaos_agree
       :: Alcotest.test_case "Fast == Ref under forced trips" `Quick
            forced_trip_agree
+      :: Alcotest.test_case "Fast == Ref with the timer due at every terminator"
+           `Quick timer_every_terminator
       :: Alcotest.test_case "Fast == Ref across adaptive hot-swaps" `Quick
            hot_swap_agree
       :: Alcotest.test_case "no allocation per call and return" `Quick
