@@ -3,10 +3,15 @@
    For every workload, links the baseline (uninstrumented) program once
    and runs it to completion on both engines — the reference
    interpreter and the closure-compiled engine — timing wall-clock per
-   run and normalizing to nanoseconds per simulated instruction.  Before
-   timing, the two results are asserted identical (return value,
-   output, cycles, instructions, event counters, cache misses): the
-   benchmark refuses to compare engines that disagree.
+   run and normalizing to nanoseconds per simulated instruction.  A
+   third column, [fd], times the closure-compiled engine on the
+   workload's Full-Duplication build (call-edge and field-access
+   instrumentation, a counter trigger every 1000 checks, flat-slot
+   recording): the code the reproduction's instrumented runs execute,
+   whose check blocks and instrumentation ops the baseline lacks.
+   Before timing, each pair of engine results is asserted identical
+   (return value, output, cycles, instructions, event counters, cache
+   misses): the benchmark refuses to compare engines that disagree.
 
    Timing is median-of-5 interleaved batches: each engine's
    per-run time is measured five times, round-robin so slow machine
@@ -20,7 +25,8 @@
    tiny time budget into BENCH_interp.smoke.json — one writer and one
    validator for both files, so smoke and full can never drift apart
    schema-wise — and then validates the JSON: it must parse, must
-   contain both engines' numbers for all ten workloads, and
+   contain both engines' numbers and the Full-Duplication column for
+   all ten workloads, and
    a geomean speedup more than 10% below the committed BENCH_interp.json
    produces a WARNING (not a failure — scale-1 smoke timings are noisy;
    the committed full-scale file is the reference). *)
@@ -40,6 +46,8 @@ type row = {
   instructions : int;
   ref_t : timing;
   fast_t : timing;
+  fd_instructions : int;
+  fd_t : timing; (* Fast engine, Full-Duplication build *)
 }
 
 let speedup r = r.ref_t.t_med /. r.fast_t.t_med
@@ -121,17 +129,42 @@ let bench_workload ~scale ~budget (b : Workloads.Suite.benchmark) =
   let r_ref = run `Ref () and r_fast = run `Fast () in
   let name = b.Workloads.Suite.bname in
   assert_identical name "engines" r_ref r_fast;
-  let instr = float_of_int r_ref.Vm.Interp.instructions in
-  let norm t =
+  (* the Full-Duplication build, recording through a fresh flat-slot
+     recorder and sampler per run, as the reproduction's runs do *)
+  let fd_prog =
+    Vm.Program.link build.M.classes
+      ~funcs:
+        (List.map
+           (fun f ->
+             (Core.Transform.full_dup Harness.Common.both_specs f)
+               .Core.Transform.func)
+           build.M.base_funcs)
+  in
+  let run_fd engine () =
+    let slots = Profiles.Slots.create fd_prog in
+    let sampler =
+      Core.Sampler.create (Core.Sampler.Counter { interval = 1000; jitter = 0 })
+    in
+    Vm.Interp.run ~engine ~use_icache:true
+      ~recorder:(Profiles.Slots.recorder slots)
+      fd_prog ~entry:Workloads.Suite.entry ~args
+      (Profiles.Slots.hooks slots sampler)
+  in
+  let fd_ref = run_fd `Ref () and fd_fast = run_fd `Fast () in
+  assert_identical name "engines on the Full-Duplication build" fd_ref fd_fast;
+  let norm instructions t =
+    let instr = float_of_int instructions in
     {
       t_min = t.t_min *. 1e9 /. instr;
       t_med = t.t_med *. 1e9 /. instr;
       t_max = t.t_max *. 1e9 /. instr;
     }
   in
-  let ref_t, fast_t =
-    match time_all ~budget [ run `Ref; run `Fast ] with
-    | [ a; b ] -> (norm a, norm b)
+  let instructions = r_ref.Vm.Interp.instructions in
+  let fd_instructions = fd_ref.Vm.Interp.instructions in
+  let ref_t, fast_t, fd_t =
+    match time_all ~budget [ run `Ref; run `Fast; run_fd `Fast ] with
+    | [ a; b; c ] -> (norm instructions a, norm instructions b, norm fd_instructions c)
     | _ -> assert false
   in
   let row =
@@ -139,13 +172,17 @@ let bench_workload ~scale ~budget (b : Workloads.Suite.benchmark) =
       name;
       scale = build.M.scale;
       cycles = r_ref.Vm.Interp.cycles;
-      instructions = r_ref.Vm.Interp.instructions;
+      instructions;
       ref_t;
       fast_t;
+      fd_instructions;
+      fd_t;
     }
   in
-  Printf.printf "  %-14s ref %7.2f ns/instr   fast %7.2f ns/instr (%4.2fx)\n%!"
-    row.name row.ref_t.t_med row.fast_t.t_med (speedup row);
+  Printf.printf
+    "  %-14s ref %7.2f ns/instr   fast %7.2f ns/instr (%4.2fx)   fd %7.2f \
+     ns/instr\n%!"
+    row.name row.ref_t.t_med row.fast_t.t_med (speedup row) row.fd_t.t_med;
   row
 
 (* ---- JSON out ---- *)
@@ -172,9 +209,11 @@ let json_of_rows rows =
       Buffer.add_string buf
         (Printf.sprintf
            "    { \"name\": %S, \"scale\": %d, \"cycles\": %d, \
-            \"instructions\": %d, %s, %s, \"speedup\": %.3f }%s\n"
+            \"instructions\": %d, %s, %s, \"speedup\": %.3f, \
+            \"fd_instructions\": %d, %s }%s\n"
            r.name r.scale r.cycles r.instructions
            (timing "ref" r.ref_t) (timing "fast" r.fast_t) (speedup r)
+           r.fd_instructions (timing "fd" r.fd_t)
            (if i = List.length rows - 1 then "" else ",")))
     rows;
   Buffer.add_string buf
@@ -348,7 +387,7 @@ let validate_json ~file text =
                   failwith (file ^ ": non-positive ns/instr for " ^ cfg);
                 if mn > med || med > mx then
                   failwith (file ^ ": min/median/max out of order for " ^ cfg))
-              [ "ref"; "fast" ];
+              [ "ref"; "fast"; "fd" ];
             (match List.assoc_opt "name" o with
             | Some (Str s) -> s
             | _ -> failwith (file ^ ": row without a name"))
@@ -378,7 +417,8 @@ let committed_geomeans () =
 
 let run_rows ~file ~scale ~budget =
   Printf.printf
-    "Engine benchmark: reference interpreter vs closure-compiled engine\n";
+    "Engine benchmark: reference interpreter vs closure-compiled engine \
+     (fd: closure-compiled, Full-Duplication build)\n";
   let rows = List.map (bench_workload ~scale ~budget) Workloads.Suite.all in
   let oc = open_out file in
   output_string oc (json_of_rows rows);
@@ -410,5 +450,6 @@ let smoke () =
         Printf.printf "  smoke engine geomean %.2fx vs committed %.2fx: OK\n"
           gm committed);
   Printf.printf
-    "bench-smoke OK: %s parses, both engines present for all %d workloads\n"
+    "bench-smoke OK: %s parses, both engines and the Full-Duplication \
+     column present for all %d workloads\n"
     smoke_file n

@@ -577,10 +577,11 @@ let create (prog : Program.t) : t =
           in
           let record st v =
             (* legacy class_of: None for null, dangling refs and arrays *)
-            if v > 0 && v <= Ir.Vec.length st.Machine.heap then
-              match Ir.Vec.get st.Machine.heap (v - 1) with
-              | Machine.Obj o -> rsite_record rlog rs o.cls
-              | Machine.Arr _ -> ()
+            if v > 0 && v <= Ir.Vec.length st.Machine.heap then begin
+              (* word 0 of a cell: a class id, or negative for an array *)
+              let cls = (Ir.Vec.get st.Machine.heap (v - 1)).(0) in
+              if cls >= 0 then rsite_record rlog rs cls
+            end
           in
           (match operand with
           | Lir.Reg r ->

@@ -32,31 +32,46 @@ open Machine
 
 type k = state -> unit
 
-(* [code] has one entry per instruction plus a final entry for the
-   terminator; [code.(i)] executes the block from instruction [i] to the
-   next suspension point, with per-instruction accounting folded in, and
-   chains through intra-method control flow by tail call. *)
-type cblock = { code : k array }
-type cmeth = cblock array
+(* A compiled method: [cm.(l)] has one entry per instruction of block
+   [l] plus a final entry for the terminator; [cm.(l).(i)] executes the
+   block from instruction [i] to the next suspension point, with
+   per-instruction accounting folded in, and chains through
+   intra-method control flow by tail call.  No wrapper record around a
+   block's chain: that would be one more dependent load on every call
+   entry, return and dispatch. *)
+type cmeth = k array array
 
-(* Per-method activation template: everything [Machine.new_frame] derives
-   from the callee, precomputed once. *)
-type tmpl = {
-  t_meth : Program.meth;
-  t_params : int array;
-  t_nregs : int;
-  t_entry_blk : int;
-  t_entry_base : int;
-  t_name : string;
+(* Per-method call record, one per method id: everything
+   [Machine.new_frame] derives from the callee's current version,
+   precomputed, plus that version's compiled code and entry word.  Call
+   sites capture the record itself (a static site) or a class-indexed
+   table of records (a virtual site), and the adaptive tier's [hot_swap]
+   rewrites the record in place, so no site ever holds a stale version.
+   [entry] is [no_entry] until [fetch] compiles the current version; a
+   call that reads the sentinel takes its site's generic path, which
+   compiles.  Fields written after creation are only ever set to fully
+   built values, and OCaml 5 keeps racy reads of them memory-safe: a
+   domain that reads a stale sentinel just takes the generic path. *)
+type crec = {
+  mutable entry : k; (* [code.(entry_blk).(0)], or [no_entry] *)
+  mutable meth : Program.meth; (* the current version *)
+  mutable code : cmeth; (* its compiled code, or [empty_cmeth] *)
+  mutable nregs : int;
+  mutable np : int;
+      (* dense parameter count: [np] when the parameters are registers
+         [0, np) (as [Ir.Build.create] makes them), else -1 *)
+  mutable entry_blk : int;
+  mutable entry_base : int;
+  mutable entry_line : int;
+  mutable params : int array;
+  name : string;
+  rid : int;
 }
 
 type cprog = {
   memo : (int, cmeth) Sync.Memo.t;
-  templates : tmpl array;
-  by_id : cmeth Atomic.t array;
-      (* resolved compiled code per method id ([empty_cmeth] until first
-         touch): one atomic load on the hot path, the memo behind it
-         keeps compilation once-per-method across domains *)
+      (* compiles each method's link-time version once across domains *)
+  recs : crec array; (* by method id *)
   c_costs : Costs.t;
       (* cost table the closures were specialized against: every cycle
          charge is baked in as an immediate, so a state running a
@@ -73,6 +88,61 @@ type cprog = {
 type Program.cache_slot += Compiled of cprog
 
 let empty_cmeth : cmeth = [||]
+
+(* the sentinel entry word; never run, only compared against *)
+let no_entry : k = fun _ -> invalid_arg "Engine: no compiled entry"
+
+let dense_params (f : Lir.func) nregs =
+  let rec count i = function
+    | [] -> i
+    | p :: ps -> if p = i then count (i + 1) ps else -1
+  in
+  let np = count 0 f.Lir.params in
+  if np <= nregs then np else -1
+
+(* Point [r] at version [m], with no compiled code yet. *)
+let set_rec (r : crec) (m : Program.meth) =
+  let f = m.Program.func in
+  let nregs = max f.Lir.next_reg 1 in
+  let blk = f.Lir.entry in
+  let base = m.Program.code_addr.(blk) in
+  r.entry <- no_entry;
+  r.code <- empty_cmeth;
+  r.meth <- m;
+  r.nregs <- nregs;
+  r.np <- dense_params f nregs;
+  r.entry_blk <- blk;
+  r.entry_base <- base;
+  r.entry_line <- Straight.line_of base;
+  r.params <- Array.of_list f.Lir.params
+
+let rec_of_meth (m : Program.meth) =
+  let r =
+    {
+      entry = no_entry;
+      meth = m;
+      code = empty_cmeth;
+      nregs = 0;
+      np = -1;
+      entry_blk = 0;
+      entry_base = 0;
+      entry_line = 0;
+      params = [||];
+      name = Lir.string_of_method_ref m.Program.mref;
+      rid = m.Program.id;
+    }
+  in
+  set_rec r m;
+  r
+
+(* The record a virtual site maps a class without the method to: its
+   [np] matches no arity, so the site takes its generic path, which
+   raises the reference's error. *)
+let no_rec = { (rec_of_meth dummy_meth) with np = -2 }
+
+let[@inline] install (r : crec) (cm : cmeth) =
+  r.code <- cm;
+  r.entry <- cm.(r.entry_blk).(0)
 
 (* ------------------------------------------------------------------ *)
 (* Hot helpers                                                         *)
@@ -149,20 +219,19 @@ let[@inline never] instrument_slow st (op : Lir.instrument_op) ~nxt ~ni ~line
       st.hooks.on_instrument (make_ctx st st.cur_th st.cur_fr) op);
   Straight.advance st ~next:nxt ~ni ~line ~probe
 
-(* Take the stack slot above the caller for a callee built from
-   template [t], registers zeroed: [Machine.take_frame] plus the entry
-   position.  No allocation and no pointer write unless the slot last
-   held another method or has too few registers.  The call site then
-   fills the arguments and [push_frame] makes it the running frame. *)
-let[@inline] alloc_frame th (t : tmpl) =
+(* Take the stack slot above the caller for a callee of record [r],
+   registers zeroed: [Machine.take_frame] plus the entry position.  The
+   generic call path's frame; the call fast path ([enter]) builds the
+   same frame without its cold cases. *)
+let alloc_frame th (r : crec) =
   let sp = th.sp + 1 in
   let stack = th.stack in
   let callee =
     if sp < Array.length stack then Array.unsafe_get stack sp
     else stack_slot th sp
   in
-  if callee.m != t.t_meth then callee.m <- t.t_meth;
-  let n = t.t_nregs in
+  if callee.m != r.meth then callee.m <- r.meth;
+  let n = r.nregs in
   if Array.length callee.regs < n then callee.regs <- Array.make n 0
   else begin
     let regs = callee.regs in
@@ -171,9 +240,9 @@ let[@inline] alloc_frame th (t : tmpl) =
     done
   end;
   callee.nregs <- n;
-  callee.blk <- t.t_entry_blk;
+  callee.blk <- r.entry_blk;
   callee.idx <- 0;
-  callee.base_addr <- t.t_entry_base;
+  callee.base_addr <- r.entry_base;
   callee
 
 let[@inline] push_frame st th callee ~ret_dst ~from_meth ~from_site =
@@ -185,6 +254,67 @@ let[@inline] push_frame st th callee ~ret_dst ~from_meth ~from_site =
   callee.fid <- fid;
   st.counters.entries <- st.counters.entries + 1;
   th.sp <- th.sp + 1
+
+(* A call's arguments, resolved when the chain is built: argument [k] is
+   register [areg.(k)] of the caller when that is >= 0, else the
+   immediate [aimm.(k)].  No operand closure, so reading one is a load,
+   not an indirect call. *)
+let arg_regs args =
+  Array.of_list (List.map (function Lir.Reg r -> r | Lir.Imm _ -> -1) args)
+
+let arg_imms args =
+  Array.of_list (List.map (function Lir.Reg _ -> 0 | Lir.Imm n -> n) args)
+
+let[@inline] arg ~areg ~aimm (fr : frame) k =
+  let s = Array.unsafe_get areg k in
+  if s >= 0 then fr.regs.(s) else Array.unsafe_get aimm k
+
+(* The call fast path, after the site's charge: callee [r], caller [fr].
+   When the arity is [r]'s dense parameter count, the stack slot above
+   the caller exists with enough registers, [r] has a compiled entry and
+   the method is not degraded, it builds the frame [take_frame] and the
+   argument fill would (parameters [0, nargs) written, the rest of
+   [0, nregs) zeroed), pushes it and tail-calls the entry word at its
+   precomputed line.  It writes nothing before that decision; every
+   other case tail-calls the site's [generic] path, which is the whole
+   call again from the same point. *)
+let[@inline] enter st (fr : frame) (r : crec) ~nargs ~areg ~aimm ~ret_dst
+    ~from_meth ~site (generic : k) =
+  let th = st.cur_th in
+  let sp = th.sp + 1 in
+  let stack = th.stack in
+  let entry = r.entry in
+  if
+    nargs = r.np
+    && sp < Array.length stack
+    && entry != no_entry
+    && fallback_state st r.rid = 0
+  then begin
+    let callee = Array.unsafe_get stack sp in
+    let n = r.nregs in
+    let regs = callee.regs in
+    if Array.length regs < n then generic st
+    else begin
+      for k = 0 to nargs - 1 do
+        Array.unsafe_set regs k (arg ~areg ~aimm fr k)
+      done;
+      for i = nargs to n - 1 do
+        Array.unsafe_set regs i 0
+      done;
+      callee.nregs <- n;
+      callee.blk <- r.entry_blk;
+      callee.idx <- 0;
+      callee.base_addr <- r.entry_base;
+      push_frame st th callee ~ret_dst ~from_meth ~from_site:site;
+      (* the two pointer stores ([caml_modify]) last, so that little is
+         live across them *)
+      let m = r.meth in
+      if callee.m != m then callee.m <- m;
+      st.cur_fr <- callee;
+      Straight.advance st ~next:entry ~ni:0 ~line:r.entry_line ~probe:true
+    end
+  end
+  else generic st
 
 (* [jump ~baddr ~blines ~codes st fr l] transfers control to block [l]
    of the same method and keeps executing: it writes the frame's int
@@ -252,11 +382,12 @@ let rec compile_instr (cp : cprog) (prog : Program.t) (m : Program.meth)
         let n = el fr in
         if n < 0 then rt_err "negative array length %d" n;
         charge st (cc_base + (cc_slot * n));
-        fr.regs.(r) <- alloc st (Arr (Array.make (max n 1) 0));
+        fr.regs.(r) <- alloc st (make_cell arr_tag (max n 1));
         Straight.advance st ~next:nxt ~ni ~line ~probe
   | Lir.Call { dst; kind; target; args; site } -> (
       let nargs = List.length args in
-      let aev = Array.of_list (List.map Straight.cop args) in
+      let areg = arg_regs args in
+      let aimm = arg_imms args in
       let ret_dst = match dst with Some r -> r | None -> -1 in
       let from_meth = m.Program.id in
       let cc_call =
@@ -267,6 +398,21 @@ let rec compile_instr (cp : cprog) (prog : Program.t) (m : Program.meth)
         fr.idx <- ni;
         invoke st st.cur_th fr dst kind target args site
       in
+      (* the call from just after its charge, every case: frame, push,
+         then the callee's code or, for a degraded callee, the
+         dispatcher (which interprets the pushed frame) *)
+      let generic_push st (r : crec) callee =
+        push_frame st st.cur_th callee ~ret_dst ~from_meth ~from_site:site;
+        let cm = fetch_or_fallback st cp prog r.rid in
+        if cm == empty_cmeth then ()
+        else begin
+          (* chain straight into the callee: the same preamble the
+             dispatcher would run for its first instruction *)
+          st.cur_fr <- callee;
+          Straight.advance st ~next:cm.(r.entry_blk).(0) ~ni:0
+            ~line:r.entry_line ~probe:true
+        end
+      in
       match kind with
       | Lir.Static -> (
           match
@@ -275,46 +421,37 @@ let rec compile_instr (cp : cprog) (prog : Program.t) (m : Program.meth)
           with
           | Some id ->
               (* arity and name are version-invariant, so the error
-                 branch can specialize against the link-time template;
-                 the call branch re-reads [cp.templates.(id)] at run
-                 time because the adaptive tier hot-swaps versions *)
-              let t0 = cp.templates.(id) in
-              if nargs > Array.length t0.t_params then
+                 branch can specialize against the link-time version;
+                 the call reads the record at run time because the
+                 adaptive tier hot-swaps versions into it *)
+              let r = cp.recs.(id) in
+              if nargs > Array.length r.params then
                 fun st ->
                   st.cur_fr.idx <- ni;
                   charge st cc_call;
-                  rt_err "too many arguments to %s" t0.t_name
+                  rt_err "too many arguments to %s" r.name
               else
+                let[@inline never] generic st =
+                  let fr = st.cur_fr in
+                  let callee = alloc_frame st.cur_th r in
+                  let regs = callee.regs in
+                  let params = r.params in
+                  for k = 0 to nargs - 1 do
+                    regs.(params.(k)) <- arg ~areg ~aimm fr k
+                  done;
+                  generic_push st r callee
+                in
                 fun st ->
                   let fr = st.cur_fr in
-                  let th = st.cur_th in
                   fr.idx <- ni;
                   charge st cc_call;
-                  let t = cp.templates.(id) in
-                  let callee = alloc_frame th t in
-                  let regs = callee.regs in
-                  for k = 0 to nargs - 1 do
-                    regs.(t.t_params.(k)) <- aev.(k) fr
-                  done;
-                  push_frame st th callee ~ret_dst ~from_meth ~from_site:site;
-                  let cm = fetch_or_fallback st cp prog id in
-                  if cm == empty_cmeth then ()
-                    (* fallback callee: return to the dispatcher, which
-                       interprets the pushed frame (Machine.step performs
-                       the same per-word preamble itself) *)
-                  else begin
-                    (* chain straight into the callee: the same preamble
-                       the dispatcher would run for its first instruction *)
-                    st.cur_fr <- callee;
-                    Straight.advance_addr st
-                      ~next:cm.(t.t_entry_blk).code.(0) ~ni:0
-                      ~naddr:t.t_entry_base
-                  end
+                  enter st fr r ~nargs ~areg ~aimm ~ret_dst ~from_meth ~site
+                    generic
           | None ->
               (* unresolved: the shared slow path raises the identical
                  Link_error at the identical execution point *)
               slow)
-      | Lir.Virtual ->
+      | Lir.Virtual -> (
           if nargs = 0 then slow
           else
             let mname = target.Lir.mname in
@@ -323,48 +460,55 @@ let rec compile_instr (cp : cprog) (prog : Program.t) (m : Program.meth)
               Array.map
                 (fun (c : Program.cls) ->
                   match Hashtbl.find_opt c.Program.vtable mname with
-                  | Some id -> id
-                  | None -> -1)
+                  | Some id -> cp.recs.(id)
+                  | None -> no_rec)
                 prog.Program.classes
             in
-            let erecv = aev.(0) in
-            fun st ->
+            (* the reference's checks in its order; every argument is a
+               register or an immediate, so reading the receiver first
+               and the rest after dispatch reads the same values *)
+            let[@inline never] generic st =
               let fr = st.cur_fr in
-              let th = st.cur_th in
-              fr.idx <- ni;
-              charge st cc_call;
-              (* every argument is a register or an immediate, so reading
-                 the receiver first and the rest after dispatch (straight
-                 into the callee's registers) reads the same values *)
-              let recv = erecv fr in
+              let recv = arg ~areg ~aimm fr 0 in
               if recv = 0 then rt_err "null receiver for %s" mname;
-              let cls =
-                match heap_get st recv with
-                | Obj o -> o.cls
-                | Arr _ -> rt_err "virtual call on array"
-              in
-              let id = vtab.(cls) in
-              if id < 0 then
+              let cls = (heap_get st recv).(0) in
+              if cls < 0 then rt_err "virtual call on array";
+              let r = vtab.(cls) in
+              if r == no_rec then
                 rt_err "class %s has no method %s"
                   st.prog.Program.classes.(cls).Program.cls_name mname;
-              let t = cp.templates.(id) in
-              let params = t.t_params in
+              let params = r.params in
               if nargs > Array.length params then
-                rt_err "too many arguments to %s" t.t_name;
-              let callee = alloc_frame th t in
+                rt_err "too many arguments to %s" r.name;
+              let callee = alloc_frame st.cur_th r in
               let regs = callee.regs in
               regs.(params.(0)) <- recv;
               for k = 1 to nargs - 1 do
-                regs.(params.(k)) <- aev.(k) fr
+                regs.(params.(k)) <- arg ~areg ~aimm fr k
               done;
-              push_frame st th callee ~ret_dst ~from_meth ~from_site:site;
-              let cm = fetch_or_fallback st cp prog id in
-              if cm == empty_cmeth then ()
-              else begin
-                st.cur_fr <- callee;
-                Straight.advance_addr st ~next:cm.(t.t_entry_blk).code.(0)
-                  ~ni:0 ~naddr:t.t_entry_base
-              end)
+              generic_push st r callee
+            in
+            let rr = areg.(0) and imm0 = aimm.(0) in
+            fun st ->
+              let fr = st.cur_fr in
+              fr.idx <- ni;
+              charge st cc_call;
+              (* a live object's class picks the record; a null, dangling
+                 or array receiver goes generic *)
+              let recv = if rr >= 0 then fr.regs.(rr) else imm0 in
+              let heap = st.heap in
+              if recv > 0 && recv <= heap.Ir.Vec.len then begin
+                let cls =
+                  Array.unsafe_get
+                    (Array.unsafe_get heap.Ir.Vec.data (recv - 1))
+                    0
+                in
+                if cls >= 0 then
+                  enter st fr vtab.(cls) ~nargs ~areg ~aimm ~ret_dst
+                    ~from_meth ~site generic
+                else generic st
+              end
+              else generic st))
   | Lir.Intrinsic { dst; name; args } -> (
       match (name, args) with
       | "yield", [] ->
@@ -458,16 +602,17 @@ and compile_term (cp : cprog) (prog : Program.t) ~(baddr : int array)
   in
   (* pop the returning frame; resume the caller's compiled code, or hand
      a dead thread or a degraded caller back to the dispatcher *)
-  let[@inline] resume st parent cm =
+  let[@inline] resume st parent (cm : cmeth) =
     st.cur_fr <- parent;
     let i = parent.idx in
-    Straight.advance_addr st ~next:cm.(parent.blk).code.(i) ~ni:i
+    Straight.advance_addr st ~next:cm.(parent.blk).(i) ~ni:i
       ~naddr:(parent.base_addr + i)
   in
   let[@inline never] resume_slow st parent =
     let cm = fetch_for_frame st cp prog parent in
     if cm == empty_cmeth then () else resume st parent cm
   in
+  let recs = cp.recs in
   let return st th =
     let sp = th.sp - 1 in
     th.sp <- sp;
@@ -480,13 +625,13 @@ and compile_term (cp : cprog) (prog : Program.t) ~(baddr : int array)
       let m = parent.m in
       let id = m.Program.id in
       (* [fetch_for_frame]'s common case inline, the rest by tail call:
-         the caller runs its method's current, compiled version *)
-      let cm =
-        if m == prog.Program.methods.(id) && fallback_state st id = 0 then
-          Atomic.get cp.by_id.(id)
-        else empty_cmeth
-      in
-      if cm != empty_cmeth then resume st parent cm
+         the caller runs its method's current, compiled version, which
+         its call record holds ([hot_swap] keeps [r.meth] equal to
+         [prog.methods.(id)]) *)
+      let r = recs.(id) in
+      let cm = r.code in
+      if m == r.meth && cm != empty_cmeth && fallback_state st id = 0 then
+        resume st parent cm
       else resume_slow st parent
     end
   in
@@ -593,25 +738,28 @@ and compile_method (cp : cprog) (prog : Program.t) (m : Program.meth) : cmeth =
       let probe = line <> Straight.line_of (base + i) in
       ks.(i) <- compile_instr cp prog m ~nxt:ks.(ni) ~ni ~line ~probe instrs.(i)
     done;
-    codes.(l) <- ks;
-    { code = ks }
+    codes.(l) <- ks
   in
-  Array.init n compile_block
+  for l = 0 to n - 1 do
+    compile_block l
+  done;
+  codes
 
-(* Resolved compiled code for method [id]: one atomic load once the
-   method has been touched, with the cross-domain memo (compile exactly
-   once) behind it.  Run-time only — never called while compiling, so
-   call-graph cycles cannot recurse. *)
+(* Resolved compiled code for method [id]: one load from its call
+   record once the method has been touched, with the cross-domain memo
+   (compile exactly once) behind it; installing the code also installs
+   the record's entry word.  Run-time only — never called while
+   compiling, so call-graph cycles cannot recurse. *)
 and fetch (cp : cprog) (prog : Program.t) (id : int) : cmeth =
-  let slot = cp.by_id.(id) in
-  let cm = Atomic.get slot in
+  let r = cp.recs.(id) in
+  let cm = r.code in
   if cm != empty_cmeth then cm
   else begin
     let cm =
       Sync.Memo.get cp.memo id (fun () ->
           compile_method cp prog prog.Program.methods.(id))
     in
-    Atomic.set slot cm;
+    install r cm;
     cm
   end
 
@@ -662,20 +810,6 @@ and fetch_for_frame st (cp : cprog) (prog : Program.t) (fr : frame) : cmeth =
 (* Program cache and dispatch loop                                     *)
 (* ------------------------------------------------------------------ *)
 
-let tmpl_of_meth (m : Program.meth) =
-  let f = m.Program.func in
-  let entry = f.Lir.entry in
-  {
-    t_meth = m;
-    t_params = Array.of_list f.Lir.params;
-    t_nregs = max f.Lir.next_reg 1;
-    t_entry_blk = entry;
-    t_entry_base = m.Program.code_addr.(entry);
-    t_name = Lir.string_of_method_ref m.Program.mref;
-  }
-
-let mk_templates (prog : Program.t) = Array.map tmpl_of_meth prog.Program.methods
-
 let install_mutex = Mutex.create ()
 
 (* One compiled image per (program, cost table).  The slot holds a single
@@ -695,11 +829,7 @@ let cprog_of (prog : Program.t) (costs : Costs.t) =
             let cp =
               {
                 memo = Sync.Memo.create ();
-                templates = mk_templates prog;
-                by_id =
-                  Array.init
-                    (Array.length prog.Program.methods)
-                    (fun _ -> Atomic.make empty_cmeth);
+                recs = Array.map rec_of_meth prog.Program.methods;
                 c_costs = costs;
                 retired = [];
               }
@@ -725,18 +855,20 @@ let hot_swap st (nm : Program.meth) =
     prog.Program.methods.(id) <- nm;
     match prog.Program.engine_cache with
     | Some (Compiled cp) -> (
-        let old_cm = Atomic.get cp.by_id.(id) in
+        let r = cp.recs.(id) in
+        let old_cm = r.code in
         if old_cm != empty_cmeth && not (List.mem_assq old cp.retired) then
           cp.retired <- (old, old_cm) :: cp.retired;
-        cp.templates.(id) <- tmpl_of_meth nm;
+        (* in place: every site holding [r] sees the new version *)
+        set_rec r nm;
         match compile_method cp prog nm with
-        | cm -> Atomic.set cp.by_id.(id) cm
+        | cm -> install r cm
         | exception e ->
             (* degrade to the interpreter for the new version rather than
-               aborting the run: same contract as fetch_or_fallback *)
+               aborting the run: same contract as fetch_or_fallback;
+               [r] keeps no code, so calls take the generic path *)
             record_fallback st id
-              ("engine compilation failed: " ^ Printexc.to_string e);
-            Atomic.set cp.by_id.(id) empty_cmeth)
+              ("engine compilation failed: " ^ Printexc.to_string e))
     | _ -> ()
   end
 
@@ -765,7 +897,7 @@ let exec st =
            any idx in [0, len] resumes with a single indexed dispatch
            (the fuel check above makes the preamble's a no-op) *)
         let i = fr.idx in
-        Straight.advance_addr st ~next:cm.(fr.blk).code.(i) ~ni:i
+        Straight.advance_addr st ~next:cm.(fr.blk).(i) ~ni:i
           ~naddr:(fr.base_addr + i)
       end
     end

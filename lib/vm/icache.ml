@@ -24,7 +24,13 @@ let log2_pow2 what n =
     invalid_arg
       (Printf.sprintf "Icache.create: %s = %d is not a power of two" what n)
 
-let default_shift = log2_pow2 "line_words" default_line_words
+(* A literal, not [log2_pow2 ... default_line_words]: a value computed at
+   module initialisation lives in the module block, so every run-time
+   [Straight.line_of] would load it and shift by a register. *)
+let default_shift = 3
+let () =
+  if 1 lsl default_shift <> default_line_words then
+    failwith "Icache: default_shift does not match default_line_words"
 
 let create ?(lines = default_lines) ?(line_words = default_line_words) () =
   let shift = log2_pow2 "line_words" line_words in

@@ -66,8 +66,22 @@ type result = {
 }
 
 (* Heap cells.  Values are plain ints: references are heap indices >= 1,
-   null is 0 (the typechecker keeps ints and references apart). *)
-type cell = Obj of { cls : int; fields : int array } | Arr of int array
+   null is 0 (the typechecker keeps ints and references apart).  A cell
+   is one block: word 0 is the class id (>= 0) of an object or [arr_tag]
+   for an array, and the payload (fields or elements) starts at word 1.
+   A field or element read is then one load from the cell, not a load of
+   a payload array hung off it.  The payload keeps the old slot count,
+   [max n 1], so an array's length is [Array.length cell - 1]. *)
+type cell = int array
+
+(* Negative, and not -1: [Instance_test] on an unknown class compares
+   the tag against -1, which must match nothing. *)
+let arr_tag = -2
+
+let[@inline] make_cell tag slots =
+  let c = Array.make (slots + 1) 0 in
+  Array.unsafe_set c 0 tag;
+  c
 
 (* Frames hold no pointer field that changes per branch: the running
    block is [blk] (read through [Lir.block m.func blk] where the words
@@ -491,15 +505,13 @@ let data_access st addr =
   | Some dc -> if Icache.access dc addr then charge st st.costs.Costs.icache_miss
   | None -> ()
 
-let alloc st cell =
-  let slots =
-    match cell with Obj o -> Array.length o.fields | Arr a -> Array.length a
-  in
+let alloc st (cell : cell) =
+  let slots = Array.length cell - 1 in
   ignore (Ir.Vec.push st.heap_addrs st.heap_words);
   st.heap_words <- st.heap_words + max slots 1;
   Ir.Vec.push st.heap cell + 1
 
-(* Only ever called after [heap_get]/[obj_fields]/[arr_cells] validated
+(* Only ever called after [heap_get]/[obj_cell]/[arr_cell] validated
    [r]; [heap_addrs] grows in lockstep with [heap]. *)
 let cell_addr st r = Ir.Vec.unsafe_get st.heap_addrs (r - 1)
 
@@ -545,15 +557,17 @@ let static_off st (fld : Lir.field_ref) =
   | Some off -> off
   | None -> rt_err "unresolved static field %s" (Lir.string_of_field_ref fld)
 
-let obj_fields st r =
-  match heap_get st r with
-  | Obj o -> o.fields
-  | Arr _ -> rt_err "expected object, found array"
+(* The cell of object [r]; field [off] is its word [off + 1]. *)
+let obj_cell st r =
+  let c = heap_get st r in
+  if Array.unsafe_get c 0 < 0 then rt_err "expected object, found array"
+  else c
 
-let arr_cells st r =
-  match heap_get st r with
-  | Arr a -> a
-  | Obj _ -> rt_err "expected array, found object"
+(* The cell of array [r]; element [i] is its word [i + 1]. *)
+let arr_cell st r =
+  let c = heap_get st r in
+  if Array.unsafe_get c 0 >= 0 then rt_err "expected array, found object"
+  else c
 
 let rotate_thread st =
   let n = Array.length st.threads in
@@ -578,9 +592,9 @@ let make_ctx st th (fr : frame) =
   let class_of r =
     if r <= 0 || r > Ir.Vec.length st.heap then None
     else
-      match Ir.Vec.get st.heap (r - 1) with
-      | Obj o -> Some st.prog.Program.classes.(o.cls).Program.cls_name
-      | Arr _ -> None
+      let cls = (Ir.Vec.get st.heap (r - 1)).(0) in
+      if cls >= 0 then Some st.prog.Program.classes.(cls).Program.cls_name
+      else None
   in
   let stack () =
     let entry (g : frame) = (g.m.Program.mref, g.from_site) in
@@ -648,11 +662,8 @@ let invoke st th (fr : frame) dst kind target args site =
         match vals with
         | recv :: _ -> (
             if recv = 0 then rt_err "null receiver for %s" target.Lir.mname;
-            let cls =
-              match heap_get st recv with
-              | Obj o -> o.cls
-              | Arr _ -> rt_err "virtual call on array"
-            in
+            let cls = (heap_get st recv).(0) in
+            if cls < 0 then rt_err "virtual call on array";
             match
               Hashtbl.find_opt st.prog.Program.classes.(cls).Program.vtable
                 target.Lir.mname
@@ -847,17 +858,17 @@ let step st =
         | Lir.Get_field (r, o, fld) ->
             charge st c.Costs.mem;
             let obj = eval fr o in
-            let fields = obj_fields st obj (* null check first *) in
+            let cl = obj_cell st obj (* null check first *) in
             let off = field_off st fld in
             data_access st (cell_addr st obj + off);
-            fr.regs.(r) <- fields.(off)
+            fr.regs.(r) <- cl.(off + 1)
         | Lir.Put_field (o, fld, v) ->
             charge st c.Costs.mem;
             let obj = eval fr o in
-            let fields = obj_fields st obj in
+            let cl = obj_cell st obj in
             let off = field_off st fld in
             data_access st (cell_addr st obj + off);
-            fields.(off) <- eval fr v
+            cl.(off + 1) <- eval fr v
         | Lir.Get_static (r, fld) ->
             charge st c.Costs.mem;
             let off = static_off st fld in
@@ -876,50 +887,48 @@ let step st =
             in
             let n = st.prog.Program.classes.(cid).Program.n_fields in
             charge st (c.Costs.alloc_base + (c.Costs.alloc_per_slot * n));
-            fr.regs.(r) <- alloc st (Obj { cls = cid; fields = Array.make (max n 1) 0 })
+            fr.regs.(r) <- alloc st (make_cell cid (max n 1))
         | Lir.New_array (r, len) ->
             let n = eval fr len in
             if n < 0 then rt_err "negative array length %d" n;
             charge st (c.Costs.alloc_base + (c.Costs.alloc_per_slot * n));
-            fr.regs.(r) <- alloc st (Arr (Array.make (max n 1) 0))
+            fr.regs.(r) <- alloc st (make_cell arr_tag (max n 1))
         | Lir.Array_load (r, a, i) ->
             charge st c.Costs.mem;
             let arr = eval fr a in
-            let cells = arr_cells st arr in
+            let cl = arr_cell st arr in
             let i = eval fr i in
-            if i < 0 || i >= Array.length cells then
+            if i < 0 || i >= Array.length cl - 1 then
               rt_err "array index %d out of bounds (%s)" i
                 (Lir.string_of_method_ref fr.m.Program.mref);
             data_access st (cell_addr st arr + i);
-            fr.regs.(r) <- cells.(i)
+            fr.regs.(r) <- cl.(i + 1)
         | Lir.Array_store (a, i, v) ->
             charge st c.Costs.mem;
             let arr = eval fr a in
-            let cells = arr_cells st arr in
+            let cl = arr_cell st arr in
             let i = eval fr i in
-            if i < 0 || i >= Array.length cells then
+            if i < 0 || i >= Array.length cl - 1 then
               rt_err "array index %d out of bounds (%s)" i
                 (Lir.string_of_method_ref fr.m.Program.mref);
             data_access st (cell_addr st arr + i);
-            cells.(i) <- eval fr v
+            cl.(i + 1) <- eval fr v
         | Lir.Array_length (r, a) ->
             charge st c.Costs.mem;
-            fr.regs.(r) <- Array.length (arr_cells st (eval fr a))
+            fr.regs.(r) <- Array.length (arr_cell st (eval fr a)) - 1
         | Lir.Instance_test (r, o, cname) ->
             charge st (c.Costs.mem + c.Costs.alu);
             let v = eval fr o in
             fr.regs.(r) <-
               (if v <= 0 || v > Ir.Vec.length st.heap then 0
                else
-                 match Ir.Vec.get st.heap (v - 1) with
-                 | Obj obj ->
-                     if
-                       String.equal
-                         st.prog.Program.classes.(obj.cls).Program.cls_name
-                         cname
-                     then 1
-                     else 0
-                 | Arr _ -> 0)
+                 let cls = (Ir.Vec.get st.heap (v - 1)).(0) in
+                 if
+                   cls >= 0
+                   && String.equal
+                        st.prog.Program.classes.(cls).Program.cls_name cname
+                 then 1
+                 else 0)
         | Lir.Call { dst; kind; target; args; site } ->
             invoke st th fr dst kind target args site
         | Lir.Intrinsic { dst; name; args } -> intrinsic st th fr dst name args

@@ -67,13 +67,20 @@ let[@inline never] div_zero () = rt_err "division by zero"
 let[@inline never] bad_index i mstr =
   rt_err "array index %d out of bounds (%s)" i mstr
 
-let[@inline] obj_fields st r =
-  if not (live st r) then bad_ref r
-  else match cell st r with Obj o -> o.fields | Arr _ -> not_obj ()
+(* word 0 of a cell: a class id (>= 0), or [arr_tag] for an array *)
+let[@inline] is_obj (c : cell) = Array.unsafe_get c 0 >= 0
 
-let[@inline] arr_cells st r =
+let[@inline] obj_cell st r =
   if not (live st r) then bad_ref r
-  else match cell st r with Arr a -> a | Obj _ -> not_arr ()
+  else
+    let c = cell st r in
+    if is_obj c then c else not_obj ()
+
+let[@inline] arr_cell st r =
+  if not (live st r) then bad_ref r
+  else
+    let c = cell st r in
+    if is_obj c then not_arr () else c
 
 let cop = function
   | Lir.Reg r -> fun (fr : frame) -> fr.regs.(r)
@@ -433,6 +440,7 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
         Hashtbl.find_opt prog.Program.field_offset (Lir.string_of_field_ref fld)
       with
       | Some off -> (
+          let w = off + 1 in
           match o with
           | Lir.Reg ro ->
               fun st ->
@@ -441,12 +449,13 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
                 let obj = regs.(ro) in
                 if not (live st obj) then bad_ref obj
                 else begin
-                  match cell st obj with
-                  | Arr _ -> not_obj ()
-                  | Obj o ->
-                      data_access_cell st obj off;
-                      regs.(r) <- o.fields.(off);
-                      advance st ~next ~ni ~line ~probe
+                  let o = cell st obj in
+                  if not (is_obj o) then not_obj ()
+                  else begin
+                    data_access_cell st obj off;
+                    regs.(r) <- o.(w);
+                    advance st ~next ~ni ~line ~probe
+                  end
                 end
           | Lir.Imm _ as o ->
               let eo = cop o in
@@ -454,16 +463,16 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
                 charge st c;
                 let fr = st.cur_fr in
                 let obj = eo fr in
-                let fields = obj_fields st obj in
+                let o = obj_cell st obj in
                 data_access_cell st obj off;
-                fr.regs.(r) <- fields.(off);
+                fr.regs.(r) <- o.(w);
                 advance st ~next ~ni ~line ~probe)
       | None ->
           let eo = cop o in
           let fstr = Lir.string_of_field_ref fld in
           fun st ->
             charge st c;
-            ignore (obj_fields st (eo st.cur_fr) : int array);
+            ignore (obj_cell st (eo st.cur_fr) : cell);
             rt_err "unresolved field %s" fstr)
   | Lir.Put_field (o, fld, v) -> (
       let eo = cop o in
@@ -471,6 +480,7 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
         Hashtbl.find_opt prog.Program.field_offset (Lir.string_of_field_ref fld)
       with
       | Some off -> (
+          let w = off + 1 in
           match (o, v) with
           | Lir.Reg ro, Lir.Reg rv ->
               fun st ->
@@ -479,12 +489,13 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
                 let obj = regs.(ro) in
                 if not (live st obj) then bad_ref obj
                 else begin
-                  match cell st obj with
-                  | Arr _ -> not_obj ()
-                  | Obj o ->
-                      data_access_cell st obj off;
-                      o.fields.(off) <- regs.(rv);
-                      advance st ~next ~ni ~line ~probe
+                  let o = cell st obj in
+                  if not (is_obj o) then not_obj ()
+                  else begin
+                    data_access_cell st obj off;
+                    o.(w) <- regs.(rv);
+                    advance st ~next ~ni ~line ~probe
+                  end
                 end
           | _ ->
               let ev = cop v in
@@ -492,15 +503,15 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
                 charge st c;
                 let fr = st.cur_fr in
                 let obj = eo fr in
-                let fields = obj_fields st obj in
+                let o = obj_cell st obj in
                 data_access_cell st obj off;
-                fields.(off) <- ev fr;
+                o.(w) <- ev fr;
                 advance st ~next ~ni ~line ~probe)
       | None ->
           let fstr = Lir.string_of_field_ref fld in
           fun st ->
             charge st c;
-            ignore (obj_fields st (eo st.cur_fr) : int array);
+            ignore (obj_cell st (eo st.cur_fr) : cell);
             rt_err "unresolved field %s" fstr)
   | Lir.Get_static (r, fld) -> (
       match
@@ -549,8 +560,7 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
           let slots = max n 1 in
           fun st ->
             charge st c;
-            st.cur_fr.regs.(r) <-
-              alloc st (Obj { cls = cid; fields = Array.make slots 0 });
+            st.cur_fr.regs.(r) <- alloc st (make_cell cid slots);
             advance st ~next ~ni ~line ~probe
       | None -> fun _ -> rt_err "unknown class %s" cname)
   | Lir.Array_load (r, a, i) -> (
@@ -563,16 +573,17 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
             let arr = regs.(ra) in
             if not (live st arr) then bad_ref arr
             else begin
-              match cell st arr with
-              | Obj _ -> not_arr ()
-              | Arr cells ->
-                  let i = regs.(ri) in
-                  if i < 0 || i >= Array.length cells then bad_index i mstr
-                  else begin
-                    data_access_cell st arr i;
-                    regs.(r) <- Array.unsafe_get cells i;
-                    advance st ~next ~ni ~line ~probe
-                  end
+              let a = cell st arr in
+              if is_obj a then not_arr ()
+              else begin
+                let i = regs.(ri) in
+                if i < 0 || i >= Array.length a - 1 then bad_index i mstr
+                else begin
+                  data_access_cell st arr i;
+                  regs.(r) <- Array.unsafe_get a (i + 1);
+                  advance st ~next ~ni ~line ~probe
+                end
+              end
             end
       | _ ->
           let ea = cop a in
@@ -581,11 +592,11 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
             charge st c;
             let fr = st.cur_fr in
             let arr = ea fr in
-            let cells = arr_cells st arr in
+            let a = arr_cell st arr in
             let i = ei fr in
-            if i < 0 || i >= Array.length cells then bad_index i mstr;
+            if i < 0 || i >= Array.length a - 1 then bad_index i mstr;
             data_access_cell st arr i;
-            fr.regs.(r) <- cells.(i);
+            fr.regs.(r) <- a.(i + 1);
             advance st ~next ~ni ~line ~probe)
   | Lir.Array_store (a, i, v) -> (
       let mstr = Lir.string_of_method_ref m.Program.mref in
@@ -597,16 +608,17 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
             let arr = regs.(ra) in
             if not (live st arr) then bad_ref arr
             else begin
-              match cell st arr with
-              | Obj _ -> not_arr ()
-              | Arr cells ->
-                  let i = regs.(ri) in
-                  if i < 0 || i >= Array.length cells then bad_index i mstr
-                  else begin
-                    data_access_cell st arr i;
-                    Array.unsafe_set cells i regs.(rv);
-                    advance st ~next ~ni ~line ~probe
-                  end
+              let a = cell st arr in
+              if is_obj a then not_arr ()
+              else begin
+                let i = regs.(ri) in
+                if i < 0 || i >= Array.length a - 1 then bad_index i mstr
+                else begin
+                  data_access_cell st arr i;
+                  Array.unsafe_set a (i + 1) regs.(rv);
+                  advance st ~next ~ni ~line ~probe
+                end
+              end
             end
       | _ ->
           let ea = cop a in
@@ -616,25 +628,25 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
             charge st c;
             let fr = st.cur_fr in
             let arr = ea fr in
-            let cells = arr_cells st arr in
+            let a = arr_cell st arr in
             let i = ei fr in
-            if i < 0 || i >= Array.length cells then bad_index i mstr;
+            if i < 0 || i >= Array.length a - 1 then bad_index i mstr;
             data_access_cell st arr i;
-            cells.(i) <- ev fr;
+            a.(i + 1) <- ev fr;
             advance st ~next ~ni ~line ~probe)
   | Lir.Array_length (r, a) ->
       let ea = cop a in
       fun st ->
         charge st c;
         let fr = st.cur_fr in
-        fr.regs.(r) <- Array.length (arr_cells st (ea fr));
+        fr.regs.(r) <- Array.length (arr_cell st (ea fr)) - 1;
         advance st ~next ~ni ~line ~probe
   | Lir.Instance_test (r, o, cname) ->
       let eo = cop o in
       let cid =
         match Hashtbl.find_opt prog.Program.class_id_of_name cname with
         | Some cid -> cid
-        | None -> -1 (* never matches: class names in the heap are linked *)
+        | None -> -1 (* never matches: no class id, and not [arr_tag] *)
       in
       fun st ->
         charge st c;
@@ -642,10 +654,8 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
         let v = eo fr in
         fr.regs.(r) <-
           (if v <= 0 || v > st.heap.Ir.Vec.len then 0
-           else
-             match Array.unsafe_get st.heap.Ir.Vec.data (v - 1) with
-             | Obj obj -> if obj.cls = cid then 1 else 0
-             | Arr _ -> 0);
+           else if Array.unsafe_get (cell st v) 0 = cid then 1
+           else 0);
         advance st ~next ~ni ~line ~probe
   | Lir.Intrinsic { dst = _; name = "print"; args = [ a ] } ->
       let e = cop a in

@@ -482,3 +482,158 @@ let shrink_prog (p : prog) yield =
     p.funcs
 
 let arbitrary_program = QCheck.make ~print:render ~shrink:shrink_prog program
+
+(* ------------------------------------------------------------------ *)
+(* Call-path programs                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Programs aimed at the VM's call words rather than at instrumentation
+   points: static and virtual calls of every arity 0 to [max_arity]
+   (register and immediate arguments), callees with different register
+   counts, so that a reused stack slot changes method and register-file
+   size between activations, locals declared without an initialiser
+   (they read as 0, so a callee frame whose registers are not all zeroed
+   shows in the checksum), and static and virtual recursion deep enough
+   to grow a thread's stack several times.  Terminating by construction:
+   a callee only calls callees of lower arity, and recursion counts a
+   depth argument down to 0. *)
+
+let max_arity = 6
+
+let term vars = oneof [ oneofl vars; map string_of_int (int_range (-9) 99) ]
+
+let call_with vars (f, arity) =
+  let* args = flatten_l (List.init arity (fun _ -> term vars)) in
+  return (Printf.sprintf "%s(%s)" f (String.concat ", " args))
+
+(* [kw]fun [name](p0..p(k-1)): uninitialised locals first (the registers
+   right after the parameters), then initialised ones, then a return
+   that reads every local and calls one of [lower] *)
+let callee_decl ~kw ~name ~k ~lower =
+  let ps = List.init k (Printf.sprintf "p%d") in
+  let* nu = int_range 0 2 in
+  let* nl = int_range 0 6 in
+  let us = List.init nu (Printf.sprintf "u%d") in
+  let rec locals j vars acc =
+    if j = nl then return (List.rev acc, vars)
+    else
+      let* a = term vars in
+      let* b = term vars in
+      let* op = oneofl [ "+"; "^"; "-"; "&" ] in
+      let v = Printf.sprintf "l%d" j in
+      locals (j + 1) (v :: vars)
+        (Printf.sprintf "var %s: int = ((%s) %s (%s)) & 65535; " v a op b
+        :: acc)
+  in
+  let* decls, vars = locals 0 ("1" :: ps) [] in
+  let* call =
+    match lower with [] -> return "0" | _ -> oneofl lower >>= call_with vars
+  in
+  return
+    (Printf.sprintf "%sfun %s(%s): int { %s%sreturn (%s + %s) & 1048575; }" kw
+       name
+       (String.concat ", " (List.map (fun p -> p ^ ": int") ps))
+       (String.concat "" (List.map (fun u -> "var " ^ u ^ ": int; ") us))
+       (String.concat "" decls)
+       (String.concat " + " (vars @ us))
+       call)
+
+let statics_below k =
+  List.init k (fun j -> (Printf.sprintf "Main.s%d" j, j))
+
+let methods_below k = List.init k (fun j -> (Printf.sprintf "this.m%d" j, j))
+
+let call_program =
+  let arities = List.init (max_arity + 1) Fun.id in
+  let* statics =
+    flatten_l
+      (List.map
+         (fun k ->
+           callee_decl ~kw:"static " ~name:(Printf.sprintf "s%d" k) ~k
+             ~lower:(statics_below k))
+         arities)
+  in
+  let virtuals =
+    flatten_l
+      (List.map
+         (fun k ->
+           callee_decl ~kw:"" ~name:(Printf.sprintf "m%d" k) ~k
+             ~lower:(methods_below k @ statics_below k))
+         arities)
+  in
+  let* ms_a = virtuals in
+  let* ms_b = virtuals in
+  (* C overrides only some of A's methods *)
+  let* keep_c = flatten_l (List.map (fun _ -> bool) arities) in
+  let* ms_c = virtuals in
+  let ms_c = List.filteri (fun i _ -> List.nth keep_c i) ms_c in
+  let* depth = int_range 40 300 in
+  let* vdepth = int_range 40 300 in
+  let* rec_k = int_range 0 2 in
+  let main_call =
+    let* virt = bool in
+    let* k = int_range 0 max_arity in
+    call_with [ "i"; "(acc & 255)" ]
+      (if virt then (Printf.sprintf "o.m%d" k, k) else (Printf.sprintf "Main.s%d" k, k))
+  in
+  let main_stmts n =
+    let* calls = flatten_l (List.init n (fun _ -> main_call)) in
+    return
+      (String.concat " "
+         (List.map (Printf.sprintf "acc = (acc + %s) & 1048575;") calls))
+  in
+  let* nloop = int_range 3 8 in
+  let* loop_body = main_stmts nloop in
+  let* nafter = int_range 1 4 in
+  let* after = main_stmts nafter in
+  let* rec_call = call_with [ "d"; "y" ] (Printf.sprintf "Main.s%d" rec_k, rec_k) in
+  return
+    (Printf.sprintf
+       {|class A {
+  var x: int;
+  %s
+  fun vrec(d: int, x: int): int { if (d <= 0) { return (x + this.x) & 1023; } return (this.vrec(d - 1, x + 1) + 1) & 1048575; }
+}
+class B extends A {
+  %s
+  fun vrec(d: int, x: int): int { var u: int; var t: int = (x ^ d) & 255; if (d <= 0) { return (t + u) & 1023; } return (this.vrec(d - 1, t) + u + 2) & 1048575; }
+}
+class C extends A {
+  %s
+}
+class Main {
+  %s
+  static fun rec(d: int, x: int): int {
+    if (d <= 0) { return x & 1023; }
+    var y: int = ((x * 7) + d) & 1023;
+    return (Main.rec(d - 1, y) + %s) & 1048575;
+  }
+  static fun main(n: int): int {
+    var acc: int = n;
+    var a: A = new A;
+    var b: A = new B;
+    var c: A = new C;
+    a.x = 3;
+    b.x = 5;
+    c.x = 7;
+    var o: A = a;
+    var i: int = 0;
+    while (i < 9) {
+      o = a;
+      if ((i %% 3) == 1) { o = b; }
+      if ((i %% 3) == 2) { o = c; }
+      %s
+      i = i + 1;
+    }
+    acc = (acc + Main.rec(%d, acc)) & 1048575;
+    acc = (acc + b.vrec(%d, acc) + c.vrec(%d, acc)) & 1048575;
+    %s
+    print(acc);
+    return acc;
+  }
+}|}
+       (String.concat "\n  " ms_a)
+       (String.concat "\n  " ms_b)
+       (String.concat "\n  " ms_c)
+       (String.concat "\n  " statics)
+       rec_call loop_body depth vdepth vdepth after)

@@ -147,6 +147,16 @@ let seeded_agree () =
       ignore (check_program ~fail:Alcotest.fail (Gen_jasm.render p)))
     progs
 
+(* quick pass on generated call-path programs (Gen_jasm.call_program):
+   every arity from 0 to 6, static and virtual, deep recursion, reused
+   stack slots whose method and register count change, and locals read
+   before any write, so a callee frame must be zeroed exactly as the
+   reference's [take_frame] zeroes it *)
+let call_path_agree () =
+  let rand = Random.State.make [| 0xCA11 |] in
+  let progs = QCheck.Gen.generate ~n:4 ~rand Gen_jasm.call_program in
+  List.iter (fun src -> ignore (check_program ~fail:Alcotest.fail src)) progs
+
 (* ---- programs aimed at the call path and the i-cache miss path ---- *)
 
 (* Virtual dispatch over three receiver classes, each call with four
@@ -687,17 +697,21 @@ let hot_swap_agree () =
 (* Steady-state calls and returns allocate nothing: the callee frame is
    the thread's next stack slot, the arguments go straight into its
    registers, and nothing is consed for the thread's bookkeeping.
-   Measured as minor-heap words per loop iteration (one one-argument
-   virtual call and its return) between two run lengths, so set-up and
-   compilation cancel out. *)
-let alloc_src =
-  {|
+   Measured as minor-heap words per loop iteration (one virtual call of
+   [arity] arguments and its return) between two run lengths, so set-up
+   and compilation cancel out; for every arity from 1 to 4. *)
+let alloc_src arity =
+  let params = List.init arity (Printf.sprintf "k%d: int") in
+  let sum = String.concat " + " (List.init arity (Printf.sprintf "k%d")) in
+  let args = String.concat ", " (List.init arity (fun j -> if j = 0 then "i" else string_of_int j)) in
+  Printf.sprintf
+    {|
   class C {
     var acc: int;
-    fun add(k: int): int { this.acc = this.acc + k; return this.acc; }
+    fun add(%s): int { this.acc = this.acc + %s; return this.acc; }
   }
   class D extends C {
-    fun add(k: int): int { this.acc = this.acc - k; return this.acc; }
+    fun add(%s): int { this.acc = this.acc - (%s); return this.acc; }
   }
   class Main {
     static fun make(k: int): C {
@@ -709,52 +723,62 @@ let alloc_src =
       var s: int = 0;
       var i: int = 0;
       while (i < n) {
-        s = s + c.add(i);
+        s = s + c.add(%s);
         i = i + 1;
       }
       return s;
     }
   }
 |}
+    (String.concat ", " params) sum (String.concat ", " params) sum args
 
 let alloc_per_call () =
-  let classes, funcs = compile alloc_src in
-  let virtual_1 =
-    List.exists
-      (fun (f : Lir.func) ->
-        Ir.Vec.exists
-          (fun (b : Lir.block) ->
-            Array.exists
-              (function
-                | Lir.Call { kind = Lir.Virtual; args = [ _; _ ]; _ } -> true
-                | _ -> false)
-              b.Lir.instrs)
-          f.Lir.blocks)
-      funcs
-  in
-  if not virtual_1 then Alcotest.fail "the loop's call is not a 1-arg virtual call";
-  let prog = Vm.Program.link classes ~funcs in
-  let words n =
-    let w0 = Gc.minor_words () in
-    ignore
-      (Vm.Interp.run ~engine:`Fast ~use_icache:true prog
-         ~entry:{ Lir.mclass = "Main"; mname = "main" }
-         ~args:[ n ] Vm.Interp.null_hooks
-        : Vm.Interp.result);
-    Gc.minor_words () -. w0
-  in
-  ignore (words 100 : float) (* compile *);
-  let n1 = 10_000 and n2 = 110_000 in
-  let w1 = words n1 in
-  let w2 = words n2 in
-  let per_call = (w2 -. w1) /. float_of_int (n2 - n1) in
-  if per_call > 0.5 then
-    Alcotest.failf "%.2f minor words per call and return (bound 0.5)" per_call
+  List.iter
+    (fun arity ->
+      let classes, funcs = compile (alloc_src arity) in
+      let virtual_call =
+        List.exists
+          (fun (f : Lir.func) ->
+            Ir.Vec.exists
+              (fun (b : Lir.block) ->
+                Array.exists
+                  (function
+                    | Lir.Call { kind = Lir.Virtual; args; _ } ->
+                        List.length args = arity + 1
+                    | _ -> false)
+                  b.Lir.instrs)
+              f.Lir.blocks)
+          funcs
+      in
+      if not virtual_call then
+        Alcotest.failf "the loop's call is not a %d-arg virtual call" arity;
+      let prog = Vm.Program.link classes ~funcs in
+      let words n =
+        let w0 = Gc.minor_words () in
+        ignore
+          (Vm.Interp.run ~engine:`Fast ~use_icache:true prog
+             ~entry:{ Lir.mclass = "Main"; mname = "main" }
+             ~args:[ n ] Vm.Interp.null_hooks
+            : Vm.Interp.result);
+        Gc.minor_words () -. w0
+      in
+      ignore (words 100 : float) (* compile *);
+      let n1 = 10_000 and n2 = 110_000 in
+      let w1 = words n1 in
+      let w2 = words n2 in
+      let per_call = (w2 -. w1) /. float_of_int (n2 - n1) in
+      if per_call > 0.5 then
+        Alcotest.failf
+          "%.2f minor words per %d-arg call and return (bound 0.5)" per_call
+          arity)
+    [ 1; 2; 3; 4 ]
 
 let suite =
   [
     ( "engine",
       Alcotest.test_case "Fast == Ref on seeded programs" `Quick seeded_agree
+      :: Alcotest.test_case "Fast == Ref on generated call-path programs"
+           `Quick call_path_agree
       :: Alcotest.test_case "Fast == Ref at low-fuel cut points" `Quick
            low_fuel_agree
       :: Alcotest.test_case "Fast == Ref on dispatch and i-cache programs"

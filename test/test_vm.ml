@@ -8,13 +8,145 @@ let check_bool = Alcotest.(check bool)
 
 let result src args = Option.get (Helpers.exec src args).Vm.Interp.return_value
 
-let traps msg src args =
-  Alcotest.test_case msg `Quick (fun () ->
-      check_bool msg true
-        (try
-           ignore (Helpers.exec src args);
-           false
-         with Vm.Interp.Runtime_error _ -> true))
+(* Everything a run shows, on [engine], i-/d-caches on: the return
+   value, output, cycles and instructions of a run that ends, or the
+   message of the trap that ends it with the cycles and instructions
+   spent when it was raised (read from the machine state, which
+   [on_init] hands out). *)
+let outcome ~engine prog args =
+  let st = ref None in
+  match
+    Vm.Interp.run ~engine ~use_icache:true ~use_dcache:true
+      ~on_init:(fun s -> st := Some s)
+      prog
+      ~entry:{ Lir.mclass = "Main"; mname = "main" }
+      ~args Vm.Interp.null_hooks
+  with
+  | r ->
+      Ok
+        ( r.Vm.Interp.return_value,
+          r.Vm.Interp.output,
+          r.Vm.Interp.cycles,
+          r.Vm.Interp.instructions )
+  | exception Vm.Interp.Runtime_error m ->
+      let s = Option.get !st in
+      Error (m, s.Vm.Machine.cycles, s.Vm.Machine.instructions)
+
+let pp_outcome = function
+  | Ok (v, out, c, i) ->
+      Printf.sprintf "returns %s, prints %S, %d cycles, %d instructions"
+        (match v with Some v -> string_of_int v | None -> "nothing")
+        out c i
+  | Error (m, c, i) ->
+      Printf.sprintf "traps %S at %d cycles, %d instructions" m c i
+
+(* The reference's outcome, which the Fast engine must equal exactly. *)
+let agreed prog args =
+  let oracle = outcome ~engine:`Ref prog args in
+  let got = outcome ~engine:`Fast prog args in
+  if got <> oracle then
+    Alcotest.failf "engines diverge: Ref %s, Fast %s" (pp_outcome oracle)
+      (pp_outcome got);
+  oracle
+
+let expect_trap msg prog args =
+  match agreed prog args with
+  | Error (m, _, _) -> Alcotest.(check string) "trap message" msg m
+  | ok -> Alcotest.failf "expected a trap, but the run %s" (pp_outcome ok)
+
+let expect_value v prog args =
+  match agreed prog args with
+  | Ok (Some x, _, _, _) -> check_int "return value" v x
+  | bad -> Alcotest.failf "expected %d, but the run %s" v (pp_outcome bad)
+
+let traps name msg src args =
+  Alcotest.test_case name `Quick (fun () ->
+      let classes, funcs = Helpers.build src in
+      expect_trap msg (Helpers.link classes funcs) args)
+
+(* Words jasm's typechecker refuses (an array used as an object or a
+   receiver, an instance test) built in LIR: [body b l] emits
+   [Main.main]'s one block and returns what it returns; [B] (one field
+   [v], one method [m]) is linked beside it. *)
+let lir_prog body =
+  let classes, funcs =
+    Helpers.build
+      "class B { var v: int; fun m(): int { return 1; } } class Main { \
+       static fun main(n: int): int { return n; } }"
+  in
+  let name = { Lir.mclass = "Main"; mname = "main" } in
+  let b = Ir.Build.create ~name ~n_params:1 () in
+  let l = Ir.Build.new_block b in
+  let ret = body b l in
+  Ir.Build.set_term b l (Lir.Return (Some ret));
+  let main = Ir.Build.finish b ~entry:l in
+  Helpers.link classes
+    (main :: List.filter (fun (f : Lir.func) -> f.Lir.fname <> name) funcs)
+
+let new_reg b l i =
+  let r = Ir.Build.fresh_reg b in
+  Ir.Build.emit b l (i r);
+  r
+
+let fld_v = { Lir.fclass = "B"; fname = "v" }
+
+let lir_traps name msg body =
+  Alcotest.test_case name `Quick (fun () -> expect_trap msg (lir_prog body) [ 0 ])
+
+let lir_value name v body =
+  Alcotest.test_case name `Quick (fun () -> expect_value v (lir_prog body) [ 0 ])
+
+let new_arr b l = new_reg b l (fun r -> Lir.New_array (r, Lir.Imm 3))
+let new_b b l = new_reg b l (fun r -> Lir.New_object (r, "B"))
+
+(* instance tests of [o] against [B] and against a class no program has,
+   packed as [2 * is_B + is_unknown] *)
+let instance_tests o b l =
+  let t1 = new_reg b l (fun r -> Lir.Instance_test (r, o, "B")) in
+  let t2 = new_reg b l (fun r -> Lir.Instance_test (r, o, "Nope")) in
+  let t = new_reg b l (fun r -> Lir.Binop (r, Lir.Mul, Lir.Reg t1, Lir.Imm 2)) in
+  Lir.Reg (new_reg b l (fun r -> Lir.Binop (r, Lir.Add, Lir.Reg t, Lir.Reg t2)))
+
+let cell_cases =
+  [
+    lir_value "instanceof on an object" 2 (fun b l ->
+        instance_tests (Lir.Reg (new_b b l)) b l);
+    lir_value "instanceof on an array" 0 (fun b l ->
+        instance_tests (Lir.Reg (new_arr b l)) b l);
+    lir_value "instanceof on null" 0 (fun b l -> instance_tests (Lir.Imm 0) b l);
+    lir_traps "array as a receiver" "virtual call on array" (fun b l ->
+        let a = new_arr b l in
+        Lir.Reg
+          (new_reg b l (fun r ->
+               Lir.Call
+                 {
+                   dst = Some r;
+                   kind = Lir.Virtual;
+                   target = { Lir.mclass = "B"; mname = "m" };
+                   args = [ Lir.Reg a ];
+                   site = 0;
+                 })));
+    lir_traps "array as an object (read)" "expected object, found array"
+      (fun b l ->
+        let a = new_arr b l in
+        Lir.Reg (new_reg b l (fun r -> Lir.Get_field (r, Lir.Reg a, fld_v))));
+    lir_traps "array as an object (write)" "expected object, found array"
+      (fun b l ->
+        let a = new_arr b l in
+        Ir.Build.emit b l (Lir.Put_field (Lir.Reg a, fld_v, Lir.Imm 1));
+        Lir.Imm 0);
+    lir_traps "object as an array (read)" "expected array, found object"
+      (fun b l ->
+        let o = new_b b l in
+        Lir.Reg
+          (new_reg b l (fun r -> Lir.Array_load (r, Lir.Reg o, Lir.Imm 0))));
+    lir_traps "object as an array (length)" "expected array, found object"
+      (fun b l ->
+        let o = new_b b l in
+        Lir.Reg (new_reg b l (fun r -> Lir.Array_length (r, Lir.Reg o))));
+    lir_traps "dangling reference" "dangling reference 7" (fun b l ->
+        Lir.Reg (new_reg b l (fun r -> Lir.Get_field (r, Lir.Imm 7, fld_v))));
+  ]
 
 let arithmetic () =
   let p e = Printf.sprintf "class Main { static fun main(n: int): int { return %s; } }" e in
@@ -27,28 +159,42 @@ let arithmetic () =
         if (b) { return 1; } return 0; } }"
        [ 0 ])
 
+(* each a Fast == Ref case: same message, cycles and instructions *)
 let trap_cases =
+  let index_src =
+    "class Main { static fun main(n: int): int { var a: int[] = new \
+     int[3]; return a[n]; } }"
+  in
   [
-    traps "division by zero"
+    traps "division by zero" "division by zero"
       "class Main { static fun main(n: int): int { return 10 / n; } }" [ 0 ];
-    traps "remainder by zero"
+    traps "remainder by zero" "division by zero"
       "class Main { static fun main(n: int): int { return 10 % n; } }" [ 0 ];
-    traps "null field read"
+    traps "null field read" "null dereference"
       "class B { var v: int; } class Main { static fun main(n: int): int { var b: B = null; return b.v; } }"
       [ 0 ];
-    traps "array out of bounds"
-      "class Main { static fun main(n: int): int { var a: int[] = new int[3]; return a[n]; } }"
-      [ 5 ];
-    traps "negative index"
-      "class Main { static fun main(n: int): int { var a: int[] = new int[3]; return a[n]; } }"
-      [ -1 ];
-    traps "negative array length"
+    traps "array out of bounds" "array index 5 out of bounds (Main.main)"
+      index_src [ 5 ];
+    traps "index = length" "array index 3 out of bounds (Main.main)"
+      index_src [ 3 ];
+    traps "negative index" "array index -1 out of bounds (Main.main)"
+      index_src [ -1 ];
+    traps "negative array length" "negative array length -2"
       "class Main { static fun main(n: int): int { var a: int[] = new int[n]; return a.length; } }"
       [ -2 ];
-    traps "null virtual call"
+    traps "null virtual call" "null receiver for m"
       "class B { fun m(): int { return 1; } } class Main { static fun main(n: int): int { var b: B = null; return b.m(); } }"
       [ 0 ];
+    Alcotest.test_case "new int[0] has length 1" `Quick (fun () ->
+        (* the slot count is [max n 1], for arrays as for objects *)
+        let classes, funcs =
+          Helpers.build
+            "class Main { static fun main(n: int): int { var a: int[] = \
+             new int[n]; a[0] = 7; return (a.length * 10) + a[0]; } }"
+        in
+        expect_value 17 (Helpers.link classes funcs) [ 0 ]);
   ]
+  @ cell_cases
 
 let fuel_exhaustion () =
   let src = "class Main { static fun main(n: int): int { while (true) { n = n + 1; } return n; } }" in
