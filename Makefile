@@ -2,7 +2,7 @@
 
 DUNE ?= dune
 
-.PHONY: all build build-flags test test-all fmt bench-smoke bench-interp bench-profiles bench-harness bench-adaptive bench-serve cache-smoke crash-smoke adaptive-smoke serve-smoke merge-smoke ci clean
+.PHONY: all build build-flags test test-all fmt bench-smoke bench-interp bench-profiles bench-adaptive bench-serve cache-smoke crash-smoke adaptive-smoke serve-smoke merge-smoke ci clean
 
 all: build
 
@@ -34,13 +34,6 @@ bench-interp: bench-smoke
 # committed BENCH_profiles.json
 bench-profiles:
 	$(DUNE) exec bench/main.exe -- profiles-smoke
-
-# scheduler/run-cache benchmark at the smallest scale, written to
-# BENCH_harness.smoke.json and validated (dedup ratio > 1, cache output
-# byte-identical cold vs warm); warns (does not fail) on a >10% geomean
-# regression against the committed BENCH_harness.json
-bench-harness:
-	$(DUNE) exec bench/main.exe -- harness-smoke
 
 # adaptive-loop benchmark (FDO loop vs exhaustive instrumentation) on a
 # three-workload subset, written to BENCH_adaptive.smoke.json and
@@ -125,7 +118,6 @@ ci: build fmt build-flags
 	$(MAKE) merge-smoke
 	$(MAKE) bench-smoke
 	$(MAKE) bench-profiles
-	$(MAKE) bench-harness
 	$(MAKE) bench-adaptive
 	$(MAKE) bench-serve
 	@echo "ci OK"

@@ -13,12 +13,16 @@
    (return value, output, cycles, instructions, event counters, cache
    misses): the benchmark refuses to compare engines that disagree.
 
-   Timing is median-of-5 interleaved batches: each engine's
-   per-run time is measured five times, round-robin so slow machine
-   drift cannot bias any one side, and the JSON reports min/median/max
-   per engine — this container shows ±20-40% per-run wall-clock
-   variance, so a single-run (or best-run-only) number is
-   untrustworthy.  Speedups are computed from medians.
+   Timing is median-of-5 interleaved batches: every workload is
+   linked, warmed and checked first, then each of the 30
+   configurations (ten workloads x three columns) is timed five times,
+   round-robin over all of them, so host speed drift hits every
+   workload and engine alike and cross-workload ratios (javac's Fast
+   ns/instr over compress's) are as comparable as within-workload
+   ones.  The JSON reports min/median/max per configuration — this
+   container shows ±20-40% per-run wall-clock variance, so a single-run
+   (or best-run-only) number is untrustworthy.  Speedups are computed
+   from medians.
 
    Results go to BENCH_interp.json (hand-written JSON; the repo has no
    JSON dependency).  [smoke] reruns the same thing at scale 1 with a
@@ -113,7 +117,9 @@ let time_all ~budget runs =
   done;
   List.map (fun acc -> summarize !acc) samples
 
-let bench_workload ~scale ~budget (b : Workloads.Suite.benchmark) =
+(* Link, warm and differentially check one workload; returns its three
+   timed configurations and how to turn their timings into a row. *)
+let prepare_workload ~scale (b : Workloads.Suite.benchmark) =
   let build = M.prepare ?scale b in
   let prog = Vm.Program.link build.M.classes ~funcs:build.M.base_funcs in
   let args = [ build.M.scale ] in
@@ -162,28 +168,38 @@ let bench_workload ~scale ~budget (b : Workloads.Suite.benchmark) =
   in
   let instructions = r_ref.Vm.Interp.instructions in
   let fd_instructions = fd_ref.Vm.Interp.instructions in
-  let ref_t, fast_t, fd_t =
-    match time_all ~budget [ run `Ref; run `Fast; run_fd `Fast ] with
-    | [ a; b; c ] -> (norm instructions a, norm instructions b, norm fd_instructions c)
-    | _ -> assert false
-  in
-  let row =
+  let row_of ref_t fast_t fd_t =
     {
       name;
       scale = build.M.scale;
       cycles = r_ref.Vm.Interp.cycles;
       instructions;
-      ref_t;
-      fast_t;
+      ref_t = norm instructions ref_t;
+      fast_t = norm instructions fast_t;
       fd_instructions;
-      fd_t;
+      fd_t = norm fd_instructions fd_t;
     }
   in
-  Printf.printf
-    "  %-14s ref %7.2f ns/instr   fast %7.2f ns/instr (%4.2fx)   fd %7.2f \
-     ns/instr\n%!"
-    row.name row.ref_t.t_med row.fast_t.t_med (speedup row) row.fd_t.t_med;
-  row
+  ([ run `Ref; run `Fast; run_fd `Fast ], row_of)
+
+(* Every workload is prepared before any is timed, and one [time_all]
+   round-robins over all of their configurations. *)
+let bench_all ~scale ~budget =
+  let prepared = List.map (prepare_workload ~scale) Workloads.Suite.all in
+  let rec rows timings prepared =
+    match (timings, prepared) with
+    | a :: b :: c :: timings, (_, row_of) :: prepared ->
+        let row = row_of a b c in
+        Printf.printf
+          "  %-14s ref %7.2f ns/instr   fast %7.2f ns/instr (%4.2fx)   fd \
+           %7.2f ns/instr\n%!"
+          row.name row.ref_t.t_med row.fast_t.t_med (speedup row)
+          row.fd_t.t_med;
+        row :: rows timings prepared
+    | [], [] -> []
+    | _ -> assert false
+  in
+  rows (time_all ~budget (List.concat_map fst prepared)) prepared
 
 (* ---- JSON out ---- *)
 
@@ -419,7 +435,7 @@ let run_rows ~file ~scale ~budget =
   Printf.printf
     "Engine benchmark: reference interpreter vs closure-compiled engine \
      (fd: closure-compiled, Full-Duplication build)\n";
-  let rows = List.map (bench_workload ~scale ~budget) Workloads.Suite.all in
+  let rows = bench_all ~scale ~budget in
   let oc = open_out file in
   output_string oc (json_of_rows rows);
   close_out oc;
@@ -427,6 +443,12 @@ let run_rows ~file ~scale ~budget =
   let twice = List.length (List.filter (fun r -> speedup r >= 2.0) rows) in
   Printf.printf "  geometric-mean speedup %.2fx; fast >= 2x on %d/%d workloads\n"
     (geomean speedup rows) twice n;
+  (* the call-heavy workloads against the loop-heavy one (ROADMAP item 1) *)
+  let fast name = (List.find (fun r -> r.name = name) rows).fast_t.t_med in
+  Printf.printf
+    "  fast ns/instr over compress's: javac %.2fx, opt_compiler %.2fx\n"
+    (fast "javac" /. fast "compress")
+    (fast "opt_compiler" /. fast "compress");
   Printf.printf "  wrote %s\n" file;
   rows
 

@@ -26,14 +26,6 @@
    >10% geomean regression against the committed BENCH_profiles.json;
    the `make bench-profiles` CI target.
 
-   harness — scheduler/run-cache benchmark: dedup ratio of the global
-   cell scheduler plus cold-vs-warm persistent-cache wall-clock over the
-   full experiment sweep; writes BENCH_harness.json.
-
-   harness-smoke — the harness benchmark at the smallest scale into
-   BENCH_harness.smoke.json plus validation; the `make bench-harness`
-   CI target.
-
    serve — serve-mode daemon benchmark: sustained jobs/sec and latency
    percentiles, shed rate under a burst at small capacity, and journal
    recovery time; writes BENCH_serve.json.
@@ -154,8 +146,6 @@ let () =
   | "smoke" -> Interp_bench.smoke ()
   | "profiles" -> Profile_bench.run ()
   | "profiles-smoke" -> Profile_bench.smoke ()
-  | "harness" -> Harness_bench.run ()
-  | "harness-smoke" -> Harness_bench.smoke ()
   | "adaptive" -> Adaptive_bench.run ()
   | "adaptive-smoke" -> Adaptive_bench.smoke ()
   | "serve" -> Serve_bench.run ()
@@ -163,7 +153,7 @@ let () =
   | m ->
       Printf.eprintf
         "usage: %s \
-         [full|interp|smoke|profiles|profiles-smoke|harness|harness-smoke|\
-         adaptive|adaptive-smoke|serve|serve-smoke] (unknown mode %S)\n"
+         [full|interp|smoke|profiles|profiles-smoke|adaptive|adaptive-smoke|\
+         serve|serve-smoke] (unknown mode %S)\n"
         Sys.argv.(0) m;
       exit 2

@@ -202,22 +202,18 @@ let or_die f =
 
 let set_cache cache = or_die (fun () -> Harness.Runcache.set_dir cache)
 let set_trace t = if t then Harness.Pool.trace := true
-let set_engine e = Measure.set_engine e
-let set_recording r = Measure.set_recording r
-
-let set_robustness ?(chaos = None) ?(watchdog = 600.0) () =
-  Measure.set_chaos chaos;
-  Measure.set_watchdog watchdog
+let chaos_str = function Some s -> string_of_int s | None -> "off"
 
 (* open the checkpoint file, tagged with everything that changes cell
    values, so resuming under a different configuration is an error
-   rather than a silently wrong table *)
-let set_checkpoint ~which ~scale ~engine ~chaos checkpoint =
+   rather than a silently wrong table (recording and watchdog never
+   change a value that completes) *)
+let set_checkpoint ~which ~scale ~(config : Measure.config) checkpoint =
   let meta =
     Printf.sprintf "which=%s scale=%s engine=%s chaos=%s" which
       (match scale with Some s -> string_of_int s | None -> "default")
-      (match engine with `Ref -> "ref" | `Fast -> "fast")
-      (match chaos with Some s -> string_of_int s | None -> "off")
+      (match config.engine with `Ref -> "ref" | `Fast -> "fast")
+      (chaos_str config.chaos)
   in
   or_die (fun () -> Harness.Robust.set_checkpoint ~meta checkpoint)
 
@@ -236,9 +232,8 @@ let list_cmd =
 
 let run_cmd =
   let run bench scale engine =
-    set_engine engine;
-    let b = Workloads.Suite.find bench in
-    let build = Measure.prepare ?scale b in
+    let config = { Measure.default with engine } in
+    let build = Measure.prepare ~config ?scale (Workloads.Suite.find bench) in
     let m = Measure.run_baseline build in
     Printf.printf "%s: %d cycles, %d instructions, code %d words\n" bench
       m.Measure.cycles m.Measure.instructions m.Measure.code_words;
@@ -252,11 +247,8 @@ let run_cmd =
 let profile_cmd =
   let run bench scale variant instr interval jitter timer top csv engine
       recording chaos =
-    set_engine engine;
-    set_recording recording;
-    set_robustness ~chaos ();
-    let b = Workloads.Suite.find bench in
-    let build = Measure.prepare ?scale b in
+    let config = { Measure.default with engine; recording; chaos } in
+    let build = Measure.prepare ~config ?scale (Workloads.Suite.find bench) in
     let base = Measure.run_baseline build in
     let spec = spec_of_names instr in
     let transform = transform_of_variant spec variant in
@@ -322,7 +314,6 @@ let dump_cmd =
 (* run or profile a user-provided .jasm file *)
 let exec_cmd =
   let run file args variant instr interval jitter top engine =
-    set_engine engine;
     let src = In_channel.with_open_text file In_channel.input_all in
     let classes = or_die (fun () -> Jasm.Compile.compile_string ~file src) in
     let funcs = Opt.Pipeline.front (Bytecode.To_lir.program_to_funcs classes) in
@@ -388,13 +379,11 @@ let table_cmd =
   let run which scale jobs trace engine recording chaos watchdog checkpoint
       cache adaptive budget =
     set_trace trace;
-    set_engine engine;
-    set_recording recording;
-    set_robustness ~chaos ~watchdog ();
+    let config = { Measure.engine; recording; chaos; watchdog } in
     let name =
       match which with `All -> "all" | `One w -> Harness.Experiments.name w
     in
-    set_checkpoint ~which:name ~scale ~engine ~chaos checkpoint;
+    set_checkpoint ~which:name ~scale ~config checkpoint;
     set_cache cache;
     (match which with
     | `All ->
@@ -404,16 +393,17 @@ let table_cmd =
            gates the result on the shapes recorded in EXPERIMENTS.md.
            The adaptive experiment is NOT part of it (loop-off output
            stays byte-identical); --adaptive appends it below. *)
-        if not (Harness.Experiments.run_gated ?scale ~jobs ()) then exit 1
+        if not (Harness.Experiments.run_gated ~config ?scale ~jobs ()) then
+          exit 1
     | `One w ->
-        if Harness.Experiments.run_one ?scale ~jobs ~budget w <> [] then
-          exit 2);
+        if Harness.Experiments.run_one ~config ?scale ~jobs ~budget w <> []
+        then exit 2);
     (* `--adaptive` appends the adaptive experiment after whatever was
        selected (a no-op when WHICH was already `adaptive`) *)
     if adaptive && which <> `One Harness.Experiments.Adaptive then begin
       print_newline ();
       if
-        Harness.Experiments.run_one ?scale ~jobs ~budget
+        Harness.Experiments.run_one ~config ?scale ~jobs ~budget
           Harness.Experiments.Adaptive
         <> []
       then exit 2
@@ -473,12 +463,10 @@ let table_cmd =
 let all_cmd =
   let run scale jobs trace engine recording chaos watchdog checkpoint cache =
     set_trace trace;
-    set_engine engine;
-    set_recording recording;
-    set_robustness ~chaos ~watchdog ();
-    set_checkpoint ~which:"everything" ~scale ~engine ~chaos checkpoint;
+    let config = { Measure.engine; recording; chaos; watchdog } in
+    set_checkpoint ~which:"everything" ~scale ~config checkpoint;
     set_cache cache;
-    if Harness.Experiments.run_all ?scale ~jobs () <> [] then exit 2
+    if Harness.Experiments.run_all ~config ?scale ~jobs () <> [] then exit 2
   in
   Cmd.v
     (Cmd.info "all" ~doc:"Reproduce every table and figure of the paper")
@@ -489,10 +477,9 @@ let all_cmd =
 let ablation_cmd =
   let run scale jobs trace engine recording cache =
     set_trace trace;
-    set_engine engine;
-    set_recording recording;
     set_cache cache;
-    Harness.Ablation.run_all ?scale ~jobs ()
+    let config = { Measure.default with engine; recording } in
+    Harness.Ablation.run_all ~config ?scale ~jobs ()
   in
   Cmd.v
     (Cmd.info "ablation"
@@ -541,16 +528,26 @@ let breaker_arg =
   in
   Arg.(value & opt int 3 & info [ "breaker-after" ] ~docv:"N" ~doc)
 
-let serve_config ~workers ~capacity ~retries ~quarantine_after ~breaker_after =
-  { Serve.Daemon.workers; capacity; retries; quarantine_after; breaker_after }
+(* jobs name their own engine and recording; the daemon supplies chaos
+   and the watchdog *)
+let serve_config ~workers ~capacity ~retries ~quarantine_after ~breaker_after
+    ~chaos ~watchdog =
+  {
+    Serve.Daemon.workers;
+    capacity;
+    retries;
+    quarantine_after;
+    breaker_after;
+    measure = { Measure.default with chaos; watchdog };
+  }
 
 (* everything that changes result bytes belongs in the journal meta;
    worker count and capacity deliberately do not (scheduling never
    changes results), so a crashed 8-worker run may resume with 1 *)
-let serve_meta ~tag ~config ~chaos ~watchdog =
+let serve_meta ~tag (config : Serve.Daemon.config) =
   Printf.sprintf "%s chaos=%s watchdog=%g retries=%d quarantine-after=%d" tag
-    (match chaos with Some s -> string_of_int s | None -> "off")
-    watchdog config.Serve.Daemon.retries config.Serve.Daemon.quarantine_after
+    (chaos_str config.measure.chaos)
+    config.measure.watchdog config.retries config.quarantine_after
 
 let print_fleet_stats (st : Serve.Fleet.fleet_stats) =
   Printf.printf
@@ -583,11 +580,10 @@ let serve_cmd =
   let run socket job_file results_file journal workers capacity retries
       quarantine_after breaker_after chaos watchdog cache trace =
     set_trace trace;
-    set_robustness ~chaos ~watchdog ();
     set_cache cache;
     let config =
       serve_config ~workers ~capacity ~retries ~quarantine_after
-        ~breaker_after
+        ~breaker_after ~chaos ~watchdog
     in
     (* signal => orderly shutdown: the select loop / drain poll notices
        the flag, the daemon stops without draining its backlog (those
@@ -607,7 +603,7 @@ let serve_cmd =
         exit 2
     | Some sock, None ->
         let srv = Serve.Server.create ~socket:sock in
-        let meta = serve_meta ~tag:"socket" ~config ~chaos ~watchdog in
+        let meta = serve_meta ~tag:"socket" config in
         let d =
           or_die (fun () ->
               Serve.Daemon.start ~config ?journal ~meta
@@ -634,8 +630,7 @@ let serve_cmd =
             Harness.Digest.hex
               (In_channel.with_open_bin jf In_channel.input_all)
           in
-          serve_meta ~tag:("job-file " ^ file_digest) ~config ~chaos
-            ~watchdog
+          serve_meta ~tag:("job-file " ^ file_digest) config
         in
         let d = or_die (fun () -> Serve.Daemon.start ~config ?journal ~meta ()) in
         (* ids are 1-based line numbers; skip everything the journal
@@ -804,8 +799,11 @@ let fleet_cmd =
       chaos watchdog cache trace merge merge_out batch window =
     install_oneshot_signals ();
     set_trace trace;
-    set_robustness ~chaos ~watchdog ();
     set_cache cache;
+    let config =
+      serve_config ~workers ~capacity ~retries ~quarantine_after
+        ~breaker_after ~chaos ~watchdog
+    in
     let entries =
       match file with
       | Some f -> or_die (fun () -> Serve.Fleet.read_job_file f)
@@ -823,7 +821,9 @@ let fleet_cmd =
         let results, profiles, stats =
           if sequential then
             (* the byte-identity reference: no stats to compare *)
-            let results, profiles = Serve.Fleet.run_sequential entries in
+            let results, profiles =
+              Serve.Fleet.run_sequential ~config entries
+            in
             (results, profiles, None)
           else
             match socket with
@@ -838,11 +838,7 @@ let fleet_cmd =
                     "isf fleet: %d submission(s) shed and retried\n" shed;
                 (results, profiles, None)
             | None ->
-                let config =
-                  serve_config ~workers ~capacity ~retries ~quarantine_after
-                    ~breaker_after
-                in
-                let meta = serve_meta ~tag:"fleet" ~config ~chaos ~watchdog in
+                let meta = serve_meta ~tag:"fleet" config in
                 let st, results, profiles =
                   or_die (fun () ->
                       Serve.Fleet.run_daemon ~config ?journal ~meta ?window
@@ -867,8 +863,8 @@ let fleet_cmd =
         if want_merge then begin
           let merged =
             or_die (fun () ->
-                Serve.Fleet.merge_profiles ~jobs:workers ~entries ~results
-                  profiles)
+                Serve.Fleet.merge_profiles ~config:config.measure ~jobs:workers
+                  ~entries ~results profiles)
           in
           (match merge_out with
           | Some f -> write_merged ~verb:"fleet" f merged

@@ -28,7 +28,7 @@ type a1_row = {
   jit_acc : float;
 }
 
-let run_a1 ?scale ?jobs () =
+let run_a1 ?config ?scale ?jobs () =
   let cells =
     List.concat_map
       (fun bname -> List.map (fun i -> (bname, i)) [ 10; 100; 1000 ])
@@ -36,7 +36,7 @@ let run_a1 ?scale ?jobs () =
   in
   Pool.map ?jobs
     (fun (bname, interval) ->
-      let build = Measure.prepare ?scale (Workloads.Suite.find bname) in
+      let build = Measure.prepare ?config ?scale (Workloads.Suite.find bname) in
       let perfect_ce, _ = Common.perfect_profiles build in
       let acc jitter =
         let m =
@@ -94,10 +94,10 @@ let framework_overhead_with costs build =
   *. float_of_int (instr.Vm.Interp.cycles - base.Vm.Interp.cycles)
   /. float_of_int base.Vm.Interp.cycles
 
-let run_a2 ?scale ?jobs () =
+let run_a2 ?config ?scale ?jobs () =
   Pool.map ?jobs
     (fun bench ->
-      let build = Measure.prepare ?scale bench in
+      let build = Measure.prepare ?config ?scale bench in
       {
         a2_bench = bench.Workloads.Suite.bname;
         naive = framework_overhead_with Vm.Costs.default build;
@@ -140,8 +140,8 @@ type a3_row = {
   sampled_1000 : float; (* total overhead at interval 1000 *)
 }
 
-let run_a3 ?scale ?jobs () =
-  let build = Measure.prepare ?scale (Workloads.Suite.find "javac") in
+let run_a3 ?config ?scale ?jobs () =
+  let build = Measure.prepare ?config ?scale (Workloads.Suite.find "javac") in
   let base = Measure.run_baseline build in
   let cells =
     List.concat_map
@@ -205,10 +205,10 @@ type a4_row = {
   per_thread_samples : int;
 }
 
-let run_a4 ?scale ?jobs () =
+let run_a4 ?config ?scale ?jobs () =
   Pool.map ?jobs
     (fun bname ->
-      let build = Measure.prepare ?scale (Workloads.Suite.find bname) in
+      let build = Measure.prepare ?config ?scale (Workloads.Suite.find bname) in
       let perfect_ce, _ = Common.perfect_profiles build in
       let run trigger =
         let m =
@@ -319,13 +319,13 @@ let requests ?scale () =
   in
   a1 @ a3 @ a4
 
-let run_all ?scale ?jobs () =
+let run_all ?config ?scale ?jobs () =
   if Robust.checkpointed_cells () = 0 then
-    Schedule.prewarm ?jobs (requests ?scale ());
-  print_string (a1_to_string (run_a1 ?scale ?jobs ()));
+    Schedule.prewarm ?config ?jobs (requests ?scale ());
+  print_string (a1_to_string (run_a1 ?config ?scale ?jobs ()));
   print_newline ();
-  print_string (a2_to_string (run_a2 ?scale ?jobs ()));
+  print_string (a2_to_string (run_a2 ?config ?scale ?jobs ()));
   print_newline ();
-  print_string (a3_to_string (run_a3 ?scale ?jobs ()));
+  print_string (a3_to_string (run_a3 ?config ?scale ?jobs ()));
   print_newline ();
-  print_string (a4_to_string (run_a4 ?scale ?jobs ()))
+  print_string (a4_to_string (run_a4 ?config ?scale ?jobs ()))

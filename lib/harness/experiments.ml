@@ -31,43 +31,43 @@ let of_name = function
 (* Print one experiment; the returned failures are the cells that
    rendered ERR (empty on a healthy run), so callers can exit non-zero
    without parsing output. *)
-let run_one ?scale ?jobs ?measure_compile ?budget which =
+let run_one ?config ?scale ?jobs ?measure_compile ?budget which =
   match which with
   | T1 ->
-      let r = Table1.run ?scale ?jobs () in
+      let r = Table1.run ?config ?scale ?jobs () in
       Table1.print r;
       Table1.failures r
   | T2 ->
-      let r = Table2.run ?scale ?jobs ?measure_compile () in
+      let r = Table2.run ?config ?scale ?jobs ?measure_compile () in
       Table2.print r;
       Table2.failures r
   | T3 ->
-      let r = Table3.run ?scale ?jobs () in
+      let r = Table3.run ?config ?scale ?jobs () in
       Table3.print r;
       Table3.failures r
   | T4 ->
-      let r = Table4.run ?scale ?jobs () in
+      let r = Table4.run ?config ?scale ?jobs () in
       Table4.print r;
       r.Table4.failures
   | T5 ->
       (* more samples are needed for stable trigger-accuracy comparisons *)
       let scale = match scale with None -> Some 4 | s -> s in
-      let r = Table5.run ?scale ?jobs () in
+      let r = Table5.run ?config ?scale ?jobs () in
       Table5.print r;
       Table5.failures r
   | F7 ->
       (* scale/interval chosen so the sample count matches the paper's
          run length (~10^3-10^4 samples); see EXPERIMENTS.md *)
       let scale = match scale with None -> Some 4 | s -> s in
-      let d = Figure7.run ?scale ?jobs ~interval:100 () in
+      let d = Figure7.run ?config ?scale ?jobs ~interval:100 () in
       Figure7.print d;
       d.Figure7.failures
   | F8 ->
-      let d = Figure8.run ?scale ?jobs () in
+      let d = Figure8.run ?config ?scale ?jobs () in
       Figure8.print d;
       d.Figure8.failures
   | Adaptive ->
-      let r = Table_adaptive.run ?scale ?jobs ?budget () in
+      let r = Table_adaptive.run ?config ?scale ?jobs ?budget () in
       Table_adaptive.print r;
       Table_adaptive.failures r
 
@@ -89,15 +89,15 @@ let requests ?scale () =
    output is byte-identical to an unscheduled run.  Skipped when a
    checkpoint resume already holds finished cells — recomputing them
    would defeat the resume. *)
-let prewarm ?scale ?jobs () =
+let prewarm ?config ?scale ?jobs () =
   if Robust.checkpointed_cells () = 0 then
-    Schedule.prewarm ?jobs (requests ?scale ())
+    Schedule.prewarm ?config ?jobs (requests ?scale ())
 
-let run_all ?scale ?jobs ?measure_compile () =
-  prewarm ?scale ?jobs ();
+let run_all ?config ?scale ?jobs ?measure_compile () =
+  prewarm ?config ?scale ?jobs ();
   List.concat_map
     (fun w ->
-      let fails = run_one ?scale ?jobs ?measure_compile w in
+      let fails = run_one ?config ?scale ?jobs ?measure_compile w in
       print_newline ();
       fails)
     all
@@ -110,23 +110,26 @@ let run_all ?scale ?jobs ?measure_compile () =
    defaults to [false] here so the full output is deterministic —
    byte-identical across runs and across VM engines — and therefore
    diffable; only the Table 2 compile column is affected (printed "-"). *)
-let run_gated ?scale ?jobs ?(measure_compile = false) () =
-  prewarm ?scale ?jobs ();
+let run_gated ?config ?scale ?jobs ?(measure_compile = false) () =
+  prewarm ?config ?scale ?jobs ();
   let show print tbl =
     print tbl;
     print_newline ();
     tbl
   in
-  let t1 = show Table1.print (Table1.run ?scale ?jobs ()) in
-  let t2 = show Table2.print (Table2.run ?scale ?jobs ~measure_compile ()) in
-  let t3 = show Table3.print (Table3.run ?scale ?jobs ()) in
-  let t4 = show Table4.print (Table4.run ?scale ?jobs ()) in
-  let scale45 = match scale with None -> Some 4 | s -> s in
-  let t5 = show Table5.print (Table5.run ?scale:scale45 ?jobs ()) in
-  let f7 =
-    show Figure7.print (Figure7.run ?scale:scale45 ?jobs ~interval:100 ())
+  let t1 = show Table1.print (Table1.run ?config ?scale ?jobs ()) in
+  let t2 =
+    show Table2.print (Table2.run ?config ?scale ?jobs ~measure_compile ())
   in
-  let f8 = show Figure8.print (Figure8.run ?scale ?jobs ()) in
+  let t3 = show Table3.print (Table3.run ?config ?scale ?jobs ()) in
+  let t4 = show Table4.print (Table4.run ?config ?scale ?jobs ()) in
+  let scale45 = match scale with None -> Some 4 | s -> s in
+  let t5 = show Table5.print (Table5.run ?config ?scale:scale45 ?jobs ()) in
+  let f7 =
+    show Figure7.print
+      (Figure7.run ?config ?scale:scale45 ?jobs ~interval:100 ())
+  in
+  let f8 = show Figure8.print (Figure8.run ?config ?scale ?jobs ()) in
   let groups =
     [
       ("table1", Shapes.table1 t1);

@@ -29,7 +29,7 @@ let requests ?scale ?(interval = 1_000) () =
       "javac";
   ]
 
-let run ?scale ?jobs ?(interval = 1_000) ?(top = 50) () =
+let run ?config ?scale ?jobs ?(interval = 1_000) ?(top = 50) () =
   let bench = Workloads.Suite.find "javac" in
   (* a 2-cell grid: the perfect profile and the sampled run are
      independent computations; only keyed profiles (marshal-safe) are
@@ -39,13 +39,15 @@ let run ?scale ?jobs ?(interval = 1_000) ?(top = 50) () =
       (fun () ->
         `Perfect
           (Robust.cell ~key:"figure7/perfect" (fun () ->
-               fst (Common.perfect_profiles (Measure.prepare ?scale bench)))));
+               fst
+                 (Common.perfect_profiles
+                    (Measure.prepare ?config ?scale bench)))));
       (fun () ->
         `Sampled
           (Robust.cell
              ~key:(Printf.sprintf "figure7/sampled@%d" interval)
              (fun () ->
-               let build = Measure.prepare ?scale bench in
+               let build = Measure.prepare ?config ?scale bench in
                let m =
                  Measure.run_transformed
                    ~trigger:(Core.Sampler.Counter { interval; jitter = 0 })

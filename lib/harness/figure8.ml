@@ -67,7 +67,7 @@ let requests ?scale ?benches () =
           benches)
       Common.sample_intervals
 
-let run ?scale ?jobs ?benches () =
+let run ?config ?scale ?jobs ?benches () =
   let benches =
     match benches with Some l -> l | None -> Common.benchmarks ()
   in
@@ -83,7 +83,7 @@ let run ?scale ?jobs ?benches () =
           Robust.cell
             ~key:(Printf.sprintf "figure8/a/%s" bench.Workloads.Suite.bname)
             (fun () ->
-              let build = Measure.prepare ?scale bench in
+              let build = Measure.prepare ?config ?scale bench in
               let base = Measure.run_baseline build in
               let fw = Measure.run_transformed ~transform build in
               Measure.check_output ~base fw;
@@ -108,7 +108,7 @@ let run ?scale ?jobs ?benches () =
               (Printf.sprintf "figure8/b/%d/%s" interval
                  bench.Workloads.Suite.bname)
             (fun () ->
-              let build = Measure.prepare ?scale bench in
+              let build = Measure.prepare ?config ?scale bench in
               let base = Measure.run_baseline build in
               let m =
                 Measure.run_transformed

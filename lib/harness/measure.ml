@@ -1,10 +1,24 @@
 module Lir = Ir.Lir
 
+(* The run configuration travels with the build, so two configurations
+   can coexist in one process (a daemon's jobs, a test's flipped engine)
+   without either seeing the other's. *)
+type config = {
+  engine : [ `Ref | `Fast ];
+  recording : [ `Slots | `Legacy ];
+  chaos : int option;
+  watchdog : float;
+}
+
+let default =
+  { engine = `Fast; recording = `Slots; chaos = None; watchdog = 600.0 }
+
 type build = {
   bench : Workloads.Suite.benchmark;
   scale : int;
   classes : Bytecode.Classfile.program;
   base_funcs : Lir.func list;
+  config : config;
 }
 
 (* Both caches are keyed per-key-locked (Sync.Memo): when experiment cells
@@ -13,56 +27,28 @@ type build = {
    published, immutable value.  No build is ever compiled twice. *)
 let build_cache : (string * int, build) Sync.Memo.t = Sync.Memo.create ()
 
-let prepare ?(scale = 0) (bench : Workloads.Suite.benchmark) =
-  let scale = if scale = 0 then bench.Workloads.Suite.default_scale else scale in
+let prepare ?(config = default) ?(scale = 0)
+    (bench : Workloads.Suite.benchmark) =
+  let scale =
+    if scale = 0 then bench.Workloads.Suite.default_scale else scale
+  in
   let key = (bench.Workloads.Suite.bname, scale) in
-  Sync.Memo.get build_cache key (fun () ->
-      let classes = Workloads.Suite.compile bench in
-      let base_funcs =
-        Opt.Pipeline.front (Bytecode.To_lir.program_to_funcs classes)
-      in
-      { bench; scale; classes; base_funcs })
+  let b =
+    Sync.Memo.get build_cache key (fun () ->
+        let classes = Workloads.Suite.compile bench in
+        let base_funcs =
+          Opt.Pipeline.front (Bytecode.To_lir.program_to_funcs classes)
+        in
+        { bench; scale; classes; base_funcs; config = default })
+  in
+  { b with config }
 
-(* The execution engine every experiment runs on, settable once from the
-   CLI (isf --engine).  The engines are bit-identical, so this can never
-   change a number — EXPERIMENTS.md results are engine-invariant — but
-   caches are still keyed by it so mixed-engine comparisons (bench, the
-   differential suite) never alias. *)
-let default_engine : [ `Ref | `Fast ] Atomic.t = Atomic.make `Fast
-
-let set_engine e = Atomic.set default_engine e
-let current_engine () = Atomic.get default_engine
-
-(* The profile recording path (isf --recording).  [`Slots] (default)
-   resolves every instrument op to a flat slot after linking and records
-   through preallocated buffers (Profiles.Slots), decoding into the
-   legacy collector structures at end of run; [`Legacy] is the original
-   event-by-event hook dispatch, kept as the differential oracle.  The
-   two are bit-identical — cycles, counters and every decoded profile
-   table including iteration order — so results are recording-invariant
-   (test/test_slots.ml enforces this differentially). *)
-let recording : [ `Slots | `Legacy ] Atomic.t = Atomic.make `Slots
-
-let set_recording r = Atomic.set recording r
-let current_recording () = Atomic.get recording
-
-(* Chaos mode (isf --chaos SEED): every measurement runs under a fault
-   plan derived from the session seed and the cell's (benchmark, scale)
-   — deliberately NOT from which table or worker asks, so concurrent
-   cells measuring the same build inject the same faults and results
-   stay independent of -j and of execution order. *)
-let chaos : int option Atomic.t = Atomic.make None
-
-let set_chaos s = Atomic.set chaos s
-
-(* Per-cell wall-clock budget in seconds (isf --watchdog); <= 0 disables
-   the deadline entirely (the clock is then never read). *)
-let watchdog : float Atomic.t = Atomic.make 600.0
-
-let set_watchdog s = Atomic.set watchdog s
-
+(* Chaos: the fault plan derives from the seed and the build's
+   (benchmark, scale) — deliberately NOT from which table or worker
+   asks, so concurrent cells measuring the same build inject the same
+   faults and results stay independent of -j and of execution order. *)
 let fault_plan build =
-  match Atomic.get chaos with
+  match build.config.chaos with
   | None -> Fault.none
   | Some seed ->
       Fault.of_seed ~compile_fail_pct:25
@@ -118,10 +104,7 @@ let no_recording (_ : Vm.Program.t) =
     r_on_init = None;
   }
 
-let execute ?engine ?timer_period build funcs mk =
-  let engine =
-    match engine with Some e -> e | None -> Atomic.get default_engine
-  in
+let execute ?timer_period build funcs mk =
   let prog = Vm.Program.link build.classes ~funcs in
   let recording = mk prog in
   let faults = fault_plan build in
@@ -133,11 +116,12 @@ let execute ?engine ?timer_period build funcs mk =
         build.scale
   in
   let deadline =
-    let w = Atomic.get watchdog in
+    let w = build.config.watchdog in
     if w <= 0.0 then None else Some (Unix.gettimeofday () +. w)
   in
   let res =
-    Vm.Interp.run ~engine ~use_icache:true ?timer_period ~faults ~label
+    Vm.Interp.run ~engine:build.config.engine ~use_icache:true ?timer_period
+      ~faults ~label
       ?deadline ?recorder:recording.r_recorder ?on_init:recording.r_on_init
       prog
       ~entry:Workloads.Suite.entry ~args:[ build.scale ] recording.r_hooks
@@ -171,42 +155,41 @@ let () =
 
 let engine_str = function `Ref -> "ref" | `Fast -> "fast"
 
-let run_key ?adaptive ~kind ~funcs_digest ~engine ~recording ~trigger
-    ~timer_period build =
+let run_key ?adaptive ~kind ~funcs_digest ~recording ~trigger ~timer_period
+    build =
   Digest.run_config ?adaptive ~kind
     ~bench:build.bench.Workloads.Suite.bname ~scale:build.scale ~funcs_digest
-    ~engine:(engine_str engine) ~recording ~trigger ~timer_period
+    ~engine:(engine_str build.config.engine) ~recording ~trigger ~timer_period
     ~costs:(Digest.costs Vm.Costs.default)
     ~faults:(Digest.fault_plan (fault_plan build))
     ()
 
-let run_baseline ?engine build =
-  let engine =
-    match engine with Some e -> e | None -> Atomic.get default_engine
-  in
+let run_baseline build =
   let key =
-    run_key ~kind:"baseline" ~funcs_digest:(base_funcs_digest build) ~engine
+    run_key ~kind:"baseline" ~funcs_digest:(base_funcs_digest build)
       ~recording:"none" ~trigger:"none" ~timer_period:None build
   in
-  Cache.find ~key (fun () ->
-      fst (execute ~engine build build.base_funcs no_recording))
+  Cache.find ~key (fun () -> fst (execute build build.base_funcs no_recording))
 
-let run_transformed ?engine ?recording:rec_override
-    ?(trigger = Core.Sampler.Never) ?timer_period ~transform build =
-  let engine =
-    match engine with Some e -> e | None -> Atomic.get default_engine
-  in
-  let recording_path =
-    match rec_override with Some r -> r | None -> Atomic.get recording
-  in
-  let funcs =
-    List.map
-      (fun f -> (transform f).Core.Transform.func)
-      build.base_funcs
-  in
+let transformed_funcs transform build =
+  List.map (fun f -> (transform f).Core.Transform.func) build.base_funcs
+
+(* flat-slot recording into [slots]; adaptive runs attach their
+   controller through [on_init] *)
+let slots_recording ?on_init slots sampler =
+  {
+    r_hooks = Profiles.Slots.hooks slots sampler;
+    r_recorder = Some (Profiles.Slots.recorder slots);
+    r_decode = (fun () -> Profiles.Slots.decode slots);
+    r_on_init = on_init;
+  }
+
+let run_transformed ?(trigger = Core.Sampler.Never) ?timer_period ~transform
+    build =
+  let funcs = transformed_funcs transform build in
   let mk prog =
     let sampler = Core.Sampler.create trigger in
-    match recording_path with
+    match build.config.recording with
     | `Legacy ->
         let collector = Profiles.Collector.create () in
         {
@@ -215,22 +198,17 @@ let run_transformed ?engine ?recording:rec_override
           r_decode = (fun () -> collector);
           r_on_init = None;
         }
-    | `Slots ->
-        let slots = Profiles.Slots.create prog in
-        {
-          r_hooks = Profiles.Slots.hooks slots sampler;
-          r_recorder = Some (Profiles.Slots.recorder slots);
-          r_decode = (fun () -> Profiles.Slots.decode slots);
-          r_on_init = None;
-        }
+    | `Slots -> slots_recording (Profiles.Slots.create prog) sampler
   in
   let key =
-    run_key ~kind:"instrumented" ~funcs_digest:(Digest.funcs funcs) ~engine
+    run_key ~kind:"instrumented" ~funcs_digest:(Digest.funcs funcs)
       ~recording:
-        (match recording_path with `Slots -> "slots" | `Legacy -> "legacy")
+        (match build.config.recording with
+        | `Slots -> "slots"
+        | `Legacy -> "legacy")
       ~trigger:(Digest.trigger trigger) ~timer_period build
   in
-  Cache.find ~key (fun () -> fst (execute ~engine ?timer_period build funcs mk))
+  Cache.find ~key (fun () -> fst (execute ?timer_period build funcs mk))
 
 (* ------------------------------------------------------------------ *)
 (* Adaptive runs (DESIGN.md §9)                                        *)
@@ -251,80 +229,54 @@ module Adaptive_cache = Runcache.Make (struct
   type t = adaptive_metrics
 end)
 
-let run_adaptive ?engine ?(trigger = Core.Sampler.Counter { interval = 64; jitter = 0 })
-    ?timer_period ?(config = Adaptive.Controller.default) ~transform build =
-  let engine =
-    match engine with Some e -> e | None -> Atomic.get default_engine
-  in
-  let funcs =
-    List.map (fun f -> (transform f).Core.Transform.func) build.base_funcs
-  in
-  (* the controller reads the live profile from the flat-slot recorder,
-     so adaptive runs are pinned to [`Slots] recording regardless of the
-     session-wide setting (the loop-off byte-identity guarantees are
-     what both recordings keep) *)
-  let key =
-    run_key
-      ~adaptive:(Adaptive.Controller.config_digest config)
-      ~kind:"adaptive" ~funcs_digest:(Digest.funcs funcs) ~engine
-      ~recording:"slots" ~trigger:(Digest.trigger trigger) ~timer_period build
-  in
-  Adaptive_cache.find ~key (fun () ->
-      let ctl = ref None in
-      let mk prog =
-        let sampler = Core.Sampler.create trigger in
-        let slots = Profiles.Slots.create prog in
-        let c = Adaptive.Controller.create ~config ~sampler slots in
-        ctl := Some c;
-        {
-          r_hooks = Profiles.Slots.hooks slots sampler;
-          r_recorder = Some (Profiles.Slots.recorder slots);
-          r_decode = (fun () -> Profiles.Slots.decode slots);
-          r_on_init = Some (Adaptive.Controller.on_init c);
-        }
-      in
-      let m, res = execute ~engine ?timer_period build funcs mk in
-      let c = Option.get !ctl in
-      {
-        am = m;
-        instr_cycles = res.Vm.Interp.instr_cycles;
-        achieved_overhead_pct =
-          Adaptive.Budget.overhead ~cycles:res.Vm.Interp.cycles
-            ~icycles:res.Vm.Interp.instr_cycles;
-        decisions = Adaptive.Controller.decisions c;
-        polls = Adaptive.Controller.polls c;
-      })
+let adaptive_trigger = Core.Sampler.Counter { interval = 64; jitter = 0 }
 
-(* One UNCACHED adaptive execution, timed.  [run_adaptive] results flow
-   through the run cache (by design — tables want cell reuse), which
-   makes wall-clock timing of the cached entry point meaningless; bench
-   drivers time this instead.  Same configuration surface and the same
-   execution path as [run_adaptive], minus the cache and the controller
-   introspection. *)
-let adaptive_wall ?engine
-    ?(trigger = Core.Sampler.Counter { interval = 64; jitter = 0 })
-    ?timer_period ?(config = Adaptive.Controller.default) ~transform build =
-  let engine =
-    match engine with Some e -> e | None -> Atomic.get default_engine
-  in
-  let funcs =
-    List.map (fun f -> (transform f).Core.Transform.func) build.base_funcs
-  in
+(* The controller reads the live profile from the flat-slot recorder,
+   so adaptive runs are pinned to [`Slots] recording whatever the
+   build's config says (the loop-off byte-identity guarantees are what
+   both recordings keep). *)
+let adaptive_execute ~trigger ?timer_period ~config ~funcs build =
+  let ctl = ref None in
   let mk prog =
     let sampler = Core.Sampler.create trigger in
     let slots = Profiles.Slots.create prog in
     let c = Adaptive.Controller.create ~config ~sampler slots in
-    {
-      r_hooks = Profiles.Slots.hooks slots sampler;
-      r_recorder = Some (Profiles.Slots.recorder slots);
-      r_decode = (fun () -> Profiles.Slots.decode slots);
-      r_on_init = Some (Adaptive.Controller.on_init c);
-    }
+    ctl := Some c;
+    slots_recording ~on_init:(Adaptive.Controller.on_init c) slots sampler
   in
+  let m, res = execute ?timer_period build funcs mk in
+  let c = Option.get !ctl in
+  {
+    am = m;
+    instr_cycles = res.Vm.Interp.instr_cycles;
+    achieved_overhead_pct =
+      Adaptive.Budget.overhead ~cycles:res.Vm.Interp.cycles
+        ~icycles:res.Vm.Interp.instr_cycles;
+    decisions = Adaptive.Controller.decisions c;
+    polls = Adaptive.Controller.polls c;
+  }
+
+let run_adaptive ?(trigger = adaptive_trigger) ?timer_period
+    ?(config = Adaptive.Controller.default) ~transform build =
+  let funcs = transformed_funcs transform build in
+  let key =
+    run_key
+      ~adaptive:(Adaptive.Controller.config_digest config)
+      ~kind:"adaptive" ~funcs_digest:(Digest.funcs funcs) ~recording:"slots"
+      ~trigger:(Digest.trigger trigger) ~timer_period build
+  in
+  Adaptive_cache.find ~key (fun () ->
+      adaptive_execute ~trigger ?timer_period ~config ~funcs build)
+
+(* One UNCACHED adaptive execution, timed.  [run_adaptive] results flow
+   through the run cache (by design — tables want cell reuse), which
+   makes wall-clock timing of the cached entry point meaningless; bench
+   drivers time this instead, over the same execution path. *)
+let adaptive_wall ?(trigger = adaptive_trigger) ?timer_period
+    ?(config = Adaptive.Controller.default) ~transform build =
+  let funcs = transformed_funcs transform build in
   let t0 = Unix.gettimeofday () in
-  let (_ : metrics * Vm.Interp.result) =
-    execute ~engine ?timer_period build funcs mk
-  in
+  ignore (adaptive_execute ~trigger ?timer_period ~config ~funcs build);
   Unix.gettimeofday () -. t0
 
 let overhead_pct ~base m =

@@ -7,47 +7,48 @@
     the analog of the paper's "overhead relative to the original,
     non-instrumented code". *)
 
+type config = {
+  engine : [ `Ref | `Fast ];
+      (** VM execution engine.  The engines are bit-identical (see
+          {!Vm.Engine}), so no number depends on it; the run key still
+          names it, so differential runs never alias. *)
+  recording : [ `Slots | `Legacy ];
+      (** Profile recording path: flat slots ({!Profiles.Slots}) or the
+          legacy event-by-event hooks kept as the differential oracle.
+          Bit-identical too, and keyed for the same reason. *)
+  chaos : int option;
+      (** [Some seed] runs every measurement under a deterministic
+          {!Fault.plan} derived from the seed and the build's
+          (benchmark, scale) only, so results do not depend on worker
+          count or order.  [None]: no fault injection at all. *)
+  watchdog : float;
+      (** Per-measurement wall-clock budget in seconds; a run over it
+          fails with a watchdog {!Vm.Interp.Runtime_error} (classified
+          ["timeout"] by {!Robust}).  [<= 0] disables it and the VM never
+          reads the clock.  Not in the run key: it can only turn a run
+          into a failure, and failures are never cached. *)
+}
+(** Everything besides the build and the transform that a measurement
+    depends on.  Engine, recording and the chaos fault plan enter the
+    run key ({!Digest.run_config}); see DESIGN.md §8 for which fields
+    the checkpoint meta, the serve journal meta and the job line
+    carry. *)
+
+val default : config
+(** [`Fast], [`Slots], no chaos, a 600 s watchdog. *)
+
 type build = {
   bench : Workloads.Suite.benchmark;
   scale : int;
   classes : Bytecode.Classfile.program;
   base_funcs : Ir.Lir.func list; (* optimized, yieldpoints inserted *)
+  config : config;  (** what every run of this build is measured under *)
 }
 
-val prepare : ?scale:int -> Workloads.Suite.benchmark -> build
-(** Memoized per (benchmark, scale). *)
-
-val set_engine : [ `Ref | `Fast ] -> unit
-(** Select the VM execution engine every subsequent measurement runs on
-    (default [`Fast]).  The engines are bit-identical (see {!Vm.Engine}),
-    so results are engine-invariant; caches are still keyed by the engine
-    so explicit per-call overrides never alias. *)
-
-val current_engine : unit -> [ `Ref | `Fast ]
-
-val set_recording : [ `Slots | `Legacy ] -> unit
-(** Select the profile recording path (default [`Slots]): flat-slot
-    recording ({!Profiles.Slots} — compile-time event resolution,
-    preallocated buffers, end-of-run decode) or the legacy
-    event-by-event hook dispatch kept as the differential oracle.  The
-    paths are bit-identical — cycles, counters and every decoded profile
-    table — so every published number is recording-invariant. *)
-
-val current_recording : unit -> [ `Slots | `Legacy ]
-
-val set_chaos : int option -> unit
-(** Arm ([Some seed]) or disarm ([None], the default) chaos mode: every
-    subsequent measurement runs under a deterministic {!Fault.plan}
-    derived from the seed and the cell's (benchmark, scale) — and only
-    those, so results are independent of worker count and execution
-    order.  With chaos off, runs are bit-identical to a build without
-    fault injection at all. *)
-
-val set_watchdog : float -> unit
-(** Per-measurement wall-clock budget in seconds (default 600).  A cell
-    exceeding it aborts with a watchdog {!Vm.Interp.Runtime_error}
-    (classified ["timeout"] by {!Robust}).  [<= 0] disables the watchdog
-    and the VM never reads the clock. *)
+val prepare :
+  ?config:config -> ?scale:int -> Workloads.Suite.benchmark -> build
+(** The compiled part is memoized per (benchmark, scale); [config]
+    (default {!default}) is attached to the returned build. *)
 
 type metrics = {
   cycles : int;
@@ -66,16 +67,14 @@ type metrics = {
          fault-injected to fail *)
 }
 
-val run_baseline : ?engine:[ `Ref | `Fast ] -> build -> metrics
-(** The denominator of every overhead figure.  [engine] defaults to
-    {!current_engine}.  Cached through {!Runcache} under the canonical
-    run key ({!Digest.run_config}), so a baseline is measured once per
-    content-identical configuration — across every table driver, every
-    domain, and (with [--cache]) every process. *)
+val run_baseline : build -> metrics
+(** The denominator of every overhead figure.  Cached through
+    {!Runcache} under the canonical run key ({!Digest.run_config}), so
+    a baseline is measured once per content-identical configuration —
+    across every table driver, every domain, and (with [--cache]) every
+    process. *)
 
 val run_transformed :
-  ?engine:[ `Ref | `Fast ] ->
-  ?recording:[ `Slots | `Legacy ] ->
   ?trigger:Core.Sampler.trigger ->
   ?timer_period:int ->
   transform:(Ir.Lir.func -> Core.Transform.result) ->
@@ -84,10 +83,7 @@ val run_transformed :
 (** Applies [transform] to every function of the build (backend passes
     afterwards are not re-run: overhead measurement isolates the
     framework), links, and runs with a fresh collector.  Default trigger
-    is [Never] (framework-overhead configurations).  [recording]
-    overrides {!current_recording} for this run only — service jobs
-    ({!Serve}) carry their own recording path and must not mutate the
-    session-wide setting under concurrent siblings.  Cached through
+    is [Never] (framework-overhead configurations).  Cached through
     {!Runcache} keyed by the digest of the transformed code plus the
     full run configuration, so identical cells requested by different
     drivers execute once.  Failing runs (chaos faults, watchdog) are
@@ -104,7 +100,6 @@ type adaptive_metrics = {
 }
 
 val run_adaptive :
-  ?engine:[ `Ref | `Fast ] ->
   ?trigger:Core.Sampler.trigger ->
   ?timer_period:int ->
   ?config:Adaptive.Controller.config ->
@@ -113,15 +108,15 @@ val run_adaptive :
   adaptive_metrics
 (** Like {!run_transformed}, but with the adaptive loop armed
     ({!Adaptive.Controller}): the run records through flat slots
-    (regardless of {!set_recording} — the controller reads the live
+    (whatever the build's [config.recording] — the controller reads the live
     profile from the recorder), polls the controller at safepoints, and
     hot-swaps recompiled method versions mid-run.  Default [trigger] is
     [Counter 64] (the loop needs samples to steer by).  Cached like
     every other measurement, keyed additionally by the rendered
-    controller config. *)
+    controller config.  [config] here is the controller's, not the
+    measurement {!config}. *)
 
 val adaptive_wall :
-  ?engine:[ `Ref | `Fast ] ->
   ?trigger:Core.Sampler.trigger ->
   ?timer_period:int ->
   ?config:Adaptive.Controller.config ->

@@ -50,13 +50,15 @@ let transform_of variant specs =
   | Checks_only { entries; backedges } ->
       Core.Transform.checks_only ~entries ~backedges
 
-let execute = function
+let execute ?config = function
   | Baseline { bench; scale } ->
       ignore
         (Measure.run_baseline
-           (Measure.prepare ?scale (Workloads.Suite.find bench)))
+           (Measure.prepare ?config ?scale (Workloads.Suite.find bench)))
   | Instrumented { bench; scale; variant; specs; trigger; timer_period } ->
-      let build = Measure.prepare ?scale (Workloads.Suite.find bench) in
+      let build =
+        Measure.prepare ?config ?scale (Workloads.Suite.find bench)
+      in
       ignore
         (Measure.run_transformed ~trigger ?timer_period
            ~transform:(transform_of variant specs)
@@ -73,7 +75,7 @@ let dedupe runs =
       end)
     runs
 
-let prewarm ?jobs runs =
+let prewarm ?config ?jobs runs =
   let unique = dedupe runs in
   let progress =
     Pool.Progress.create ~label:"prewarm" ~total:(List.length unique) ()
@@ -83,7 +85,7 @@ let prewarm ?jobs runs =
        (fun r ->
          (* a failing run (chaos fault, watchdog) publishes nothing;
             the owning driver cell re-runs it under Robust.cell *)
-         (try execute r with _ -> ());
+         (try execute ?config r with _ -> ());
          Pool.Progress.step progress)
        unique);
   Pool.Progress.finish progress

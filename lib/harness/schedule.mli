@@ -55,12 +55,13 @@ val instrumented :
 val dedupe : run list -> run list
 (** Structural deduplication, stable (first occurrence wins). *)
 
-val execute : run -> unit
-(** Perform one run through {!Measure}, publishing it to the run cache;
+val execute : ?config:Measure.config -> run -> unit
+(** Perform one run through {!Measure} under [config] (default
+    {!Measure.default}), publishing it to the run cache;
     the measured value is discarded here and picked up by whichever
     driver cell asks for the same configuration. *)
 
-val prewarm : ?jobs:int -> run list -> unit
+val prewarm : ?config:Measure.config -> ?jobs:int -> run list -> unit
 (** Dedupe and execute through {!Pool}.  Failures (chaos faults,
     watchdog) are swallowed: a failing run publishes nothing, and the
     owning driver cell will re-run it under {!Robust.cell} with proper

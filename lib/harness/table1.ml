@@ -44,7 +44,7 @@ let requests ?scale ?benches () =
         [ "call-edge"; "field-access" ])
     benches
 
-let run ?scale ?jobs ?benches () =
+let run ?config ?scale ?jobs ?benches () =
   let benches =
     match benches with Some l -> l | None -> Common.benchmarks ()
   in
@@ -69,7 +69,7 @@ let run ?scale ?jobs ?benches () =
             ~key:
               (Printf.sprintf "table1/%s/%s" bench.Workloads.Suite.bname slug)
             (fun () ->
-              let build = Measure.prepare ?scale bench in
+              let build = Measure.prepare ?config ?scale bench in
               let base = Measure.run_baseline build in
               let m =
                 Measure.run_transformed

@@ -62,7 +62,7 @@ let requests ?scale ?benches () =
       ])
     benches
 
-let run ?scale ?jobs ?benches ?(measure_compile = true) () =
+let run ?config ?scale ?jobs ?benches ?(measure_compile = true) () =
   let benches =
     match benches with Some l -> l | None -> Common.benchmarks ()
   in
@@ -76,7 +76,7 @@ let run ?scale ?jobs ?benches ?(measure_compile = true) () =
           Robust.cell
             ~key:(Printf.sprintf "table2/%s" bench.Workloads.Suite.bname)
             (fun () ->
-              let build = Measure.prepare ?scale bench in
+              let build = Measure.prepare ?config ?scale bench in
               let base = Measure.run_baseline build in
               let full =
                 Measure.run_transformed

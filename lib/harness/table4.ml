@@ -51,7 +51,7 @@ let variant_of_name = function
 
 let variant_slug = function `Full -> "full" | `No -> "no"
 
-let sweep ?scale ?jobs ~progress benches variant =
+let sweep ?config ?scale ?jobs ~progress benches variant =
   let transform = variant_of_name variant in
   let slug = variant_slug variant in
   (* per-benchmark framework overhead of this variant (trigger Never);
@@ -66,7 +66,7 @@ let sweep ?scale ?jobs ~progress benches variant =
               (Printf.sprintf "table4/%s/framework/%s" slug
                  bench.Workloads.Suite.bname)
             (fun () ->
-              let build = Measure.prepare ?scale bench in
+              let build = Measure.prepare ?config ?scale bench in
               let base = Measure.run_baseline build in
               let fw = Measure.run_transformed ~transform build in
               Measure.overhead_pct ~base fw)
@@ -104,7 +104,7 @@ let sweep ?scale ?jobs ~progress benches variant =
                 }
           | Ok fw_pct ->
               Robust.cell ~key (fun () ->
-                  let build = Measure.prepare ?scale bench in
+                  let build = Measure.prepare ?config ?scale bench in
                   let base = Measure.run_baseline build in
                   let m =
                     Measure.run_transformed
@@ -190,7 +190,7 @@ let requests ?scale ?benches () =
           Common.sample_intervals)
     [ `Full; `No ]
 
-let run ?scale ?jobs ?benches () =
+let run ?config ?scale ?jobs ?benches () =
   let benches =
     match benches with Some l -> l | None -> Common.benchmarks ()
   in
@@ -200,8 +200,9 @@ let run ?scale ?jobs ?benches () =
   let progress =
     Pool.Progress.create ~label:"table4" ~total:(2 * cells_per_variant) ()
   in
-  let full_dup, full_fails = sweep ?scale ?jobs ~progress benches `Full in
-  let no_dup, no_fails = sweep ?scale ?jobs ~progress benches `No in
+  let sweep = sweep ?config ?scale ?jobs ~progress benches in
+  let full_dup, full_fails = sweep `Full in
+  let no_dup, no_fails = sweep `No in
   Pool.Progress.finish progress;
   { full_dup; no_dup; failures = full_fails @ no_fails }
 

@@ -55,7 +55,7 @@ let requests ?scale ?benches () =
       ])
     benches
 
-let run ?scale ?jobs ?benches () =
+let run ?config ?scale ?jobs ?benches () =
   let benches =
     match benches with Some l -> l | None -> Common.benchmarks ()
   in
@@ -69,7 +69,7 @@ let run ?scale ?jobs ?benches () =
           Robust.cell
             ~key:(Printf.sprintf "table5/%s" bench.Workloads.Suite.bname)
             (fun () ->
-              let build = Measure.prepare ?scale bench in
+              let build = Measure.prepare ?config ?scale bench in
               let base = Measure.run_baseline build in
               let perfect_fa =
                 let m =

@@ -45,7 +45,7 @@ let config ?(budget = 10.0) () =
     Adaptive.Controller.budget_pct = Some budget;
   }
 
-let run ?scale ?jobs ?(budget = 10.0) ?benches () =
+let run ?config:measure ?scale ?jobs ?(budget = 10.0) ?benches () =
   let benches =
     match benches with Some l -> l | None -> Common.benchmarks ()
   in
@@ -59,7 +59,7 @@ let run ?scale ?jobs ?(budget = 10.0) ?benches () =
           Robust.cell
             ~key:(Printf.sprintf "adaptive/%s" bench.Workloads.Suite.bname)
             (fun () ->
-              let build = Measure.prepare ?scale bench in
+              let build = Measure.prepare ?config:measure ?scale bench in
               let base = Measure.run_baseline build in
               let transform = Core.Transform.exhaustive spec in
               let instr = Measure.run_transformed ~transform build in

@@ -17,6 +17,7 @@ type config = {
   retries : int;
   quarantine_after : int;
   breaker_after : int;
+  measure : Harness.Measure.config;
 }
 
 let default =
@@ -26,6 +27,7 @@ let default =
     retries = 2;
     quarantine_after = 3;
     breaker_after = 3;
+    measure = Harness.Measure.default;
   }
 
 type stats = {
@@ -118,7 +120,7 @@ let run_job t job =
          breaker has tripped and the memory tier serves); bug failures
          are bounded by the quarantine threshold *)
       let rec attempt ~transient_left ~cache_left =
-        match Job.execute_full job with
+        match Job.execute_full ~config:t.config.measure job with
         | s, merge -> (Job.Done s, Some (Profiles.Merge.render merge))
         | exception e ->
             let msg = Robust.message_of e in

@@ -41,6 +41,9 @@ type config = {
   retries : int;  (** transient retries per job *)
   quarantine_after : int;  (** bug failures before quarantine *)
   breaker_after : int;  (** corruption events before the breaker trips *)
+  measure : Harness.Measure.config;
+      (** what every job runs under ({!Job.execute_full}); each job's
+          engine and recording replace the record's own *)
 }
 
 val default : config

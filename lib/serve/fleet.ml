@@ -301,8 +301,8 @@ let run_daemon ?(config = Daemon.default) ?journal ?(meta = "") ?window
     profiles )
 
 (* The byte-identity reference: one worker, in submission order. *)
-let run_sequential entries =
-  let config = { Daemon.default with workers = 1; capacity = 1 } in
+let run_sequential ?(config = Daemon.default) entries =
+  let config = { config with workers = 1; capacity = 1 } in
   let _, results, profiles = run_daemon ~config entries in
   (results, profiles)
 
@@ -317,7 +317,7 @@ let run_sequential entries =
    recomputed through Job.execute_full: the run cache makes that a
    lookup and determinism makes the payload identical, so the merge is
    lossless either way. *)
-let merge_profiles ?jobs ~entries ~results profiles =
+let merge_profiles ?config ?jobs ~entries ~results profiles =
   let arr = Array.of_list entries in
   let tbl = Hashtbl.create (max 16 (List.length profiles)) in
   List.iter (fun (id, p) -> Hashtbl.replace tbl id p) profiles;
@@ -330,7 +330,7 @@ let merge_profiles ?jobs ~entries ~results profiles =
             | Some p -> Some p
             | None when id >= 1 && id <= Array.length arr ->
                 let _, j = arr.(id - 1) in
-                Some (Profiles.Merge.render (snd (Job.execute_full j)))
+                Some (Profiles.Merge.render (snd (Job.execute_full ?config j)))
             | None -> None)
         | _ -> None)
       results

@@ -70,11 +70,15 @@ val run_daemon :
     byte-identical either way — only the timing accounting differs. *)
 
 val run_sequential :
-  (string * Job.t) list -> (int * string) list * (int * string) list
-(** The byte-identity reference: one worker, submission order.
+  ?config:Daemon.config ->
+  (string * Job.t) list ->
+  (int * string) list * (int * string) list
+(** The byte-identity reference: [config] (default {!Daemon.default})
+    with one worker and capacity one, so jobs run in submission order.
     Returns [(sorted result lines, sorted profile payloads)]. *)
 
 val merge_profiles :
+  ?config:Harness.Measure.config ->
   ?jobs:int ->
   entries:(string * Job.t) list ->
   results:(int * string) list ->
@@ -85,7 +89,7 @@ val merge_profiles :
     sorted multiset of payload digests.  Only OK results contribute.
     An OK result whose payload is missing (pre-profile journal replay,
     socket run without PROFILES) is recomputed through
-    {!Job.execute_full} — a run-cache lookup when warm, and
+    {!Job.execute_full} under [config] — a run-cache lookup when warm, and
     deterministic either way — so the merge is always lossless.  The
     output is byte-identical however the fleet was sharded, ordered or
     parallelised. *)

@@ -216,7 +216,7 @@ let profile_md5 collector =
    frames and the unit the fleet merge combines.  The cached
    Measure.metrics carry the collector, so a warm run-cache hit still
    yields the payload without re-running anything. *)
-let execute_full j =
+let execute_full ?(config = Harness.Measure.default) j =
   if j.poison then
     failwith (Printf.sprintf "injected poison job (bench=%s)" j.bench);
   let bench =
@@ -225,12 +225,15 @@ let execute_full j =
     | exception Not_found ->
         failwith (Printf.sprintf "unknown benchmark %s" j.bench)
   in
-  let build = Harness.Measure.prepare ?scale:j.scale bench in
+  let config =
+    { config with Harness.Measure.engine = j.engine; recording = j.recording }
+  in
+  let build = Harness.Measure.prepare ~config ?scale:j.scale bench in
   let spec = spec_of_names j.specs in
   let transform = transform_of_variant spec j.variant in
   let m =
-    Harness.Measure.run_transformed ~engine:j.engine ~recording:j.recording
-      ~trigger:(sampler_trigger j.trigger) ~transform build
+    Harness.Measure.run_transformed ~trigger:(sampler_trigger j.trigger)
+      ~transform build
   in
   ( {
       cycles = m.Harness.Measure.cycles;
@@ -242,7 +245,7 @@ let execute_full j =
     },
     Profiles.Merge.of_collector m.Harness.Measure.collector )
 
-let execute j = fst (execute_full j)
+let execute ?config j = fst (execute_full ?config j)
 
 (* ------------------------------------------------------------------ *)
 (* Results                                                             *)

@@ -71,11 +71,16 @@ type summary = {
           and engine/recording-invariant (PR 4) *)
 }
 
-val execute : t -> summary
+val execute : ?config:Harness.Measure.config -> t -> summary
 (** Run the job through {!Harness.Measure.run_transformed} (content
-    cached).  Raises on failure; {!Harness.Robust.classify} applies. *)
+    cached) under [config] (default {!Harness.Measure.default}) with its
+    engine and recording replaced by the job's own: the job line names
+    those two, while chaos and the watchdog are the daemon's (its
+    journal meta records them).  Raises on failure;
+    {!Harness.Robust.classify} applies. *)
 
-val execute_full : t -> summary * Profiles.Merge.t
+val execute_full :
+  ?config:Harness.Measure.config -> t -> summary * Profiles.Merge.t
 (** {!execute}, plus the canonical aggregate form of the decoded
     profile — the payload of the daemon's [PROFILE] frames and the
     unit {!Fleet} merges.  A warm run-cache hit still yields it (the

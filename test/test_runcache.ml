@@ -186,47 +186,89 @@ let benches () = [ Workloads.Suite.find "jess"; Workloads.Suite.find "db" ]
 
 (* Robust.persist fills its in-memory cell store even with no checkpoint
    armed, so an honest re-measurement must clear it first. *)
-let fresh_table () =
+let fresh_table ?config () =
   Harness.Robust.set_checkpoint None;
-  Harness.Table1.to_string (Harness.Table1.run ~scale:1 ~benches:(benches ()) ())
+  Harness.Table1.to_string
+    (Harness.Table1.run ?config ~scale:1 ~benches:(benches ()) ())
 
 let test_cold_warm_byte_identical () =
   List.iter
     (fun (engine, recording) ->
-      M.set_engine engine;
-      M.set_recording recording;
-      Fun.protect
-        ~finally:(fun () ->
-          M.set_engine `Fast;
-          M.set_recording `Slots)
-        (fun () ->
+      let config = { M.default with engine; recording } in
+      R.reset_memory ();
+      let plain = fresh_table ~config () in
+      let dir = tmp_dir "coldwarm" in
+      with_cache dir (fun () ->
+          let cold = fresh_table ~config () in
           R.reset_memory ();
-          let plain = fresh_table () in
-          let dir = tmp_dir "coldwarm" in
-          with_cache dir (fun () ->
-              let cold = fresh_table () in
-              R.reset_memory ();
-              let warm = fresh_table () in
-              check_str "cold == uncached" plain cold;
-              check_str "warm == cold" cold warm;
-              let s = R.stats () in
-              check_int "warm run misses nothing" 0 s.R.misses;
-              check_bool "warm run served from disk" true (s.R.disk_hits > 0))))
+          let warm = fresh_table ~config () in
+          check_str "cold == uncached" plain cold;
+          check_str "warm == cold" cold warm;
+          let s = R.stats () in
+          check_int "warm run misses nothing" 0 s.R.misses;
+          check_bool "warm run served from disk" true (s.R.disk_hits > 0)))
     [ (`Ref, `Slots); (`Ref, `Legacy); (`Fast, `Slots); (`Fast, `Legacy) ]
+
+(* Which config fields enter the run key: a cache filled under the
+   default config serves nothing to a flipped engine or chaos seed,
+   only the recording-free baseline to a flipped recording, and
+   everything to a flipped watchdog (it can only fail a run, and
+   failures are never cached). *)
+let test_config_fields_in_key () =
+  let measure config =
+    let build = M.prepare ~config ~scale:1 (Workloads.Suite.find "jess") in
+    (try ignore (M.run_baseline build) with _ -> ());
+    try
+      ignore
+        (M.run_transformed
+           ~trigger:(Core.Sampler.Counter { interval = 100; jitter = 0 })
+           ~transform:(Core.Transform.full_dup Harness.Common.both_specs)
+           build)
+    with _ -> ()
+  in
+  let disk_hits config =
+    R.reset_memory ();
+    measure config;
+    (R.stats ()).R.disk_hits
+  in
+  with_cache (tmp_dir "cfgkey") (fun () ->
+      measure M.default;
+      check_int "default refills from disk" 2 (disk_hits M.default);
+      check_int "engine flipped" 0 (disk_hits { M.default with engine = `Ref });
+      check_int "recording flipped: the baseline only" 1
+        (disk_hits { M.default with recording = `Legacy });
+      check_int "chaos flipped" 0 (disk_hits { M.default with chaos = Some 3 });
+      check_int "watchdog flipped" 2
+        (disk_hits { M.default with watchdog = 5000.0 }))
+
+(* Perfect profiles follow the build's config: after the clean ones are
+   computed, the same build under chaos measures its own instead of
+   returning the clean run.  Seed 4's plan lets jess at scale 1 run to
+   completion (most seeds trap it, and a failing run counts no miss). *)
+let test_perfect_profiles_follow_config () =
+  R.reset_memory ();
+  let bench = Workloads.Suite.find "jess" in
+  let clean = Harness.Common.perfect_profiles (M.prepare ~scale:1 bench) in
+  let misses () = (R.stats ()).R.misses in
+  let before = misses () in
+  check_bool "clean repeat served from memory" true
+    (Harness.Common.perfect_profiles (M.prepare ~scale:1 bench) = clean);
+  check_int "no clean recompute" before (misses ());
+  let config = { M.default with chaos = Some 4 } in
+  ignore (Harness.Common.perfect_profiles (M.prepare ~config ~scale:1 bench));
+  check_int "chaos perfect profiles measured, not the clean memo"
+    (before + 1) (misses ());
+  R.reset_memory ()
 
 let test_chaos_never_aliases_clean () =
   let dir = tmp_dir "chaos" in
   with_cache dir (fun () ->
       let cold = fresh_table () in
       R.reset_memory ();
-      M.set_chaos (Some 11);
-      Fun.protect
-        ~finally:(fun () -> M.set_chaos None)
-        (fun () -> ignore (fresh_table ()));
+      ignore (fresh_table ~config:{ M.default with chaos = Some 11 } ());
       let s = R.stats () in
       check_int "no chaos cell served from a clean entry" 0 s.R.disk_hits;
       check_bool "chaos cells were computed" true (s.R.misses > 0);
-      M.set_chaos None;
       R.reset_memory ();
       let warm = fresh_table () in
       check_str "clean results undisturbed by the chaos run" cold warm;
@@ -371,6 +413,10 @@ let suite =
           `Quick test_cold_warm_byte_identical;
         Alcotest.test_case "chaos never aliases clean entries" `Quick
           test_chaos_never_aliases_clean;
+        Alcotest.test_case "config fields in the run key" `Quick
+          test_config_fields_in_key;
+        Alcotest.test_case "perfect profiles follow the build's config"
+          `Quick test_perfect_profiles_follow_config;
         Alcotest.test_case "checkpoint and cache compose" `Quick
           test_checkpoint_and_cache_compose;
         Alcotest.test_case "stale tmp files swept on open" `Quick
