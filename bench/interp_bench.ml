@@ -24,6 +24,13 @@
    (or best-run-only) number is untrustworthy.  Speedups are computed
    from medians.
 
+   The cross-workload ratios ROADMAP item 1 gates on (javac's and
+   opt_compiler's Fast ns/instr over compress's) get their own phase:
+   [ratio_rounds] rounds that each time the three back to back, one
+   ratio per round and pair, reported as the median with its quartiles
+   and IQR.  Pairing within a round cancels host drift between rounds,
+   which a ratio of two medians taken seconds apart does not.
+
    Results go to BENCH_interp.json (hand-written JSON; the repo has no
    JSON dependency).  [smoke] reruns the same thing at scale 1 with a
    tiny time budget into BENCH_interp.smoke.json — one writer and one
@@ -42,6 +49,9 @@ let smoke_file = "BENCH_interp.smoke.json"
 
 type timing = { t_min : float; t_med : float; t_max : float }
 (* ns per simulated instruction, over the interleaved batches *)
+
+type ratio = { r_q1 : float; r_med : float; r_q3 : float }
+(* quartiles of the per-round paired ratios *)
 
 type row = {
   name : string;
@@ -180,15 +190,66 @@ let prepare_workload ~scale (b : Workloads.Suite.benchmark) =
       fd_t = norm fd_instructions fd_t;
     }
   in
-  ([ run `Ref; run `Fast; run_fd `Fast ], row_of)
+  ((name, run `Fast, instructions), [ run `Ref; run `Fast; run_fd `Fast ], row_of)
+
+(* ---- paired cross-workload ratios ---- *)
+
+let ratio_rounds = 21
+let ratio_base = "compress"
+let ratio_over = [ "javac"; "opt_compiler" ]
+
+(* the [q]-quantile of [xs], linearly interpolated *)
+let quantile xs q =
+  let a = Array.of_list (List.sort compare xs) in
+  let pos = q *. float_of_int (Array.length a - 1) in
+  let i = int_of_float pos in
+  let frac = pos -. float_of_int i in
+  if i + 1 >= Array.length a then a.(i)
+  else (a.(i) *. (1. -. frac)) +. (a.(i + 1) *. frac)
+
+(* Each round times [ratio_base] and every workload of [ratio_over] back
+   to back, a calibrated batch of Fast runs each (about [budget] /
+   [ratio_rounds] seconds), and takes each workload's ns/instr over the
+   base's of the same round. *)
+let paired_ratios ~budget fasts =
+  let find name = List.find (fun (n, _, _) -> n = name) fasts in
+  let base = find ratio_base in
+  let others = List.map find ratio_over in
+  let per_batch = budget /. float_of_int ratio_rounds in
+  let calibrate (name, run, instructions) =
+    (name, run, instructions, max 1 (int_of_float (per_batch /. Float.max 1e-6 (probe run))))
+  in
+  let base = calibrate base and others = List.map calibrate others in
+  let ns_per_instr (_, run, instructions, n) =
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to n do
+      ignore (run ())
+    done;
+    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int (n * instructions)
+  in
+  let samples = List.map (fun _ -> ref []) others in
+  for _ = 1 to ratio_rounds do
+    let b = ns_per_instr base in
+    List.iter2 (fun o acc -> acc := (ns_per_instr o /. b) :: !acc) others samples
+  done;
+  List.map2
+    (fun name acc ->
+      ( name,
+        {
+          r_q1 = quantile !acc 0.25;
+          r_med = quantile !acc 0.5;
+          r_q3 = quantile !acc 0.75;
+        } ))
+    ratio_over samples
 
 (* Every workload is prepared before any is timed, and one [time_all]
-   round-robins over all of their configurations. *)
+   round-robins over all of their configurations; then the paired
+   ratios. *)
 let bench_all ~scale ~budget =
   let prepared = List.map (prepare_workload ~scale) Workloads.Suite.all in
   let rec rows timings prepared =
     match (timings, prepared) with
-    | a :: b :: c :: timings, (_, row_of) :: prepared ->
+    | a :: b :: c :: timings, (_, _, row_of) :: prepared ->
         let row = row_of a b c in
         Printf.printf
           "  %-14s ref %7.2f ns/instr   fast %7.2f ns/instr (%4.2fx)   fd \
@@ -199,7 +260,15 @@ let bench_all ~scale ~budget =
     | [], [] -> []
     | _ -> assert false
   in
-  rows (time_all ~budget (List.concat_map fst prepared)) prepared
+  let rows =
+    rows
+      (time_all ~budget (List.concat_map (fun (_, runs, _) -> runs) prepared))
+      prepared
+  in
+  let ratios =
+    paired_ratios ~budget:(3. *. budget) (List.map (fun (f, _, _) -> f) prepared)
+  in
+  (rows, ratios)
 
 (* ---- JSON out ---- *)
 
@@ -212,7 +281,7 @@ let geomean f rows =
    schema (including [geomean_speedup] — the smoke file used to drift
    from the full one), with per-configuration min/median/max.  The
    bare *_ns_per_instr fields carry the median. *)
-let json_of_rows rows =
+let json_of_rows (rows, ratios) =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n  \"benchmarks\": [\n";
   let timing k (t : timing) =
@@ -232,13 +301,24 @@ let json_of_rows rows =
            r.fd_instructions (timing "fd" r.fd_t)
            (if i = List.length rows - 1 then "" else ",")))
     rows;
+  Buffer.add_string buf "  ],\n  \"ratios\": [\n";
+  List.iteri
+    (fun i (name, r) ->
+      Buffer.add_string buf
+        (Printf.sprintf
+           "    { \"name\": \"%s/%s\", \"median\": %.3f, \"q1\": %.3f, \
+            \"q3\": %.3f, \"iqr\": %.3f }%s\n"
+           name ratio_base r.r_med r.r_q1 r.r_q3 (r.r_q3 -. r.r_q1)
+           (if i = List.length ratios - 1 then "" else ",")))
+    ratios;
   Buffer.add_string buf
     (Printf.sprintf
        "  ],\n\
-       \  \"timing\": \"median-of-%d interleaved batches\",\n\
+       \  \"timing\": \"median-of-%d interleaved batches; ratios: median \
+        of %d per-round paired ratios\",\n\
        \  \"geomean_speedup\": %.3f\n\
         }\n"
-       batches (geomean speedup rows));
+       batches ratio_rounds (geomean speedup rows));
   Buffer.contents buf
 
 (* ---- JSON in (validation only; no JSON library in the repo) ---- *)
@@ -410,6 +490,25 @@ let validate_json ~file text =
         | _ -> failwith (file ^ ": non-object row"))
       rows
   in
+  (match List.assoc_opt "ratios" top with
+  | Some (Arr rs) ->
+      List.iter
+        (fun over ->
+          let want = over ^ "/" ^ ratio_base in
+          match
+            List.find_opt
+              (function
+                | Obj o -> List.assoc_opt "name" o = Some (Str want)
+                | _ -> false)
+              rs
+          with
+          | Some (Obj o) ->
+              let q1 = num o "q1" and med = num o "median" and q3 = num o "q3" in
+              if not (q1 > 0.0 && q1 <= med && med <= q3) then
+                failwith (file ^ ": quartiles out of order for " ^ want)
+          | _ -> failwith (Printf.sprintf "%s: missing ratio %S" file want))
+        ratio_over
+  | _ -> failwith (file ^ ": missing \"ratios\" array"));
   List.iter
     (fun (b : Workloads.Suite.benchmark) ->
       if not (List.mem b.Workloads.Suite.bname names) then
@@ -435,20 +534,21 @@ let run_rows ~file ~scale ~budget =
   Printf.printf
     "Engine benchmark: reference interpreter vs closure-compiled engine \
      (fd: closure-compiled, Full-Duplication build)\n";
-  let rows = bench_all ~scale ~budget in
+  let rows, ratios = bench_all ~scale ~budget in
   let oc = open_out file in
-  output_string oc (json_of_rows rows);
+  output_string oc (json_of_rows (rows, ratios));
   close_out oc;
   let n = List.length rows in
   let twice = List.length (List.filter (fun r -> speedup r >= 2.0) rows) in
   Printf.printf "  geometric-mean speedup %.2fx; fast >= 2x on %d/%d workloads\n"
     (geomean speedup rows) twice n;
   (* the call-heavy workloads against the loop-heavy one (ROADMAP item 1) *)
-  let fast name = (List.find (fun r -> r.name = name) rows).fast_t.t_med in
-  Printf.printf
-    "  fast ns/instr over compress's: javac %.2fx, opt_compiler %.2fx\n"
-    (fast "javac" /. fast "compress")
-    (fast "opt_compiler" /. fast "compress");
+  List.iter
+    (fun (name, r) ->
+      Printf.printf
+        "  fast ns/instr %s/%s: %.2fx (median of %d paired rounds, IQR %.2f)\n"
+        name ratio_base r.r_med ratio_rounds (r.r_q3 -. r.r_q1))
+    ratios;
   Printf.printf "  wrote %s\n" file;
   rows
 

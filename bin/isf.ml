@@ -215,7 +215,10 @@ let set_checkpoint ~which ~scale ~(config : Measure.config) checkpoint =
       (match config.engine with `Ref -> "ref" | `Fast -> "fast")
       (chaos_str config.chaos)
   in
-  or_die (fun () -> Harness.Robust.set_checkpoint ~meta checkpoint)
+  or_die (fun () ->
+      Harness.Robust.set_checkpoint ~meta
+        ~scope:(Measure.scope ~config ?scale ())
+        checkpoint)
 
 (* ---- commands ---- *)
 

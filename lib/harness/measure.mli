@@ -37,6 +37,12 @@ type config = {
 val default : config
 (** [`Fast], [`Slots], no chaos, a 600 s watchdog. *)
 
+val scope : ?config:config -> ?scale:int -> unit -> string
+(** The {!Robust.cell} scope of cells measured under [config] (default
+    {!default}) at [scale] (default 0, each benchmark's own): drivers
+    pass it so completed cells of one configuration never answer for
+    another in the same process. *)
+
 type build = {
   bench : Workloads.Suite.benchmark;
   scale : int;

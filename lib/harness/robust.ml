@@ -60,7 +60,14 @@ let message_of = function
 (* ------------------------------------------------------------------ *)
 
 let lock = Mutex.create ()
-let store : (string, string) Hashtbl.t = Hashtbl.create 64
+
+(* Completed cells by (scope, cell key): a cell key names a benchmark
+   and a measurement, the scope the run configuration it was measured
+   under, so one process can run the same table under two
+   configurations.  The checkpoint file keeps the cell key alone; its
+   meta pins the configuration, and [set_checkpoint]'s [scope] says
+   which one that is. *)
+let store : (string * string, string) Hashtbl.t = Hashtbl.create 64
 let log : Log.t option ref = ref None
 
 let locked f =
@@ -73,7 +80,7 @@ let locked f =
 let resumed = ref 0
 let checkpointed_cells () = locked (fun () -> !resumed)
 
-let set_checkpoint ?(meta = "") path_opt =
+let set_checkpoint ?(meta = "") ?(scope = "") path_opt =
   locked (fun () ->
       Option.iter Log.close !log;
       log := None;
@@ -85,17 +92,17 @@ let set_checkpoint ?(meta = "") path_opt =
           List.iter
             (fun r ->
               let k, payload = (Marshal.from_string r 0 : string * string) in
-              Hashtbl.replace store k payload)
+              Hashtbl.replace store (scope, k) payload)
             records;
           resumed := Hashtbl.length store;
           log := Some l)
         path_opt)
 
-let lookup key = locked (fun () -> Hashtbl.find_opt store key)
+let lookup scope key = locked (fun () -> Hashtbl.find_opt store (scope, key))
 
-let persist key payload =
+let persist scope key payload =
   locked (fun () ->
-      Hashtbl.replace store key payload;
+      Hashtbl.replace store (scope, key) payload;
       Option.iter
         (fun l -> Log.append l (Marshal.to_string (key, payload) []))
         !log)
@@ -106,8 +113,8 @@ let persist key payload =
 
 let () = Printexc.record_backtrace true
 
-let cell ?(retries = 2) ~key f =
-  match lookup key with
+let cell ?(retries = 2) ?(scope = "") ~key f =
+  match lookup scope key with
   | Some payload -> Ok (Marshal.from_string payload 0)
   | None ->
       let rec attempt n =
@@ -125,7 +132,7 @@ let cell ?(retries = 2) ~key f =
         | Ok v ->
             (* payload must not contain closures: checkpointed cells carry
                reduced values (floats, keyed lists), never raw metrics *)
-            persist key (Marshal.to_string v []);
+            persist scope key (Marshal.to_string v []);
             Ok v
         | Error (e, bt) ->
             let cls = classify e in

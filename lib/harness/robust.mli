@@ -42,11 +42,13 @@ val classify : exn -> string
 val message_of : exn -> string
 (** The [message] {!cell} would record for this exception. *)
 
-val set_checkpoint : ?meta:string -> string option -> unit
+val set_checkpoint : ?meta:string -> ?scope:string -> string option -> unit
 (** Arm ([Some path]) or disarm ([None]) the checkpoint store.  Arming
     loads every verified cell already in the file, drops the rest, and
     appends subsequent completed cells to it.  [meta] fingerprints the
-    run configuration.  Raises [Failure] (see {!Log.open_}) for an
+    run configuration; [scope] (default [""]) is the {!cell} scope the
+    loaded cells answer to — the run configuration's, as the table
+    drivers pass it.  Raises [Failure] (see {!Log.open_}) for an
     unusable path, a file written under a different [meta], and a
     non-empty file that is not a checkpoint. *)
 
@@ -56,9 +58,12 @@ val checkpointed_cells : unit -> int
     {!Ablation} skip the scheduler's prewarm when this is non-zero:
     re-measuring cells the resume already finished would defeat it. *)
 
-val cell : ?retries:int -> key:string -> (unit -> 'a) -> 'a outcome
-(** Run one experiment cell.  If the checkpoint holds [key], the cached
-    payload is returned without running [f].  Otherwise [f] runs with
+val cell :
+  ?retries:int -> ?scope:string -> key:string -> (unit -> 'a) -> 'a outcome
+(** Run one experiment cell.  If the store holds [key] under [scope]
+    (default [""]: the run configuration the cell is measured under,
+    {!Measure.scope}), the cached payload is returned without running
+    [f].  Otherwise [f] runs with
     {!context} set to [key]; transient failures are retried up to
     [retries] (default 2) more times with exponential backoff (50ms,
     100ms, ...); any final exception becomes [Error failure].  A

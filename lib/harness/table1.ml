@@ -45,6 +45,7 @@ let requests ?scale ?benches () =
     benches
 
 let run ?config ?scale ?jobs ?benches () =
+  let scope = Measure.scope ?config ?scale () in
   let benches =
     match benches with Some l -> l | None -> Common.benchmarks ()
   in
@@ -65,7 +66,7 @@ let run ?config ?scale ?jobs ?benches () =
     Pool.map ?jobs
       (fun (bench, slug, spec) ->
         let r =
-          Robust.cell
+          Robust.cell ~scope
             ~key:
               (Printf.sprintf "table1/%s/%s" bench.Workloads.Suite.bname slug)
             (fun () ->

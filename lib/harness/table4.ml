@@ -52,6 +52,7 @@ let variant_of_name = function
 let variant_slug = function `Full -> "full" | `No -> "no"
 
 let sweep ?config ?scale ?jobs ~progress benches variant =
+  let scope = Measure.scope ?config ?scale () in
   let transform = variant_of_name variant in
   let slug = variant_slug variant in
   (* per-benchmark framework overhead of this variant (trigger Never);
@@ -61,7 +62,7 @@ let sweep ?config ?scale ?jobs ~progress benches variant =
     Pool.map ?jobs
       (fun bench ->
         let r =
-          Robust.cell
+          Robust.cell ~scope
             ~key:
               (Printf.sprintf "table4/%s/framework/%s" slug
                  bench.Workloads.Suite.bname)
@@ -103,7 +104,7 @@ let sweep ?config ?scale ?jobs ~progress benches variant =
                   backtrace = "";
                 }
           | Ok fw_pct ->
-              Robust.cell ~key (fun () ->
+              Robust.cell ~scope ~key (fun () ->
                   let build = Measure.prepare ?config ?scale bench in
                   let base = Measure.run_baseline build in
                   let m =

@@ -56,6 +56,7 @@ let requests ?scale ?benches () =
     benches
 
 let run ?config ?scale ?jobs ?benches () =
+  let scope = Measure.scope ?config ?scale () in
   let benches =
     match benches with Some l -> l | None -> Common.benchmarks ()
   in
@@ -66,7 +67,7 @@ let run ?config ?scale ?jobs ?benches () =
     Pool.map ?jobs
       (fun bench ->
         let meas =
-          Robust.cell
+          Robust.cell ~scope
             ~key:(Printf.sprintf "table5/%s" bench.Workloads.Suite.bname)
             (fun () ->
               let build = Measure.prepare ?config ?scale bench in

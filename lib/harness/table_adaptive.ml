@@ -46,6 +46,7 @@ let config ?(budget = 10.0) () =
   }
 
 let run ?config:measure ?scale ?jobs ?(budget = 10.0) ?benches () =
+  let scope = Measure.scope ?config:measure ?scale () in
   let benches =
     match benches with Some l -> l | None -> Common.benchmarks ()
   in
@@ -56,7 +57,7 @@ let run ?config:measure ?scale ?jobs ?(budget = 10.0) ?benches () =
     Pool.map ?jobs
       (fun (bench : Workloads.Suite.benchmark) ->
         let r =
-          Robust.cell
+          Robust.cell ~scope
             ~key:(Printf.sprintf "adaptive/%s" bench.Workloads.Suite.bname)
             (fun () ->
               let build = Measure.prepare ?config:measure ?scale bench in

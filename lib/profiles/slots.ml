@@ -388,7 +388,11 @@ type t = {
       (* grows when the adaptive tier mints events for inlined sites *)
 }
 
-let nop (_ : Machine.state) (_ : Machine.thread) (_ : Machine.frame) = ()
+let nop (_ : Machine.state) = ()
+
+(* the running frame's activation id *)
+let frame_id (st : Machine.state) =
+  st.Machine.stk.(st.Machine.fp + Machine.h_fid)
 
 let table_capacity = 8 (* = Value_profile's TNV capacity *)
 
@@ -503,8 +507,12 @@ let create (prog : Program.t) : t =
       | "field_access", Lir.P_field (fld, is_write) ->
           counter (C_field (intern_field fld, is_write))
       | "call_edge", Lir.P_unit ->
-          dyn (fun _st _th fr ->
-              itab_bump calls fr.Machine.from_meth fr.Machine.from_site mid)
+          dyn (fun st ->
+              let stk = st.Machine.stk and fp = st.Machine.fp in
+              itab_bump calls
+                stk.(fp + Machine.h_from_meth)
+                stk.(fp + Machine.h_from_site)
+                mid)
       | "value", Lir.P_value (operand, site) -> (
           let vs =
             match Hashtbl.find_opt vsites (mid, site) with
@@ -525,37 +533,41 @@ let create (prog : Program.t) : t =
           in
           match operand with
           | Lir.Reg r ->
-              dyn (fun _st _th fr ->
-                  vsite_record vlog vs (Array.unsafe_get fr.Machine.regs r))
-          | Lir.Imm n -> dyn (fun _st _th _fr -> vsite_record vlog vs n))
+              dyn (fun st ->
+                  vsite_record vlog vs
+                    (Machine.reg st.Machine.stk st.Machine.fp r))
+          | Lir.Imm n -> dyn (fun _st -> vsite_record vlog vs n))
       | "path_reset", Lir.P_site start ->
           let id = psite mid start in
-          dyn (fun _st _th fr -> atab_set active fr.Machine.fid id)
+          dyn (fun st -> atab_set active (frame_id st) id)
       | "path_add", Lir.P_site inc ->
-          dyn (fun _st _th fr ->
-              let i = atab_find active fr.Machine.fid in
+          dyn (fun st ->
+              let i = atab_find active (frame_id st) in
               if i >= 0 then active.asum.(i) <- active.asum.(i) + inc)
       | "path_flush", Lir.P_unit ->
-          dyn (fun _st _th fr ->
-              let i = atab_find active fr.Machine.fid in
+          dyn (fun st ->
+              let i = atab_find active (frame_id st) in
               if i >= 0 then begin
                 itab_bump sums active.asite.(i) active.asum.(i) 0;
                 active.ak.(i) <- -2;
                 active.alive <- active.alive - 1
               end)
       | "cct", Lir.P_unit ->
-          dyn (fun _st th fr ->
+          dyn (fun st ->
               incr cwalks;
-              (* walk the suspended callers outermost-first *)
+              (* walk the thread's frames outermost-first: they sit one
+                 after another from offset 0 to the running frame's *)
+              let stk = st.Machine.stk and fp = st.Machine.fp in
               let node = ref croot in
-              for i = 0 to th.Machine.sp - 1 do
-                let (g : Machine.frame) = th.Machine.stack.(i) in
+              let g = ref 0 in
+              while !g <= fp do
                 node :=
-                  cnode_child !node g.Machine.m.Program.id g.Machine.from_site
+                  cnode_child !node
+                    stk.(!g + Machine.h_mid)
+                    stk.(!g + Machine.h_from_site);
+                g := !g + Machine.hdr + stk.(!g + Machine.h_nregs)
               done;
-              let node =
-                cnode_child !node fr.Machine.m.Program.id fr.Machine.from_site
-              in
+              let node = !node in
               node.c_count <- node.c_count + 1)
       | "receiver", Lir.P_value (operand, site) ->
           let rs =
@@ -585,13 +597,13 @@ let create (prog : Program.t) : t =
           in
           (match operand with
           | Lir.Reg r ->
-              dyn (fun st _th fr ->
-                  record st (Array.unsafe_get fr.Machine.regs r))
-          | Lir.Imm n -> dyn (fun st _th _fr -> record st n))
+              dyn (fun st ->
+                  record st (Machine.reg st.Machine.stk st.Machine.fp r))
+          | Lir.Imm n -> dyn (fun st -> record st n))
       | hook, _ ->
           (* same run-time failure (message and timing) as the legacy
              dispatch: the charge lands, then the hook is rejected *)
-          dyn (fun _st _th _fr ->
+          dyn (fun _st ->
               raise
                 (Machine.Runtime_error
                    (Printf.sprintf
@@ -673,7 +685,7 @@ let mint_call_edge t ~caller ~site ~callee (op : Lir.instrument_op) =
   r.Machine.ev_cost.(ev) <- Collector.op_cost op;
   r.Machine.ev_counter.(ev) <- -1;
   let calls = t.calls in
-  r.Machine.dyn.(ev) <- (fun _st _th _fr -> itab_bump calls caller site callee)
+  r.Machine.dyn.(ev) <- (fun _st -> itab_bump calls caller site callee)
 
 (* ------------------------------------------------------------------ *)
 (* End-of-run decode                                                    *)

@@ -5,12 +5,12 @@
    field/static offsets, class ids, call targets, switch tables and the
    cost table's cycle charges are looked up at compile time.  Closures
    are unary ([state -> unit], the cheapest indirect call OCaml native
-   code can make — no caml_apply arity check); the running thread and
-   frame travel in the [cur_th]/[cur_fr] scratch fields of the state,
-   written by the dispatcher.  Every word compiles to one closure that
-   does the word's work, then the dispatcher's per-word preamble for
-   the next word, then tail-calls it: one compiled form, the per-word
-   chain.  Straight-line words come from [Straight]; DESIGN.md §5
+   code can make — no caml_apply arity check); the running frame is
+   read off the state, as the running thread's array [st.stk] and the
+   frame's offset [st.fp] in it (Machine).  Every word compiles to one
+   closure that does the word's work, then the dispatcher's per-word
+   preamble for the next word, then tail-calls it: one compiled form,
+   the per-word chain.  Straight-line words come from [Straight]; DESIGN.md §5
    ("Compiling straight-line words") gives why the chain is
    bit-identical to the reference [Machine.step], which
    test/test_engine.ml checks differentially.  This module compiles
@@ -43,10 +43,11 @@ type cmeth = k array array
 
 (* Per-method call record, one per method id: everything
    [Machine.new_frame] derives from the callee's current version,
-   precomputed, plus that version's compiled code and entry word.  Call
-   sites capture the record itself (a static site) or a class-indexed
-   table of records (a virtual site), and the adaptive tier's [hot_swap]
-   rewrites the record in place, so no site ever holds a stale version.
+   precomputed, plus that version's number, compiled code and entry
+   word.  Call sites capture the record itself (a static site) or a
+   class-indexed table of records (a virtual site), and the adaptive
+   tier's [hot_swap] rewrites the record in place, so no site ever holds
+   a stale version.
    [entry] is [no_entry] until [fetch] compiles the current version; a
    call that reads the sentinel takes its site's generic path, which
    compiles.  Fields written after creation are only ever set to fully
@@ -55,6 +56,7 @@ type cmeth = k array array
 type crec = {
   mutable entry : k; (* [code.(entry_blk).(0)], or [no_entry] *)
   mutable meth : Program.meth; (* the current version *)
+  mutable ver : int; (* its version number (Program.install) *)
   mutable code : cmeth; (* its compiled code, or [empty_cmeth] *)
   mutable nregs : int;
   mutable np : int;
@@ -77,12 +79,12 @@ type cprog = {
          charge is baked in as an immediate, so a state running a
          different table (e.g. the hardware-count-register ablation)
          forces a recompile rather than a wrong charge *)
-  mutable retired : (Program.meth * cmeth) list;
+  mutable retired : ((int * int) * cmeth) list;
       (* compiled code of hot-swapped-out method versions, keyed by the
-         exact [meth] record frames pin ([==]): activations alive across
-         an adaptive swap finish on the version they started in.  Only
-         the adaptive tier appends here (single VM, at a safepoint), so
-         no synchronization is needed. *)
+         (method id, version number) frames pin: activations alive
+         across an adaptive swap finish on the version they started in.
+         Only the adaptive tier appends here (single VM, at a safepoint),
+         so no synchronization is needed. *)
 }
 
 type Program.cache_slot += Compiled of cprog
@@ -100,8 +102,8 @@ let dense_params (f : Lir.func) nregs =
   let np = count 0 f.Lir.params in
   if np <= nregs then np else -1
 
-(* Point [r] at version [m], with no compiled code yet. *)
-let set_rec (r : crec) (m : Program.meth) =
+(* Point [r] at version [m], numbered [ver], with no compiled code yet. *)
+let set_rec (r : crec) (m : Program.meth) ver =
   let f = m.Program.func in
   let nregs = max f.Lir.next_reg 1 in
   let blk = f.Lir.entry in
@@ -109,6 +111,7 @@ let set_rec (r : crec) (m : Program.meth) =
   r.entry <- no_entry;
   r.code <- empty_cmeth;
   r.meth <- m;
+  r.ver <- ver;
   r.nregs <- nregs;
   r.np <- dense_params f nregs;
   r.entry_blk <- blk;
@@ -116,11 +119,12 @@ let set_rec (r : crec) (m : Program.meth) =
   r.entry_line <- Straight.line_of base;
   r.params <- Array.of_list f.Lir.params
 
-let rec_of_meth (m : Program.meth) =
+let rec_of_meth (m : Program.meth) ver =
   let r =
     {
       entry = no_entry;
       meth = m;
+      ver;
       code = empty_cmeth;
       nregs = 0;
       np = -1;
@@ -132,13 +136,27 @@ let rec_of_meth (m : Program.meth) =
       rid = m.Program.id;
     }
   in
-  set_rec r m;
+  set_rec r m ver;
   r
 
 (* The record a virtual site maps a class without the method to: its
    [np] matches no arity, so the site takes its generic path, which
-   raises the reference's error. *)
-let no_rec = { (rec_of_meth dummy_meth) with np = -2 }
+   raises the reference's error.  Its method is never run. *)
+let no_rec =
+  let fname = { Lir.mclass = "<none>"; Lir.mname = "<none>" } in
+  let func =
+    {
+      Lir.fname;
+      params = [];
+      blocks = Ir.Vec.of_list [ Lir.dead_block ];
+      entry = 0;
+      next_reg = 0;
+    }
+  in
+  let m =
+    { Program.id = -1; mref = fname; func; n_args = 0; code_addr = [| 0 |] }
+  in
+  { (rec_of_meth m (-1)) with np = -2 }
 
 let[@inline] install (r : crec) (cm : cmeth) =
   r.code <- cm;
@@ -169,6 +187,17 @@ let[@inline] fallback_state st id =
   if Array.length st.engine_fallback = 0 then 0
   else Array.unsafe_get st.engine_fallback id
 
+(* A return from a thread's entry frame, out of line and reached by
+   tail call, so the return steps keep no frame for the pointer store of
+   the main thread's result: the thread dies with result [v]. *)
+let[@inline never] thread_exit st v =
+  if st.cur_th.tid = 0 then st.main_result <- v;
+  st.fp <- -1;
+  st.alive <- st.alive - 1;
+  if st.alive > 0 then rotate_thread st
+
+let[@inline never] thread_exit_with st x = thread_exit st (Some x)
+
 (* [Machine.record_flat] for event [ev] whose counter is [c >= 0]; a
    dynamic event ([c < 0]) runs its handler out of line *)
 let[@inline] record_flat st (r : flat_recorder) ev c =
@@ -189,7 +218,7 @@ let[@inline] record_flat st (r : flat_recorder) ev c =
    frame; each ends in the word's own continuation. *)
 let[@inline never] yield_slow st ~nxt ~ni ~line ~probe =
   adaptive_check st;
-  if st.migration && try_migrate st st.cur_fr ni then begin
+  if st.migration && try_migrate st ni then begin
     (* frame re-pinned to the freshly-installed version: return to the
        dispatcher, which re-fetches its compiled code and resumes at the
        migrated index (same fuel/preamble sequence the reference
@@ -200,7 +229,7 @@ let[@inline never] yield_slow st ~nxt ~ni ~line ~probe =
     end
   end
   else if st.switch_bit then begin
-    st.cur_fr.idx <- ni;
+    st.stk.(st.fp + h_idx) <- ni;
     st.switch_bit <- false;
     rotate_thread st
   end
@@ -213,47 +242,45 @@ let[@inline never] instrument_slow st (op : Lir.instrument_op) ~nxt ~ni ~line
   | Some r when op.Lir.slot >= 0 ->
       let ev = op.Lir.slot in
       icharge st (Array.unsafe_get r.ev_cost ev);
-      (Array.unsafe_get r.dyn ev) st st.cur_th st.cur_fr
+      (Array.unsafe_get r.dyn ev) st
   | _ ->
       icharge st (st.hooks.instr_cost op);
-      st.hooks.on_instrument (make_ctx st st.cur_th st.cur_fr) op);
+      st.hooks.on_instrument (make_ctx st) op);
   Straight.advance st ~next:nxt ~ni ~line ~probe
 
-(* Take the stack slot above the caller for a callee of record [r],
-   registers zeroed: [Machine.take_frame] plus the entry position.  The
-   generic call path's frame; the call fast path ([enter]) builds the
-   same frame without its cold cases. *)
-let alloc_frame th (r : crec) =
-  let sp = th.sp + 1 in
-  let stack = th.stack in
-  let callee =
-    if sp < Array.length stack then Array.unsafe_get stack sp
-    else stack_slot th sp
-  in
-  if callee.m != r.meth then callee.m <- r.meth;
+(* Write the frame of a callee of record [r] above the running frame,
+   registers zeroed, at its entry position, growing the thread's array
+   when it is short: [Machine.new_frame]'s frame before its arguments.
+   The generic call path's frame; the call fast path ([enter]) builds
+   the same frame without the growth.  Returns its offset. *)
+let alloc_frame st (r : crec) =
+  let fp = st.fp in
+  let nfp = fp + hdr + st.stk.(fp + h_nregs) in
   let n = r.nregs in
-  if Array.length callee.regs < n then callee.regs <- Array.make n 0
-  else begin
-    let regs = callee.regs in
-    for i = 0 to n - 1 do
-      Array.unsafe_set regs i 0
-    done
-  end;
-  callee.nregs <- n;
-  callee.blk <- r.entry_blk;
-  callee.idx <- 0;
-  callee.base_addr <- r.entry_base;
-  callee
+  let stk = stack_for st (nfp + hdr + n) in
+  for i = 0 to n - 1 do
+    Array.unsafe_set stk (nfp + hdr + i) 0
+  done;
+  stk.(nfp + h_nregs) <- n;
+  stk.(nfp + h_blk) <- r.entry_blk;
+  stk.(nfp + h_idx) <- 0;
+  stk.(nfp + h_base) <- r.entry_base;
+  nfp
 
-let[@inline] push_frame st th callee ~ret_dst ~from_meth ~from_site =
+(* The rest of the callee's header, then make it the running frame. *)
+let[@inline] push_frame st (stk : int array) nfp (r : crec) ~ret_dst
+    ~from_meth ~from_site =
   let fid = st.next_frame_id in
   st.next_frame_id <- fid + 1;
-  callee.ret_dst <- ret_dst;
-  callee.from_meth <- from_meth;
-  callee.from_site <- from_site;
-  callee.fid <- fid;
-  st.counters.entries <- st.counters.entries + 1;
-  th.sp <- th.sp + 1
+  Array.unsafe_set stk (nfp + h_ret) ret_dst;
+  Array.unsafe_set stk (nfp + h_from_meth) from_meth;
+  Array.unsafe_set stk (nfp + h_from_site) from_site;
+  Array.unsafe_set stk (nfp + h_fid) fid;
+  Array.unsafe_set stk (nfp + h_mid) r.rid;
+  Array.unsafe_set stk (nfp + h_ver) r.ver;
+  Array.unsafe_set stk (nfp + h_link) st.fp;
+  st.n_entries <- st.n_entries + 1;
+  st.fp <- nfp
 
 (* A call's arguments, resolved when the chain is built: argument [k] is
    register [areg.(k)] of the caller when that is >= 0, else the
@@ -265,70 +292,76 @@ let arg_regs args =
 let arg_imms args =
   Array.of_list (List.map (function Lir.Reg _ -> 0 | Lir.Imm n -> n) args)
 
-let[@inline] arg ~areg ~aimm (fr : frame) k =
+let[@inline] arg ~areg ~aimm stk fp k =
   let s = Array.unsafe_get areg k in
-  if s >= 0 then fr.regs.(s) else Array.unsafe_get aimm k
+  if s >= 0 then reg stk fp s else Array.unsafe_get aimm k
 
-(* The call fast path, after the site's charge: callee [r], caller [fr].
-   When the arity is [r]'s dense parameter count, the stack slot above
-   the caller exists with enough registers, [r] has a compiled entry and
-   the method is not degraded, it builds the frame [take_frame] and the
-   argument fill would (parameters [0, nargs) written, the rest of
-   [0, nregs) zeroed), pushes it and tail-calls the entry word at its
-   precomputed line.  It writes nothing before that decision; every
-   other case tail-calls the site's [generic] path, which is the whole
-   call again from the same point. *)
-let[@inline] enter st (fr : frame) (r : crec) ~nargs ~areg ~aimm ~ret_dst
-    ~from_meth ~site (generic : k) =
-  let th = st.cur_th in
-  let sp = th.sp + 1 in
-  let stack = th.stack in
-  let entry = r.entry in
+(* What a call site passes to every callee, fixed when the chain is
+   built.  One record rather than separate captures: [enter] reads each
+   field where it is used, so they are not all live, and spilled, across
+   its loops. *)
+type csite = {
+  nargs : int;
+  areg : int array;
+  aimm : int array;
+  ret_dst : int;
+  from_meth : int;
+  site : int;
+  generic : k; (* the whole call again, every case *)
+}
+
+(* The call fast path, after the site's charge: callee [r], caller the
+   running frame at [fp] of [stk].  When the arity is [r]'s dense
+   parameter count, the thread's array has room for the callee above
+   the caller's window, [r] has a compiled entry and the method is not
+   degraded, it builds the frame [alloc_frame] and the argument fill
+   would (parameters [0, nargs) written, the rest of [0, nregs)
+   zeroed), header ints last, makes it the running frame and tail-calls
+   the entry word at its precomputed line: int stores only.  It writes
+   nothing before that decision; every other case tail-calls the site's
+   [generic] path, which is the whole call again from the same point. *)
+let[@inline] enter st (stk : int array) fp (r : crec) (cs : csite) =
+  let nfp = fp + hdr + Array.unsafe_get stk (fp + h_nregs) in
+  let n = r.nregs in
+  let nargs = cs.nargs in
   if
     nargs = r.np
-    && sp < Array.length stack
-    && entry != no_entry
+    && nfp + hdr + n <= Array.length stk
+    && r.entry != no_entry
     && fallback_state st r.rid = 0
   then begin
-    let callee = Array.unsafe_get stack sp in
-    let n = r.nregs in
-    let regs = callee.regs in
-    if Array.length regs < n then generic st
-    else begin
-      for k = 0 to nargs - 1 do
-        Array.unsafe_set regs k (arg ~areg ~aimm fr k)
-      done;
-      for i = nargs to n - 1 do
-        Array.unsafe_set regs i 0
-      done;
-      callee.nregs <- n;
-      callee.blk <- r.entry_blk;
-      callee.idx <- 0;
-      callee.base_addr <- r.entry_base;
-      push_frame st th callee ~ret_dst ~from_meth ~from_site:site;
-      (* the two pointer stores ([caml_modify]) last, so that little is
-         live across them *)
-      let m = r.meth in
-      if callee.m != m then callee.m <- m;
-      st.cur_fr <- callee;
-      Straight.advance st ~next:entry ~ni:0 ~line:r.entry_line ~probe:true
-    end
+    let w = nfp + hdr in
+    let areg = cs.areg and aimm = cs.aimm in
+    for k = 0 to nargs - 1 do
+      Array.unsafe_set stk (w + k) (arg ~areg ~aimm stk fp k)
+    done;
+    for i = w + nargs to w + n - 1 do
+      Array.unsafe_set stk i 0
+    done;
+    Array.unsafe_set stk (nfp + h_nregs) n;
+    Array.unsafe_set stk (nfp + h_blk) r.entry_blk;
+    Array.unsafe_set stk (nfp + h_idx) 0;
+    Array.unsafe_set stk (nfp + h_base) r.entry_base;
+    push_frame st stk nfp r ~ret_dst:cs.ret_dst ~from_meth:cs.from_meth
+      ~from_site:cs.site;
+    Straight.advance st ~next:r.entry ~ni:0 ~line:r.entry_line ~probe:true
   end
-  else generic st
+  else cs.generic st
 
-(* [jump ~baddr ~blines ~codes st fr l] transfers control to block [l]
-   of the same method and keeps executing: it writes the frame's int
-   position fields (no pointer, so no write barrier), performs the
+(* [jump ~baddr ~blines ~codes st l] transfers control to block [l]
+   of the same method and keeps executing: it writes the running
+   frame's position ints ([blk], [idx], code address), performs the
    dispatcher's step preamble for the first word of the target block
    (its i-cache line [blines.(l)] computed when the method was
    compiled) and tail-calls into its compiled chain, so intra-method
    control flow never returns to the dispatch loop.  [codes] is
    dereferenced at run time, by which point every block of the method
    is compiled. *)
-let[@inline] jump ~baddr ~blines ~codes st (fr : frame) l =
-  fr.blk <- l;
-  fr.idx <- 0;
-  fr.base_addr <- Array.unsafe_get baddr l;
+let[@inline] jump ~baddr ~blines ~codes st l =
+  let stk = st.stk and fp = st.fp in
+  Array.unsafe_set stk (fp + h_blk) l;
+  Array.unsafe_set stk (fp + h_idx) 0;
+  Array.unsafe_set stk (fp + h_base) (Array.unsafe_get baddr l);
   let next = Array.unsafe_get (Array.unsafe_get codes l) 0 in
   Straight.advance st ~next ~ni:0 ~line:(Array.unsafe_get blines l)
     ~probe:true
@@ -338,24 +371,70 @@ let[@inline] jump ~baddr ~blines ~codes st (fr : frame) l =
    check.  Closed, so a step that inlines one reads its own captures. *)
 let[@inline] goto_body ~baddr ~blines ~codes st c l =
   charge st c;
-  jump ~baddr ~blines ~codes st st.cur_fr l
+  jump ~baddr ~blines ~codes st l
 
 let[@inline] if_body ~baddr ~blines ~codes st c rc if_true if_false =
   charge st c;
-  let fr = st.cur_fr in
-  jump ~baddr ~blines ~codes st fr
-    (if fr.regs.(rc) <> 0 then if_true else if_false)
+  jump ~baddr ~blines ~codes st
+    (if reg st.stk st.fp rc <> 0 then if_true else if_false)
 
 let[@inline] check_body ~baddr ~blines ~codes st cc_check cc_sample on_sample
     fall =
-  st.counters.checks <- st.counters.checks + 1;
+  st.n_checks <- st.n_checks + 1;
   icharge st cc_check;
   if st.hooks.fire st.cur_th.tid then begin
-    st.counters.samples <- st.counters.samples + 1;
+    st.n_samples <- st.n_samples + 1;
     icharge st cc_sample;
-    jump ~baddr ~blines ~codes st st.cur_fr on_sample
+    jump ~baddr ~blines ~codes st on_sample
   end
-  else jump ~baddr ~blines ~codes st st.cur_fr fall
+  else jump ~baddr ~blines ~codes st fall
+
+(* The return steps' bodies, closed like the branch bodies above: the
+   frame at [st.fp] returns to its caller at [link], which resumes at
+   its saved [idx] on the version it runs.  [pop] restores [st.fp] and
+   reads the caller's call record by the method id in its header: when
+   the caller runs its record's current version (its version number
+   equals [r.ver], which [hot_swap] keeps equal to [prog.version.(id)]),
+   the record has code and the method is not degraded, it tail-calls
+   the caller's resume word; anything else (a frame pinned to a retired
+   version, a degraded caller) tail-calls [slow], the step's
+   out-of-line [fetch_for_frame].  A return from a thread's entry frame
+   goes to [thread_exit]. *)
+let[@inline] resume st (stk : int array) link (cm : cmeth) =
+  let i = Array.unsafe_get stk (link + h_idx) in
+  Straight.advance_addr st
+    ~next:cm.(Array.unsafe_get stk (link + h_blk)).(i)
+    ~ni:i
+    ~naddr:(Array.unsafe_get stk (link + h_base) + i)
+
+let[@inline] pop st (recs : crec array) (slow : k) (stk : int array) link =
+  st.fp <- link;
+  let id = Array.unsafe_get stk (link + h_mid) in
+  let r = recs.(id) in
+  let cm = r.code in
+  if
+    Array.unsafe_get stk (link + h_ver) = r.ver
+    && cm != empty_cmeth
+    && fallback_state st id = 0
+  then resume st stk link cm
+  else slow st
+
+let[@inline] return_none st recs slow cc_ret =
+  charge st cc_ret;
+  let stk = st.stk in
+  let link = Array.unsafe_get stk (st.fp + h_link) in
+  if link < 0 then thread_exit st None else pop st recs slow stk link
+
+let[@inline] return_value st recs slow cc_ret x =
+  charge st cc_ret;
+  let stk = st.stk and fp = st.fp in
+  let link = Array.unsafe_get stk (fp + h_link) in
+  if link < 0 then thread_exit_with st x
+  else begin
+    let dst = Array.unsafe_get stk (fp + h_ret) in
+    if dst >= 0 then set_reg stk link dst x;
+    pop st recs slow stk link
+  end
 
 (* Compile one instruction into its complete dispatch step.  [nxt] is the
    already-compiled remainder of the block, starting at word [ni] on
@@ -378,11 +457,10 @@ let rec compile_instr (cp : cprog) (prog : Program.t) (m : Program.meth)
       let cc_base = costs.Costs.alloc_base in
       let cc_slot = costs.Costs.alloc_per_slot in
       fun st ->
-        let fr = st.cur_fr in
-        let n = el fr in
+        let n = el st in
         if n < 0 then rt_err "negative array length %d" n;
         charge st (cc_base + (cc_slot * n));
-        fr.regs.(r) <- alloc st (make_cell arr_tag (max n 1));
+        set_reg st.stk st.fp r (alloc st (make_cell arr_tag (max n 1)));
         Straight.advance st ~next:nxt ~ni ~line ~probe
   | Lir.Call { dst; kind; target; args; site } -> (
       let nargs = List.length args in
@@ -394,24 +472,21 @@ let rec compile_instr (cp : cprog) (prog : Program.t) (m : Program.meth)
         costs.Costs.call_base + (costs.Costs.call_per_arg * nargs)
       in
       let slow st =
-        let fr = st.cur_fr in
-        fr.idx <- ni;
-        invoke st st.cur_th fr dst kind target args site
+        st.stk.(st.fp + h_idx) <- ni;
+        invoke st dst kind target args site
       in
       (* the call from just after its charge, every case: frame, push,
          then the callee's code or, for a degraded callee, the
          dispatcher (which interprets the pushed frame) *)
-      let generic_push st (r : crec) callee =
-        push_frame st st.cur_th callee ~ret_dst ~from_meth ~from_site:site;
+      let generic_push st (r : crec) nfp =
+        push_frame st st.stk nfp r ~ret_dst ~from_meth ~from_site:site;
         let cm = fetch_or_fallback st cp prog r.rid in
         if cm == empty_cmeth then ()
-        else begin
+        else
           (* chain straight into the callee: the same preamble the
              dispatcher would run for its first instruction *)
-          st.cur_fr <- callee;
           Straight.advance st ~next:cm.(r.entry_blk).(0) ~ni:0
             ~line:r.entry_line ~probe:true
-        end
       in
       match kind with
       | Lir.Static -> (
@@ -427,26 +502,29 @@ let rec compile_instr (cp : cprog) (prog : Program.t) (m : Program.meth)
               let r = cp.recs.(id) in
               if nargs > Array.length r.params then
                 fun st ->
-                  st.cur_fr.idx <- ni;
+                  st.stk.(st.fp + h_idx) <- ni;
                   charge st cc_call;
                   rt_err "too many arguments to %s" r.name
               else
                 let[@inline never] generic st =
-                  let fr = st.cur_fr in
-                  let callee = alloc_frame st.cur_th r in
-                  let regs = callee.regs in
+                  let nfp = alloc_frame st r in
+                  (* the arguments from the caller's window, in the array
+                     as [alloc_frame] may have grown it *)
+                  let stk = st.stk and fp = st.fp in
                   let params = r.params in
                   for k = 0 to nargs - 1 do
-                    regs.(params.(k)) <- arg ~areg ~aimm fr k
+                    stk.(nfp + hdr + params.(k)) <- arg ~areg ~aimm stk fp k
                   done;
-                  generic_push st r callee
+                  generic_push st r nfp
+                in
+                let cs =
+                  { nargs; areg; aimm; ret_dst; from_meth; site; generic }
                 in
                 fun st ->
-                  let fr = st.cur_fr in
-                  fr.idx <- ni;
+                  let stk = st.stk and fp = st.fp in
+                  Array.unsafe_set stk (fp + h_idx) ni;
                   charge st cc_call;
-                  enter st fr r ~nargs ~areg ~aimm ~ret_dst ~from_meth ~site
-                    generic
+                  enter st stk fp r cs
           | None ->
               (* unresolved: the shared slow path raises the identical
                  Link_error at the identical execution point *)
@@ -468,8 +546,7 @@ let rec compile_instr (cp : cprog) (prog : Program.t) (m : Program.meth)
                register or an immediate, so reading the receiver first
                and the rest after dispatch reads the same values *)
             let[@inline never] generic st =
-              let fr = st.cur_fr in
-              let recv = arg ~areg ~aimm fr 0 in
+              let recv = arg ~areg ~aimm st.stk st.fp 0 in
               if recv = 0 then rt_err "null receiver for %s" mname;
               let cls = (heap_get st recv).(0) in
               if cls < 0 then rt_err "virtual call on array";
@@ -480,22 +557,23 @@ let rec compile_instr (cp : cprog) (prog : Program.t) (m : Program.meth)
               let params = r.params in
               if nargs > Array.length params then
                 rt_err "too many arguments to %s" r.name;
-              let callee = alloc_frame st.cur_th r in
-              let regs = callee.regs in
-              regs.(params.(0)) <- recv;
+              let nfp = alloc_frame st r in
+              let stk = st.stk and fp = st.fp in
+              stk.(nfp + hdr + params.(0)) <- recv;
               for k = 1 to nargs - 1 do
-                regs.(params.(k)) <- arg ~areg ~aimm fr k
+                stk.(nfp + hdr + params.(k)) <- arg ~areg ~aimm stk fp k
               done;
-              generic_push st r callee
+              generic_push st r nfp
             in
             let rr = areg.(0) and imm0 = aimm.(0) in
+            let cs = { nargs; areg; aimm; ret_dst; from_meth; site; generic } in
             fun st ->
-              let fr = st.cur_fr in
-              fr.idx <- ni;
+              let stk = st.stk and fp = st.fp in
+              Array.unsafe_set stk (fp + h_idx) ni;
               charge st cc_call;
               (* a live object's class picks the record; a null, dangling
                  or array receiver goes generic *)
-              let recv = if rr >= 0 then fr.regs.(rr) else imm0 in
+              let recv = if rr >= 0 then reg stk fp rr else imm0 in
               let heap = st.heap in
               if recv > 0 && recv <= heap.Ir.Vec.len then begin
                 let cls =
@@ -503,9 +581,7 @@ let rec compile_instr (cp : cprog) (prog : Program.t) (m : Program.meth)
                     (Array.unsafe_get heap.Ir.Vec.data (recv - 1))
                     0
                 in
-                if cls >= 0 then
-                  enter st fr vtab.(cls) ~nargs ~areg ~aimm ~ret_dst
-                    ~from_meth ~site generic
+                if cls >= 0 then enter st stk fp vtab.(cls) cs
                 else generic st
               end
               else generic st))
@@ -514,16 +590,15 @@ let rec compile_instr (cp : cprog) (prog : Program.t) (m : Program.meth)
       | "yield", [] ->
           let cc_intr = costs.Costs.intrinsic in
           fun st ->
-            st.cur_fr.idx <- ni;
+            st.stk.(st.fp + h_idx) <- ni;
             charge st cc_intr;
             rotate_thread st
       | _ ->
           (* spawn/malformed/unknown: rare, shared slow path keeps both
              the late link-error behaviour and the thread bookkeeping *)
           fun st ->
-            let fr = st.cur_fr in
-            fr.idx <- ni;
-            intrinsic st st.cur_th fr dst name args)
+            st.stk.(st.fp + h_idx) <- ni;
+            intrinsic st dst name args)
   | Lir.Yieldpoint yp -> (
       (* conditional break: only an actual thread switch returns to the
          dispatcher; the common case (no adaptive poll due, no migration
@@ -538,13 +613,13 @@ let rec compile_instr (cp : cprog) (prog : Program.t) (m : Program.meth)
       | Lir.Yp_entry ->
           fun st ->
             charge st cc_yp;
-            st.counters.entry_yps <- st.counters.entry_yps + 1;
+            st.n_entry_yps <- st.n_entry_yps + 1;
             if quiet st then Straight.advance st ~next:nxt ~ni ~line ~probe
             else yield_slow st ~nxt ~ni ~line ~probe
       | Lir.Yp_backedge ->
           fun st ->
             charge st cc_yp;
-            st.counters.backedge_yps <- st.counters.backedge_yps + 1;
+            st.n_backedge_yps <- st.n_backedge_yps + 1;
             if quiet st then Straight.advance st ~next:nxt ~ni ~line ~probe
             else yield_slow st ~nxt ~ni ~line ~probe)
   | Lir.Instrument op -> (
@@ -554,7 +629,7 @@ let rec compile_instr (cp : cprog) (prog : Program.t) (m : Program.meth)
          because the compiled method cache can outlive slot assignment;
          assignment is deterministic per program (Profiles.Slots). *)
       fun st ->
-        st.counters.instrument_ops <- st.counters.instrument_ops + 1;
+        st.n_instrument_ops <- st.n_instrument_ops + 1;
         match st.recorder with
         | Some r when op.Lir.slot >= 0 ->
             let ev = op.Lir.slot in
@@ -568,11 +643,11 @@ let rec compile_instr (cp : cprog) (prog : Program.t) (m : Program.meth)
   | Lir.Guarded_instrument op ->
       let cc_check = costs.Costs.check in
       fun st ->
-        st.counters.checks <- st.counters.checks + 1;
+        st.n_checks <- st.n_checks + 1;
         icharge st cc_check;
         if st.hooks.fire st.cur_th.tid then begin
-          st.counters.samples <- st.counters.samples + 1;
-          run_instrument st st.cur_th st.cur_fr op
+          st.n_samples <- st.n_samples + 1;
+          run_instrument st op
         end;
         Straight.advance st ~next:nxt ~ni ~line ~probe
   | _ -> assert false (* straight-line words take the first arm *)
@@ -600,40 +675,10 @@ and compile_term (cp : cprog) (prog : Program.t) ~(baddr : int array)
       if due st then timer_then st body
       else goto_body ~baddr ~blines ~codes st c l
   in
-  (* pop the returning frame; resume the caller's compiled code, or hand
-     a dead thread or a degraded caller back to the dispatcher *)
-  let[@inline] resume st parent (cm : cmeth) =
-    st.cur_fr <- parent;
-    let i = parent.idx in
-    Straight.advance_addr st ~next:cm.(parent.blk).(i) ~ni:i
-      ~naddr:(parent.base_addr + i)
-  in
-  let[@inline never] resume_slow st parent =
-    let cm = fetch_for_frame st cp prog parent in
-    if cm == empty_cmeth then () else resume st parent cm
-  in
   let recs = cp.recs in
-  let return st th =
-    let sp = th.sp - 1 in
-    th.sp <- sp;
-    if sp < 0 then begin
-      st.alive <- st.alive - 1;
-      if st.alive > 0 then rotate_thread st
-    end
-    else begin
-      let parent = Array.unsafe_get th.stack sp in
-      let m = parent.m in
-      let id = m.Program.id in
-      (* [fetch_for_frame]'s common case inline, the rest by tail call:
-         the caller runs its method's current, compiled version, which
-         its call record holds ([hot_swap] keeps [r.meth] equal to
-         [prog.methods.(id)]) *)
-      let r = recs.(id) in
-      let cm = r.code in
-      if m == r.meth && cm != empty_cmeth && fallback_state st id = 0 then
-        resume st parent cm
-      else resume_slow st parent
-    end
+  let[@inline never] resume_slow st =
+    let cm = fetch_for_frame st cp prog in
+    if cm == empty_cmeth then () else resume st st.stk st.fp cm
   in
   match t with
   | Lir.Goto l -> goto cc_branch l
@@ -661,41 +706,30 @@ and compile_term (cp : cprog) (prog : Program.t) ~(baddr : int array)
       | Lir.Reg rs ->
           let body st =
             charge st cc_switch;
-            let fr = st.cur_fr in
-            jump ~baddr ~blines ~codes st fr (target fr.regs.(rs))
+            jump ~baddr ~blines ~codes st (target (reg st.stk st.fp rs))
           in
           fun st -> if due st then timer_then st body else body st)
   | Lir.Return None ->
       let cc_ret = costs.Costs.ret in
-      let body st =
-        let th = st.cur_th in
-        charge st cc_ret;
-        if th.sp = 0 && th.tid = 0 then st.main_result <- None;
-        return st th
-      in
-      fun st -> if due st then timer_then st body else body st
+      let body st = return_none st recs resume_slow cc_ret in
+      fun st ->
+        if due st then timer_then st body
+        else return_none st recs resume_slow cc_ret
   | Lir.Return (Some op) -> (
       let cc_ret = costs.Costs.ret in
-      let finish st x =
-        let th = st.cur_th in
-        charge st cc_ret;
-        if th.sp = 0 then begin
-          if th.tid = 0 then st.main_result <- Some x
-        end
-        else begin
-          let dst = st.cur_fr.ret_dst in
-          if dst >= 0 then
-            (Array.unsafe_get th.stack (th.sp - 1)).regs.(dst) <- x
-        end;
-        return st th
-      in
       match op with
       | Lir.Reg r ->
-          let body st = finish st st.cur_fr.regs.(r) in
-          fun st -> if due st then timer_then st body else body st
+          let body st =
+            return_value st recs resume_slow cc_ret (reg st.stk st.fp r)
+          in
+          fun st ->
+            if due st then timer_then st body
+            else return_value st recs resume_slow cc_ret (reg st.stk st.fp r)
       | Lir.Imm n ->
-          let body st = finish st n in
-          fun st -> if due st then timer_then st body else body st)
+          let body st = return_value st recs resume_slow cc_ret n in
+          fun st ->
+            if due st then timer_then st body
+            else return_value st recs resume_slow cc_ret n)
   | Lir.Check { on_sample; fall } ->
       let cc_check = costs.Costs.check in
       let cc_sample = costs.Costs.sample_jump in
@@ -783,23 +817,24 @@ and fetch_or_fallback st (cp : cprog) (prog : Program.t) (id : int) : cmeth =
       empty_cmeth
   | _ -> empty_cmeth
 
-(* Compiled code for the exact version frame [fr] is pinned to.  Frames
-   born before an adaptive hot-swap still reference the old [meth]
-   record; their code lives in (or is lazily added to) [cp.retired].
-   The common case — no swap ever happened — is one physical-equality
+(* Compiled code for the exact version the running frame is pinned
+   to.  Frames born before an adaptive hot-swap still name the old
+   version number; its code lives in (or is lazily added to)
+   [cp.retired].  The common case — no swap ever happened — is one int
    compare on top of [fetch_or_fallback]. *)
-and fetch_for_frame st (cp : cprog) (prog : Program.t) (fr : frame) : cmeth =
-  let m = fr.m in
-  let id = m.Program.id in
-  if m == prog.Program.methods.(id) then fetch_or_fallback st cp prog id
+and fetch_for_frame st (cp : cprog) (prog : Program.t) : cmeth =
+  let stk = st.stk and fp = st.fp in
+  let id = stk.(fp + h_mid) in
+  let ver = stk.(fp + h_ver) in
+  if ver = prog.Program.version.(id) then fetch_or_fallback st cp prog id
   else if fallback_state st id <> 0 then empty_cmeth
   else
-    match List.assq_opt m cp.retired with
+    match List.assoc_opt (id, ver) cp.retired with
     | Some cm -> cm
     | None -> (
-        match compile_method cp prog m with
+        match compile_method cp prog (Program.version_meth prog id ver) with
         | cm ->
-            cp.retired <- (m, cm) :: cp.retired;
+            cp.retired <- ((id, ver), cm) :: cp.retired;
             cm
         | exception e ->
             record_fallback st id
@@ -829,7 +864,11 @@ let cprog_of (prog : Program.t) (costs : Costs.t) =
             let cp =
               {
                 memo = Sync.Memo.create ();
-                recs = Array.map rec_of_meth prog.Program.methods;
+                recs =
+                  Array.map
+                    (fun (m : Program.meth) ->
+                      rec_of_meth m prog.Program.version.(m.Program.id))
+                    prog.Program.methods;
                 c_costs = costs;
                 retired = [];
               }
@@ -850,17 +889,17 @@ let cprog_of (prog : Program.t) (costs : Costs.t) =
 let hot_swap st (nm : Program.meth) =
   let prog = st.prog in
   let id = nm.Program.id in
-  let old = prog.Program.methods.(id) in
-  if old != nm then begin
-    prog.Program.methods.(id) <- nm;
+  if prog.Program.methods.(id) != nm then begin
+    let old = (id, prog.Program.version.(id)) in
+    Program.install prog nm;
     match prog.Program.engine_cache with
     | Some (Compiled cp) -> (
         let r = cp.recs.(id) in
         let old_cm = r.code in
-        if old_cm != empty_cmeth && not (List.mem_assq old cp.retired) then
+        if old_cm != empty_cmeth && not (List.mem_assoc old cp.retired) then
           cp.retired <- (old, old_cm) :: cp.retired;
         (* in place: every site holding [r] sees the new version *)
-        set_rec r nm;
+        set_rec r nm prog.Program.version.(id);
         match compile_method cp prog nm with
         | cm -> install r cm
         | exception e ->
@@ -876,29 +915,28 @@ let exec st =
   let prog = st.prog in
   let cp = cprog_of prog st.costs in
   (match st.icache with
-  | Some c when c.Icache.shift <> Icache.default_shift ->
-      invalid_arg "Engine.exec: the i-cache must have the default line size"
+  | Some c
+    when c.Icache.shift <> Icache.default_shift
+         || Array.length c.Icache.tags <> Icache.default_lines ->
+      invalid_arg "Engine.exec: the i-cache must have the default geometry"
   | _ -> ());
   while st.alive > 0 do
     fuel_check st;
-    let th = st.threads.(st.current) in
-    if th.sp < 0 then rotate_thread st
+    if st.fp < 0 then rotate_thread st
     else begin
-      let fr = th.stack.(th.sp) in
-      let cm = fetch_for_frame st cp prog fr in
+      let cm = fetch_for_frame st cp prog in
       if cm == empty_cmeth then
         (* degraded method: one reference step, which performs the
            instruction-count/i-cache preamble itself *)
         Machine.step st
       else begin
-        if st.cur_th != th then st.cur_th <- th;
-        if st.cur_fr != fr then st.cur_fr <- fr;
         (* code.(len) is the terminator step, so a frame suspended at
            any idx in [0, len] resumes with a single indexed dispatch
            (the fuel check above makes the preamble's a no-op) *)
-        let i = fr.idx in
-        Straight.advance_addr st ~next:cm.(fr.blk).(i) ~ni:i
-          ~naddr:(fr.base_addr + i)
+        let stk = st.stk and fp = st.fp in
+        let i = stk.(fp + h_idx) in
+        Straight.advance_addr st ~next:cm.(stk.(fp + h_blk)).(i) ~ni:i
+          ~naddr:(stk.(fp + h_base) + i)
       end
     end
   done

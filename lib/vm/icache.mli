@@ -20,6 +20,10 @@ val create : ?lines:int -> ?line_words:int -> unit -> t
     roughly a 32KB L1i with 4-byte instructions).  Raises
     [Invalid_argument] unless both are powers of two. *)
 
+val default_lines : int
+(** The default number of lines: the Fast engine compiles [default_lines
+    - 1] into its i-cache probes as the set mask. *)
+
 val default_shift : int
 (** log2 of the default line size: the line shift the Fast engine
     compiles into its i-cache probes. *)

@@ -83,42 +83,47 @@ let[@inline] make_cell tag slots =
   Array.unsafe_set c 0 tag;
   c
 
-(* Frames hold no pointer field that changes per branch: the running
-   block is [blk] (read through [Lir.block m.func blk] where the words
-   are needed) and the rest are ints, so a taken branch writes ints only
-   and pays no write barrier.  [m] changes on a call only when the slot
-   last held another method, and [regs] only when it must grow.
+(* Activations.  A thread keeps all of its frames in one growable
+   [int array]: a frame at offset [fp] is [hdr] header words followed by
+   its register window, register [r] at [fp + hdr + r].  The callee of a
+   frame starts right after the caller's window, at
+   [fp + hdr + nregs], so the frames of a thread are contiguous from the
+   entry frame at offset 0 to the running frame, and a thread's array
+   holds nothing but ints: a call, a return and a branch write no
+   pointer, and a register access is one load off the array once
+   [st.stk] and [st.fp] are read.
 
-   [regs] may be longer than the register file: [nregs] is the logical
-   length.  Registers [0, nregs) are zeroed when the frame is pushed,
-   and frame migration (see [try_migrate]) zeroes the ones it adds, so
-   every register a method can name (code is verified against its
-   [next_reg]) reads exactly as in a fresh, exact-size array. *)
-type frame = {
-  mutable m : Program.meth;
-  mutable regs : int array;
-  mutable nregs : int;
-  mutable blk : int;
-  mutable idx : int;
-  mutable base_addr : int; (* code address of current block *)
-  mutable ret_dst : int; (* caller register for the result; -1 = none *)
-  mutable from_meth : int; (* caller method id; -1 for thread entries *)
-  mutable from_site : int; (* call site in the caller; -1 for thread entries *)
-  mutable fid : int; (* unique activation id *)
-}
+   The header, by offset from [fp]: *)
+let h_blk = 0 (* running block *)
+let h_idx = 1 (* next word in it *)
+let h_base = 2 (* code address of the running block *)
+let h_nregs = 3 (* register window size *)
+let h_ret = 4 (* caller register for the result; -1 = none *)
+let h_from_meth = 5 (* caller method id; -1 for thread entries *)
+let h_from_site = 6 (* call site in the caller; -1 for thread entries *)
+let h_fid = 7 (* unique activation id *)
+let h_mid = 8 (* method id *)
+let h_ver = 9 (* pinned version number of that method (Program.install) *)
+let h_link = 10 (* the caller's [fp]; -1 for the thread's entry frame *)
+let hdr = 11
 
-(* A thread's activations live in [stack.(0)] (the entry) to
-   [stack.(sp)] (the running frame); [sp = -1] once the thread is dead.
-   Slots above [sp] are frames kept for reuse: a call takes the slot at
-   [sp + 1] and a return just decrements [sp], so steady-state calls and
-   returns allocate nothing and write no pointer.  A recycled frame is
-   indistinguishable from a fresh one (registers re-zeroed, every other
-   field overwritten before it runs; activation ids keep allocation
-   order). *)
+(* Registers [0, nregs) are zeroed when the frame is pushed, and frame
+   migration (see [try_migrate]) zeroes the ones it adds, so every
+   register a method can name (code is verified against its [next_reg])
+   reads exactly as in a fresh, exact-size array.  [nregs] is at least
+   the running version's [next_reg], so [reg]'s unchecked access stays
+   inside the frame's window. *)
+let[@inline] reg (stk : int array) fp r = Array.unsafe_get stk (fp + hdr + r)
+let[@inline] set_reg (stk : int array) fp r v =
+  Array.unsafe_set stk (fp + hdr + r) v
+
+(* [stk] and [fp] are the thread's own only while it is not running: the
+   running thread's live values are [st.stk] and [st.fp] ([rotate_thread]
+   saves and loads them).  [fp = -1] once the thread is dead. *)
 type thread = {
   tid : int;
-  mutable stack : frame array;
-  mutable sp : int;
+  mutable stk : int array;
+  mutable fp : int;
 }
 
 (* Flat-slot recording (Profiles.Slots).  A pre-pass resolves every
@@ -142,67 +147,83 @@ type flat_recorder = {
   counts : int array; (* statically-keyed counters *)
   touch : int array; (* counter indices in first-touch order *)
   mutable n_touch : int;
-  mutable dyn : (state -> thread -> frame -> unit) array; (* dynamic events *)
+  mutable dyn : (state -> unit) array;
+      (* dynamic events; each reads the running frame off the state *)
 }
 
 and state = {
-  prog : Program.t;
+  (* The fields every word touches come first, so they share the
+     record's first cache lines.
+
+     The running thread's frames and the running frame's offset: every
+     register access reads these two.  [stk] changes only on a thread
+     switch or when the running thread's array grows. *)
+  mutable stk : int array;
+  mutable fp : int;
+  mutable cycles : int;
+  mutable guard_gate : int;
+  mutable instructions : int;
+  itags : int array;
+      (* the i-cache's tag array ([icache]'s own, which [Icache.flush]
+         clears in place), or a private one of the same size without an
+         i-cache, whose misses charge and count nothing: a probe is one
+         load off the state and one off the array *)
+  mutable next_timer : int;
+  mutable next_adaptive : int;
+  heap : cell Ir.Vec.t;
   costs : Costs.t;
   hooks : hooks;
-  counters : counters;
-  heap : cell Ir.Vec.t;
+  mutable cur_th : thread; (* [threads.(current)] once a thread exists *)
+  (* event counters; [result_of] assembles [counters] from them *)
+  mutable n_entries : int;
+  mutable n_backedge_yps : int;
+  mutable n_entry_yps : int;
+  mutable n_checks : int;
+  mutable n_samples : int;
+  mutable n_switches : int;
+  mutable n_instrument_ops : int;
+  mutable icycles : int;
+      (* cycles charged through [icharge]: instrumentation overhead *)
+  mutable switch_bit : bool;
+  mutable migration : bool;
+      (* frame migration at yieldpoints armed (see [try_migrate]);
+         false unless the adaptive loop is on *)
+  recorder : flat_recorder option;
+      (* flat-slot recording; [None] = legacy event-by-event hooks *)
+  mutable engine_fallback : int array;
+      (* per-method engine degradation: 0 = compile normally, 1 = fault
+         plan says compilation must fail (event not yet recorded), 2 =
+         degraded and recorded.  [||] when no plan can fail anything. *)
+  mutable next_frame_id : int;
+  prog : Program.t;
   heap_addrs : int Ir.Vec.t; (* base data address of each cell *)
   mutable heap_words : int; (* bump allocator for data addresses *)
   globals : int array;
   mutable threads : thread array;
   mutable current : int;
   mutable alive : int;
-  mutable cycles : int;
-  mutable instructions : int;
-  mutable icycles : int;
-      (* cycles charged through [icharge]: instrumentation overhead *)
-  mutable switch_bit : bool;
   mutable timer_period : int;
-  mutable next_timer : int;
   mutable rng : int;
   icache : Icache.t option;
   dcache : Icache.t option;
   out : Buffer.t;
   fuel : int;
   mutable main_result : int option;
-  mutable next_frame_id : int;
   (* Robustness layer.  [guard_gate] is the only value the hot path
      compares against: the minimum of the fuel limit, the next fault
      event's trigger cycle and the next wall-clock poll, so runs without
      faults or watchdog pay exactly the old single-compare fuel check. *)
   faults : Fault.plan;
   mutable fault_cursor : int; (* next unapplied event in faults.events *)
-  mutable guard_gate : int;
   deadline : float; (* absolute Unix time; infinity = no watchdog *)
   deadline_poll : int; (* cycles between wall-clock polls *)
   mutable next_poll : int;
   label : string; (* benchmark/config context for error messages *)
-  mutable engine_fallback : int array;
-      (* per-method engine degradation: 0 = compile normally, 1 = fault
-         plan says compilation must fail (event not yet recorded), 2 =
-         degraded and recorded.  [||] when no plan can fail anything. *)
   mutable fallbacks : (string * string) list; (* (method, reason), newest first *)
-  (* Engine scratch: the closure-compiled engine passes only [state]
-     between instruction closures (a unary indirect call is the cheapest
-     OCaml can make); the running thread and frame travel here, written
-     by its dispatcher.  The reference interpreter never reads them. *)
-  mutable cur_th : thread;
-  mutable cur_fr : frame;
-  recorder : flat_recorder option;
-      (* flat-slot recording; [None] = legacy event-by-event hooks *)
   (* Adaptive tier (lib/adaptive).  [next_adaptive] = max_int keeps the
      poll a single always-false compare when the loop is off, so the
      byte-identity of non-adaptive runs is untouched. *)
-  mutable next_adaptive : int;
   mutable adaptive_poll : state -> unit;
-  mutable migration : bool;
-      (* frame migration at yieldpoints armed (see [try_migrate]);
-         false unless the adaptive loop is on *)
 }
 
 let[@inline] charge st c = st.cycles <- st.cycles + c
@@ -213,17 +234,28 @@ let[@inline] icharge st c =
   st.cycles <- st.cycles + c;
   st.icycles <- st.icycles + c
 
+
+(* The version of its method that the frame at [fp] runs. *)
+let frame_meth st (stk : int array) fp =
+  let prog = st.prog in
+  let id = stk.(fp + h_mid) in
+  let v = stk.(fp + h_ver) in
+  if v = prog.Program.version.(id) then prog.Program.methods.(id)
+  else Program.version_meth prog id v
+
+(* The method a frame runs, by name: the same for every version. *)
+let frame_mref st (stk : int array) fp =
+  st.prog.Program.methods.(stk.(fp + h_mid)).Program.mref
+
 let out_of_fuel st =
   let where =
-    if Array.length st.threads = 0 then ""
+    if Array.length st.threads = 0 || st.fp < 0 then ""
     else
-      let th = st.threads.(st.current) in
-      if th.sp < 0 then ""
-      else
-        let fr = th.stack.(th.sp) in
-        Printf.sprintf " in %s (block %d, pc %d)"
-          (Lir.string_of_method_ref fr.m.Program.mref)
-          fr.blk (fr.base_addr + fr.idx)
+      let stk = st.stk and fp = st.fp in
+      Printf.sprintf " in %s (block %d, pc %d)"
+        (Lir.string_of_method_ref (frame_mref st stk fp))
+        stk.(fp + h_blk)
+        (stk.(fp + h_base) + stk.(fp + h_idx))
   in
   let ctx = if st.label = "" then "" else " while running " ^ st.label in
   rt_err "out of fuel after %d cycles%s%s (likely non-termination)" st.cycles
@@ -249,8 +281,7 @@ let apply_fault st (e : Fault.event) =
          as a real tick, but the device's own schedule is untouched *)
       st.switch_bit <- true;
       st.hooks.on_timer_tick ()
-  | Fault.Corrupt_sample_counter d ->
-      st.counters.samples <- st.counters.samples + d
+  | Fault.Corrupt_sample_counter d -> st.n_samples <- st.n_samples + d
   | Fault.Flush_icache -> (
       match st.icache with Some c -> Icache.flush c | None -> ())
   | Fault.Flush_dcache -> (
@@ -314,17 +345,103 @@ let set_timer_period st p =
   st.timer_period <- p;
   if st.next_timer - st.cycles > p then st.next_timer <- st.cycles + p
 
-let set_block (fr : frame) l =
-  fr.blk <- l;
-  fr.idx <- 0;
-  fr.base_addr <- fr.m.Program.code_addr.(l)
+let set_block (stk : int array) fp (m : Program.meth) l =
+  stk.(fp + h_blk) <- l;
+  stk.(fp + h_idx) <- 0;
+  stk.(fp + h_base) <- m.Program.code_addr.(l)
+
+(* ------------------------------------------------------------------ *)
+(* Thread arrays                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* A fresh thread's array: room for a dozen typical frames, and small
+   enough to be allocated in the minor heap (a run that stays shallow
+   leaves no block in the major heap). *)
+let initial_stack_words = 256
+
+(* Grow the running thread's array to hold at least [need] words: the
+   cold path of a push or a migration.  Frames keep their offsets, so
+   [st.fp] and every link stay valid; only [st.stk] and the thread's own
+   [stk] are rewritten. *)
+let grow_stack st need =
+  let old = st.stk in
+  let n = Array.length old in
+  let stk = Array.make (max need (2 * n)) 0 in
+  Array.blit old 0 stk 0 n;
+  st.stk <- stk;
+  st.cur_th.stk <- stk;
+  stk
+
+(* The running thread's array, with at least [need] words. *)
+let[@inline] stack_for st need =
+  let stk = st.stk in
+  if need <= Array.length stk then stk else grow_stack st need
+
+(* Write a frame for a call of [m] (its current version) at [nfp] of
+   [stk], which has room for it: registers zeroed, arguments [args]
+   in its parameters, header filled.  Does not make it the running
+   frame. *)
+let init_frame st (stk : int array) nfp (m : Program.meth) nregs ~args
+    ~ret_dst ~from_meth ~from_site ~link =
+  (* a loop, not [Array.fill]: no C call for a handful of registers *)
+  for i = 0 to nregs - 1 do
+    Array.unsafe_set stk (nfp + hdr + i) 0
+  done;
+  let rec fill i = function
+    | [] -> ()
+    | a :: rest ->
+        (match List.nth_opt m.Program.func.Lir.params i with
+        | Some r -> stk.(nfp + hdr + r) <- a
+        | None -> rt_err "too many arguments to %s"
+                    (Lir.string_of_method_ref m.Program.mref));
+        fill (i + 1) rest
+  in
+  fill 0 args;
+  let fid = st.next_frame_id in
+  st.next_frame_id <- fid + 1;
+  stk.(nfp + h_nregs) <- nregs;
+  stk.(nfp + h_ret) <- ret_dst;
+  stk.(nfp + h_from_meth) <- from_meth;
+  stk.(nfp + h_from_site) <- from_site;
+  stk.(nfp + h_fid) <- fid;
+  stk.(nfp + h_mid) <- m.Program.id;
+  stk.(nfp + h_ver) <- st.prog.Program.version.(m.Program.id);
+  stk.(nfp + h_link) <- link;
+  set_block stk nfp m m.Program.func.Lir.entry;
+  st.n_entries <- st.n_entries + 1
+
+(* Push a frame for a call of [m] with argument values [args] onto the
+   running thread, above the running frame, and run it. *)
+let new_frame st (m : Program.meth) ~args ~ret_dst ~from_meth ~from_site =
+  let fp = st.fp in
+  let nfp = fp + hdr + st.stk.(fp + h_nregs) in
+  let nregs = max m.Program.func.Lir.next_reg 1 in
+  let stk = stack_for st (nfp + hdr + nregs) in
+  init_frame st stk nfp m nregs ~args ~ret_dst ~from_meth ~from_site ~link:fp;
+  st.fp <- nfp
+
+let spawn_thread st (m : Program.meth) args =
+  let nregs = max m.Program.func.Lir.next_reg 1 in
+  let stk = Array.make (max initial_stack_words (hdr + nregs)) 0 in
+  init_frame st stk 0 m nregs ~args ~ret_dst:(-1) ~from_meth:(-1)
+    ~from_site:(-1) ~link:(-1);
+  let th = { tid = Array.length st.threads; stk; fp = 0 } in
+  st.threads <- Array.append st.threads [| th |];
+  st.alive <- st.alive + 1;
+  if th.tid = st.current then begin
+    (* the first thread: it runs first *)
+    st.cur_th <- th;
+    st.stk <- stk;
+    st.fp <- 0
+  end;
+  th
 
 (* ------------------------------------------------------------------ *)
 (* On-stack frame migration (adaptive tier)                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Re-pin a frame suspended at a yieldpoint to the method version
-   currently installed in the method table.  Without this, a
+(* Re-pin the running frame, suspended at a yieldpoint, to the method
+   version currently installed in the method table.  Without this, a
    long-running activation (a benchmark's main loop) executes its
    original instrumented code forever no matter what the adaptive
    controller installs — hot-swap only reaches future calls, and there
@@ -347,17 +464,21 @@ let set_block (fr : frame) l =
    preserved; [st.migration] stays false unless the adaptive loop is on,
    so non-adaptive runs pay one always-false test per yieldpoint and
    remain byte-identical. *)
-let try_migrate st (fr : frame) ni =
-  let id = fr.m.Program.id in
-  let nm = st.prog.Program.methods.(id) in
-  nm != fr.m
+let try_migrate st ni =
+  let stk = st.stk and fp = st.fp in
+  let prog = st.prog in
+  let id = stk.(fp + h_mid) in
+  let ver = prog.Program.version.(id) in
+  stk.(fp + h_ver) <> ver
   &&
+  let om = Program.version_meth prog id stk.(fp + h_ver) in
+  let nm = prog.Program.methods.(id) in
   let f = nm.Program.func in
-  let l = fr.blk in
+  let l = stk.(fp + h_blk) in
   l < Lir.num_blocks f
   &&
   let nb = Lir.block f l in
-  let ob = Lir.block fr.m.Program.func l in
+  let ob = Lir.block om.Program.func l in
   nb.Lir.role = ob.Lir.role
   &&
   let oinstrs = ob.Lir.instrs in
@@ -386,111 +507,26 @@ let try_migrate st (fr : frame) ni =
       | -1 -> false
       | p ->
           (* an inlined version may address registers past the old
-             frame's file; grow it (fresh registers are always written
-             before read — the inliner emits parameter moves first) *)
+             frame's window; widen it in place — it is the running frame,
+             so nothing lives above it (fresh registers are always
+             written before read — the inliner emits parameter moves
+             first) *)
           let need = max f.Lir.next_reg 1 in
-          if fr.nregs < need then begin
-            if Array.length fr.regs < need then begin
-              let regs = Array.make need 0 in
-              Array.blit fr.regs 0 regs 0 fr.nregs;
-              fr.regs <- regs
+          let have = stk.(fp + h_nregs) in
+          let stk =
+            if have < need then begin
+              let stk = stack_for st (fp + hdr + need) in
+              Array.fill stk (fp + hdr + have) (need - have) 0;
+              stk.(fp + h_nregs) <- need;
+              stk
             end
-            else Array.fill fr.regs fr.nregs (need - fr.nregs) 0;
-            fr.nregs <- need
-          end;
-          fr.m <- nm;
-          fr.base_addr <- nm.Program.code_addr.(l);
-          fr.idx <- p;
+            else stk
+          in
+          stk.(fp + h_ver) <- ver;
+          stk.(fp + h_base) <- nm.Program.code_addr.(l);
+          stk.(fp + h_idx) <- p;
           true)
   | _ -> false
-
-(* Placeholder method of never-run frames: the engine-scratch frame
-   before any thread runs, and stack slots not yet used. *)
-let dummy_meth =
-  let fname = { Lir.mclass = "<none>"; Lir.mname = "<none>" } in
-  let func =
-    {
-      Lir.fname;
-      params = [];
-      blocks = Ir.Vec.of_list [ Lir.dead_block ];
-      entry = 0;
-      next_reg = 0;
-    }
-  in
-  { Program.id = -1; mref = fname; func; n_args = 0; code_addr = [| 0 |] }
-
-let fresh_frame () =
-  {
-    m = dummy_meth;
-    regs = [||];
-    nregs = 0;
-    blk = 0;
-    idx = 0;
-    base_addr = 0;
-    ret_dst = -1;
-    from_meth = -1;
-    from_site = -1;
-    fid = -1;
-  }
-
-(* Stack slot [sp] of [th], growing the stack when [sp] is past its
-   end (the cold path of a push). *)
-let stack_slot th sp =
-  let n = Array.length th.stack in
-  if sp >= n then begin
-    let old = th.stack in
-    th.stack <-
-      Array.init (max (sp + 1) (2 * n)) (fun i ->
-          if i < n then old.(i) else fresh_frame ())
-  end;
-  th.stack.(sp)
-
-(* The slot a callee of [m] with [nregs] registers will run in, above
-   [th]'s running frame, with its registers zeroed; not pushed yet. *)
-let take_frame th (m : Program.meth) nregs =
-  let fr = stack_slot th (th.sp + 1) in
-  if fr.m != m then fr.m <- m;
-  if Array.length fr.regs < nregs then fr.regs <- Array.make nregs 0
-  else begin
-    (* a loop, not [Array.fill]: no C call for a handful of registers *)
-    let regs = fr.regs in
-    for i = 0 to nregs - 1 do
-      Array.unsafe_set regs i 0
-    done
-  end;
-  fr.nregs <- nregs;
-  fr
-
-(* Push a frame for a call of [m] with argument values [args]. *)
-let new_frame st th (m : Program.meth) ~args ~ret_dst ~from_meth ~from_site =
-  let fr = take_frame th m (max m.Program.func.Lir.next_reg 1) in
-  let regs = fr.regs in
-  let rec fill i = function
-    | [] -> ()
-    | a :: rest ->
-        (match List.nth_opt m.Program.func.Lir.params i with
-        | Some r -> regs.(r) <- a
-        | None -> rt_err "too many arguments to %s"
-                    (Lir.string_of_method_ref m.Program.mref));
-        fill (i + 1) rest
-  in
-  fill 0 args;
-  let fid = st.next_frame_id in
-  st.next_frame_id <- fid + 1;
-  fr.ret_dst <- ret_dst;
-  fr.from_meth <- from_meth;
-  fr.from_site <- from_site;
-  fr.fid <- fid;
-  set_block fr m.Program.func.Lir.entry;
-  st.counters.entries <- st.counters.entries + 1;
-  th.sp <- th.sp + 1
-
-let spawn_thread st (m : Program.meth) args =
-  let th = { tid = Array.length st.threads; stack = [||]; sp = -1 } in
-  new_frame st th m ~args ~ret_dst:(-1) ~from_meth:(-1) ~from_site:(-1);
-  st.threads <- Array.append st.threads [| th |];
-  st.alive <- st.alive + 1;
-  th
 
 (* Reads the vector's fields in place: [Ir.Vec.unsafe_get] is
    polymorphic and not inlined, so calling it would leave an
@@ -524,7 +560,10 @@ let next_rand st bound =
   let z = z lxor (z lsr 31) in
   if bound <= 0 then 0 else z mod bound
 
-let eval (fr : frame) = function Lir.Reg r -> fr.regs.(r) | Lir.Imm n -> n
+(* An operand of the frame at [fp] of [stk]. *)
+let eval (stk : int array) fp = function
+  | Lir.Reg r -> stk.(fp + hdr + r)
+  | Lir.Imm n -> n
 
 let exec_binop op a b =
   match op with
@@ -569,24 +608,36 @@ let arr_cell st r =
   if Array.unsafe_get c 0 >= 0 then rt_err "expected array, found object"
   else c
 
+(* Switch to the next live thread after the current one, if that is
+   another thread: save the running thread's [fp] and load the next
+   one's array and [fp] into the state.  A loop, not a local recursive
+   function, which would allocate its closure on every timer tick. *)
 let rotate_thread st =
   let n = Array.length st.threads in
   if st.alive > 0 then begin
-    let rec next i =
-      let i = (i + 1) mod n in
-      if st.threads.(i).sp >= 0 then i else next i
-    in
-    let nxt = next st.current in
+    st.cur_th.fp <- st.fp;
+    let nxt = ref ((st.current + 1) mod n) in
+    while st.threads.(!nxt).fp < 0 do
+      nxt := (!nxt + 1) mod n
+    done;
+    let nxt = !nxt in
     if nxt <> st.current then begin
-      st.counters.thread_switches <- st.counters.thread_switches + 1;
-      st.current <- nxt
+      st.n_switches <- st.n_switches + 1;
+      st.current <- nxt;
+      let th = st.threads.(nxt) in
+      st.cur_th <- th;
+      st.stk <- th.stk;
+      st.fp <- th.fp
     end
   end
 
-let make_ctx st th (fr : frame) =
+(* The legacy hooks' view of the running frame. *)
+let make_ctx st =
+  let stk = st.stk and fp = st.fp in
   let caller =
-    if fr.from_meth >= 0 then
-      Some (st.prog.Program.methods.(fr.from_meth).Program.mref, fr.from_site)
+    let from = stk.(fp + h_from_meth) in
+    if from >= 0 then
+      Some (st.prog.Program.methods.(from).Program.mref, stk.(fp + h_from_site))
     else None
   in
   let class_of r =
@@ -597,16 +648,18 @@ let make_ctx st th (fr : frame) =
       else None
   in
   let stack () =
-    let entry (g : frame) = (g.m.Program.mref, g.from_site) in
-    (* suspended callers, innermost first *)
-    entry fr
-    :: List.init (max th.sp 0) (fun i -> entry th.stack.(th.sp - 1 - i))
+    (* the running frame, then its suspended callers, innermost first *)
+    let rec walk g =
+      if g < 0 then []
+      else (frame_mref st stk g, stk.(g + h_from_site)) :: walk stk.(g + h_link)
+    in
+    walk fp
   in
   {
-    cur = fr.m.Program.mref;
+    cur = frame_mref st stk fp;
     caller;
-    eval = eval fr;
-    frame_id = fr.fid;
+    eval = eval stk fp;
+    frame_id = stk.(fp + h_fid);
     class_of;
     stack;
   }
@@ -614,7 +667,7 @@ let make_ctx st th (fr : frame) =
 (* Flat-path event: charge the pre-resolved cost, then either bump the
    event's counter (logging its first touch) or run its dynamic-key
    closure.  Shared verbatim by both engines. *)
-let[@inline] record_flat st th fr (r : flat_recorder) ev =
+let[@inline] record_flat st (r : flat_recorder) ev =
   icharge st (Array.unsafe_get r.ev_cost ev);
   let c = Array.unsafe_get r.ev_counter ev in
   if c >= 0 then begin
@@ -625,36 +678,39 @@ let[@inline] record_flat st th fr (r : flat_recorder) ev =
       r.n_touch <- r.n_touch + 1
     end
   end
-  else (Array.unsafe_get r.dyn ev) st th fr
+  else (Array.unsafe_get r.dyn ev) st
 
-let run_instrument st th fr op =
-  st.counters.instrument_ops <- st.counters.instrument_ops + 1;
+let run_instrument st op =
+  st.n_instrument_ops <- st.n_instrument_ops + 1;
   match st.recorder with
-  | Some r when op.Lir.slot >= 0 -> record_flat st th fr r op.Lir.slot
+  | Some r when op.Lir.slot >= 0 -> record_flat st r op.Lir.slot
   | _ ->
       icharge st (st.hooks.instr_cost op);
-      st.hooks.on_instrument (make_ctx st th fr) op
+      st.hooks.on_instrument (make_ctx st) op
 
-let do_return st th v =
-  if th.sp >= 0 then begin
-    let fr = th.stack.(th.sp) in
+let do_return st v =
+  let fp = st.fp in
+  if fp >= 0 then begin
+    let stk = st.stk in
     charge st st.costs.Costs.ret;
-    th.sp <- th.sp - 1;
-    if th.sp < 0 then begin
+    let link = stk.(fp + h_link) in
+    st.fp <- link;
+    if link < 0 then begin
       st.alive <- st.alive - 1;
-      if th.tid = 0 then st.main_result <- v;
+      if st.cur_th.tid = 0 then st.main_result <- v;
       if st.alive > 0 then rotate_thread st
     end
     else
-      match (v, fr.ret_dst) with
-      | Some x, dst when dst >= 0 -> th.stack.(th.sp).regs.(dst) <- x
+      match (v, stk.(fp + h_ret)) with
+      | Some x, dst when dst >= 0 -> stk.(link + hdr + dst) <- x
       | _ -> ()
   end
 
-let invoke st th (fr : frame) dst kind target args site =
+let invoke st dst kind target args site =
   charge st
     (st.costs.Costs.call_base + (st.costs.Costs.call_per_arg * List.length args));
-  let vals = List.map (eval fr) args in
+  let stk = st.stk and fp = st.fp in
+  let vals = List.map (eval stk fp) args in
   let m =
     match kind with
     | Lir.Static -> Program.method_by_ref st.prog target
@@ -676,13 +732,14 @@ let invoke st th (fr : frame) dst kind target args site =
         | [] -> rt_err "virtual call with no receiver")
   in
   let dst_reg = match dst with Some r -> r | None -> -1 in
-  new_frame st th m ~args:vals ~ret_dst:dst_reg ~from_meth:fr.m.Program.id
+  new_frame st m ~args:vals ~ret_dst:dst_reg ~from_meth:stk.(fp + h_mid)
     ~from_site:site
 
-let intrinsic st th (fr : frame) dst name args =
+let intrinsic st dst name args =
   charge st st.costs.Costs.intrinsic;
-  let vals = List.map (eval fr) args in
-  let set v = match dst with Some r -> fr.regs.(r) <- v | None -> () in
+  let stk = st.stk and fp = st.fp in
+  let vals = List.map (eval stk fp) args in
+  let set v = match dst with Some r -> stk.(fp + hdr + r) <- v | None -> () in
   match (name, vals) with
   | "print", [ v ] ->
       Buffer.add_string st.out (string_of_int v);
@@ -700,32 +757,18 @@ let intrinsic st th (fr : frame) dst name args =
             }
           in
           let m = Program.method_by_ref st.prog mref in
-          ignore (spawn_thread st m vals);
-          ignore th
+          ignore (spawn_thread st m vals)
       | None -> rt_err "malformed spawn intrinsic %s" name)
   | _ -> rt_err "unknown intrinsic %s/%d" name (List.length vals)
 
-(* Placeholder activation and thread seeding the engine-scratch fields
-   before any thread runs; never executed (the engine dispatcher
-   overwrites both fields before invoking any compiled code). *)
-let dummy_frame = fresh_frame ()
-let dummy_thread = { tid = -1; stack = [||]; sp = -1 }
+(* Placeholder thread seeding [cur_th] before any thread runs; never
+   executed ([spawn_thread] replaces it with the first thread). *)
+let dummy_thread = { tid = -1; stk = [||]; fp = -1 }
 
 let init_state ?(fuel = 4_000_000_000) ?(use_icache = false)
     ?(use_dcache = false) ?(costs = Costs.default) ?(timer_period = 100_000)
     ?(seed = 0x5EED) ?(faults = Fault.none) ?(label = "") ?deadline
     ?(deadline_poll = 50_000_000) ?recorder prog hooks =
-  let counters =
-    {
-      entries = 0;
-      backedge_yps = 0;
-      entry_yps = 0;
-      checks = 0;
-      samples = 0;
-      thread_switches = 0;
-      instrument_ops = 0;
-    }
-  in
   let engine_fallback =
     if Fault.is_none faults then [||]
     else
@@ -739,13 +782,38 @@ let init_state ?(fuel = 4_000_000_000) ?(use_icache = false)
       in
       if Array.exists (fun v -> v > 0) marks then marks else [||]
   in
+  let icache = if use_icache then Some (Icache.create ()) else None in
   let st =
   {
-    prog;
+    stk = [||];
+    fp = -1;
+    cycles = 0;
+    guard_gate = fuel;
+    instructions = 0;
+    itags =
+      (match icache with
+      | Some c -> c.Icache.tags
+      | None -> Array.make Icache.default_lines (-1));
+    next_timer = timer_period;
+    next_adaptive = max_int;
+    heap = Ir.Vec.create ();
     costs;
     hooks;
-    counters;
-    heap = Ir.Vec.create ();
+    cur_th = dummy_thread;
+    n_entries = 0;
+    n_backedge_yps = 0;
+    n_entry_yps = 0;
+    n_checks = 0;
+    n_samples = 0;
+    n_switches = 0;
+    n_instrument_ops = 0;
+    icycles = 0;
+    switch_bit = false;
+    migration = false;
+    recorder;
+    engine_fallback;
+    next_frame_id = 0;
+    prog;
     heap_addrs = Ir.Vec.create ();
     (* data addresses: statics first, then the heap *)
     heap_words = prog.Program.n_statics + 64;
@@ -753,36 +821,23 @@ let init_state ?(fuel = 4_000_000_000) ?(use_icache = false)
     threads = [||];
     current = 0;
     alive = 0;
-    cycles = 0;
-    instructions = 0;
-    icycles = 0;
-    switch_bit = false;
     timer_period;
-    next_timer = timer_period;
     rng = seed;
-    icache = (if use_icache then Some (Icache.create ()) else None);
+    icache;
     dcache =
       (if use_dcache then Some (Icache.create ~lines:512 ~line_words:8 ())
        else None);
     out = Buffer.create 256;
     fuel;
     main_result = None;
-    next_frame_id = 0;
     faults;
     fault_cursor = 0;
-    guard_gate = fuel;
     deadline = (match deadline with Some d -> d | None -> infinity);
     deadline_poll;
     next_poll = deadline_poll;
     label;
-    engine_fallback;
     fallbacks = [];
-    cur_th = dummy_thread;
-    cur_fr = dummy_frame;
-    recorder;
-    next_adaptive = max_int;
     adaptive_poll = ignore;
-    migration = false;
   }
   in
   recompute_guard st;
@@ -804,7 +859,16 @@ let result_of st =
     return_value = st.main_result;
     cycles = st.cycles;
     instructions = st.instructions;
-    counters = st.counters;
+    counters =
+      {
+        entries = st.n_entries;
+        backedge_yps = st.n_backedge_yps;
+        entry_yps = st.n_entry_yps;
+        checks = st.n_checks;
+        samples = st.n_samples;
+        thread_switches = st.n_switches;
+        instrument_ops = st.n_instrument_ops;
+      };
     icache_misses = (match st.icache with Some ic -> Icache.misses ic | None -> 0);
     dcache_misses = (match st.dcache with Some dc -> Icache.misses dc | None -> 0);
     output = Buffer.contents st.out;
@@ -824,61 +888,63 @@ let result_of st =
    this very function, word by word, for any method it could not (or
    was fault-injected not to) compile.  Living in Machine rather than
    Interp keeps that fallback a direct call instead of a forward
-   reference. *)
+   reference.  It reads and writes the same thread arrays as the
+   compiled engine. *)
 let step st =
-  let th = st.threads.(st.current) in
-  match th.sp with
+  match st.fp with
   | -1 -> rotate_thread st
-  | sp ->
-      let fr = th.stack.(sp) in
+  | fp ->
+      let stk = st.stk in
       st.instructions <- st.instructions + 1;
+      let blk = stk.(fp + h_blk) and idx = stk.(fp + h_idx) in
       (match st.icache with
       | Some ic ->
-          if Icache.access ic (fr.base_addr + fr.idx) then
+          if Icache.access ic (stk.(fp + h_base) + idx) then
             charge st st.costs.Costs.icache_miss
       | None -> ());
-      (* [Lir.block], read in place: a call into Ir per step is out of
-         line (DESIGN.md §5, "Word preamble and frame layout") *)
-      let b = fr.m.Program.func.Lir.blocks.Ir.Vec.data.(fr.blk) in
-      if fr.idx < Array.length b.Lir.instrs then begin
-        let i = b.Lir.instrs.(fr.idx) in
-        fr.idx <- fr.idx + 1;
+      let m = frame_meth st stk fp in
+      let b = Lir.block m.Program.func blk in
+      let set r v = stk.(fp + hdr + r) <- v in
+      let eval = eval stk fp in
+      if idx < Array.length b.Lir.instrs then begin
+        let i = b.Lir.instrs.(idx) in
+        stk.(fp + h_idx) <- idx + 1;
         let c = st.costs in
         match i with
         | Lir.Move (r, a) ->
             charge st c.Costs.move;
-            fr.regs.(r) <- eval fr a
+            set r (eval a)
         | Lir.Unop (r, op, a) ->
             charge st c.Costs.alu;
-            let v = eval fr a in
-            fr.regs.(r) <- (match op with Lir.Neg -> -v | Lir.Not -> (if v = 0 then 1 else 0))
+            let v = eval a in
+            set r (match op with Lir.Neg -> -v | Lir.Not -> (if v = 0 then 1 else 0))
         | Lir.Binop (r, op, a, b) ->
             charge st c.Costs.alu;
-            fr.regs.(r) <- exec_binop op (eval fr a) (eval fr b)
+            set r (exec_binop op (eval a) (eval b))
         | Lir.Get_field (r, o, fld) ->
             charge st c.Costs.mem;
-            let obj = eval fr o in
+            let obj = eval o in
             let cl = obj_cell st obj (* null check first *) in
             let off = field_off st fld in
             data_access st (cell_addr st obj + off);
-            fr.regs.(r) <- cl.(off + 1)
+            set r cl.(off + 1)
         | Lir.Put_field (o, fld, v) ->
             charge st c.Costs.mem;
-            let obj = eval fr o in
+            let obj = eval o in
             let cl = obj_cell st obj in
             let off = field_off st fld in
             data_access st (cell_addr st obj + off);
-            cl.(off + 1) <- eval fr v
+            cl.(off + 1) <- eval v
         | Lir.Get_static (r, fld) ->
             charge st c.Costs.mem;
             let off = static_off st fld in
             data_access st off;
-            fr.regs.(r) <- st.globals.(off)
+            set r st.globals.(off)
         | Lir.Put_static (fld, v) ->
             charge st c.Costs.mem;
             let off = static_off st fld in
             data_access st off;
-            st.globals.(off) <- eval fr v
+            st.globals.(off) <- eval v
         | Lir.New_object (r, cname) ->
             let cid =
               match Hashtbl.find_opt st.prog.Program.class_id_of_name cname with
@@ -887,39 +953,39 @@ let step st =
             in
             let n = st.prog.Program.classes.(cid).Program.n_fields in
             charge st (c.Costs.alloc_base + (c.Costs.alloc_per_slot * n));
-            fr.regs.(r) <- alloc st (make_cell cid (max n 1))
+            set r (alloc st (make_cell cid (max n 1)))
         | Lir.New_array (r, len) ->
-            let n = eval fr len in
+            let n = eval len in
             if n < 0 then rt_err "negative array length %d" n;
             charge st (c.Costs.alloc_base + (c.Costs.alloc_per_slot * n));
-            fr.regs.(r) <- alloc st (make_cell arr_tag (max n 1))
+            set r (alloc st (make_cell arr_tag (max n 1)))
         | Lir.Array_load (r, a, i) ->
             charge st c.Costs.mem;
-            let arr = eval fr a in
+            let arr = eval a in
             let cl = arr_cell st arr in
-            let i = eval fr i in
+            let i = eval i in
             if i < 0 || i >= Array.length cl - 1 then
               rt_err "array index %d out of bounds (%s)" i
-                (Lir.string_of_method_ref fr.m.Program.mref);
+                (Lir.string_of_method_ref m.Program.mref);
             data_access st (cell_addr st arr + i);
-            fr.regs.(r) <- cl.(i + 1)
+            set r cl.(i + 1)
         | Lir.Array_store (a, i, v) ->
             charge st c.Costs.mem;
-            let arr = eval fr a in
+            let arr = eval a in
             let cl = arr_cell st arr in
-            let i = eval fr i in
+            let i = eval i in
             if i < 0 || i >= Array.length cl - 1 then
               rt_err "array index %d out of bounds (%s)" i
-                (Lir.string_of_method_ref fr.m.Program.mref);
+                (Lir.string_of_method_ref m.Program.mref);
             data_access st (cell_addr st arr + i);
-            cl.(i + 1) <- eval fr v
+            cl.(i + 1) <- eval v
         | Lir.Array_length (r, a) ->
             charge st c.Costs.mem;
-            fr.regs.(r) <- Array.length (arr_cell st (eval fr a)) - 1
+            set r (Array.length (arr_cell st (eval a)) - 1)
         | Lir.Instance_test (r, o, cname) ->
             charge st (c.Costs.mem + c.Costs.alu);
-            let v = eval fr o in
-            fr.regs.(r) <-
+            let v = eval o in
+            set r
               (if v <= 0 || v > Ir.Vec.length st.heap then 0
                else
                  let cls = (Ir.Vec.get st.heap (v - 1)).(0) in
@@ -930,8 +996,8 @@ let step st =
                  then 1
                  else 0)
         | Lir.Call { dst; kind; target; args; site } ->
-            invoke st th fr dst kind target args site
-        | Lir.Intrinsic { dst; name; args } -> intrinsic st th fr dst name args
+            invoke st dst kind target args site
+        | Lir.Intrinsic { dst; name; args } -> intrinsic st dst name args
         | Lir.Yieldpoint k ->
             (* plain charge: yieldpoints are safepoint machinery the
                uninstrumented build pays too, not a sheddable
@@ -939,26 +1005,25 @@ let step st =
                overhead meter *)
             charge st c.Costs.yieldpoint;
             (match k with
-            | Lir.Yp_entry ->
-                st.counters.entry_yps <- st.counters.entry_yps + 1
-            | Lir.Yp_backedge ->
-                st.counters.backedge_yps <- st.counters.backedge_yps + 1);
+            | Lir.Yp_entry -> st.n_entry_yps <- st.n_entry_yps + 1
+            | Lir.Yp_backedge -> st.n_backedge_yps <- st.n_backedge_yps + 1);
             adaptive_check st;
-            (* fr.idx is already the resume index after this yieldpoint;
-               a successful migration rewrites it for the new version *)
-            if st.migration then ignore (try_migrate st fr fr.idx : bool);
+            (* the frame's idx is already the resume index after this
+               yieldpoint; a successful migration rewrites it for the new
+               version *)
+            if st.migration then ignore (try_migrate st (idx + 1) : bool);
             if st.switch_bit then begin
               st.switch_bit <- false;
               rotate_thread st
             end
-        | Lir.Instrument op -> run_instrument st th fr op
+        | Lir.Instrument op -> run_instrument st op
         | Lir.Guarded_instrument op ->
             (* No-Duplication: the check guards this single op *)
-            st.counters.checks <- st.counters.checks + 1;
+            st.n_checks <- st.n_checks + 1;
             icharge st c.Costs.check;
-            if st.hooks.fire th.tid then begin
-              st.counters.samples <- st.counters.samples + 1;
-              run_instrument st th fr op
+            if st.hooks.fire st.cur_th.tid then begin
+              st.n_samples <- st.n_samples + 1;
+              run_instrument st op
             end
       end
       else begin
@@ -968,25 +1033,25 @@ let step st =
         match b.Lir.term with
         | Lir.Goto l ->
             charge st c.Costs.branch;
-            set_block fr l
+            set_block stk fp m l
         | Lir.If { cond; if_true; if_false } ->
             charge st c.Costs.branch;
-            set_block fr (if eval fr cond <> 0 then if_true else if_false)
+            set_block stk fp m (if eval cond <> 0 then if_true else if_false)
         | Lir.Switch { scrut; cases; default } ->
             charge st c.Costs.switch;
-            let v = eval fr scrut in
+            let v = eval scrut in
             let target =
               match List.assoc_opt v cases with Some l -> l | None -> default
             in
-            set_block fr target
-        | Lir.Return v -> do_return st th (Option.map (eval fr) v)
+            set_block stk fp m target
+        | Lir.Return v -> do_return st (Option.map eval v)
         | Lir.Check { on_sample; fall } ->
-            st.counters.checks <- st.counters.checks + 1;
+            st.n_checks <- st.n_checks + 1;
             icharge st c.Costs.check;
-            if st.hooks.fire th.tid then begin
-              st.counters.samples <- st.counters.samples + 1;
+            if st.hooks.fire st.cur_th.tid then begin
+              st.n_samples <- st.n_samples + 1;
               icharge st c.Costs.sample_jump;
-              set_block fr on_sample
+              set_block stk fp m on_sample
             end
-            else set_block fr fall
+            else set_block stk fp m fall
       end

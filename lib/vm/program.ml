@@ -31,6 +31,8 @@ type t = {
   static_offset : (string, int) Hashtbl.t;
   n_statics : int;
   total_code_words : int;
+  version : int array;
+  versions : meth Ir.Vec.t array;
   mutable engine_cache : cache_slot option;
 }
 
@@ -206,8 +208,25 @@ let link ?(layout_override = []) (cf : Classfile.program) ~funcs =
     static_offset;
     n_statics = !n_statics;
     total_code_words = !cursor;
+    version = Array.make (Array.length methods) 0;
+    versions = Array.map (fun m -> Ir.Vec.of_list [ m ]) methods;
     engine_cache = None;
   }
+
+let version_meth t id v = Ir.Vec.get t.versions.(id) v
+
+(* A re-installed record keeps the number it was first given, so a
+   version number names one [meth] record exactly. *)
+let install t (m : meth) =
+  let id = m.id in
+  let vs = t.versions.(id) in
+  let rec find v =
+    if v >= Ir.Vec.length vs then Ir.Vec.push vs m
+    else if Ir.Vec.get vs v == m then v
+    else find (v + 1)
+  in
+  t.version.(id) <- find 0;
+  t.methods.(id) <- m
 
 let method_by_ref t (mref : Lir.method_ref) =
   match Hashtbl.find_opt t.static_method (Lir.string_of_method_ref mref) with

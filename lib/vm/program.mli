@@ -35,6 +35,11 @@ type t = {
   static_offset : (string, int) Hashtbl.t; (* "C.f" -> globals slot *)
   n_statics : int;
   total_code_words : int; (* code size after layout, in instruction words *)
+  version : int array;
+      (* per method id: the version number of [methods.(id)]; 0 is the
+         linked one, and {!install} numbers the rest *)
+  versions : meth Ir.Vec.t array;
+      (* per method id: every version ever installed, by number *)
   mutable engine_cache : cache_slot option; (* see {!cache_slot} *)
 }
 
@@ -52,6 +57,15 @@ val link :
     come first in the given order, the rest keep their declaration order.
     Subclass layouts stay consistent because each class only permutes its
     own segment. *)
+
+val install : t -> meth -> unit
+(** Make [m] the current version of method [m.id]: [methods.(m.id)]
+    becomes [m], and [version.(m.id)] its version number — a fresh one,
+    unless the same record ([==]) was installed before, which keeps its
+    number.  A VM frame names the version it runs by this number. *)
+
+val version_meth : t -> int -> int -> meth
+(** [version_meth t id v]: version [v] of method [id]. *)
 
 val method_by_ref : t -> Ir.Lir.method_ref -> meth
 (** Static lookup ("C.m"); raises {!Link_error} when absent. *)

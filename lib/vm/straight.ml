@@ -17,27 +17,34 @@ type k = state -> unit
    it), so a word's line is [addr lsr Icache.default_shift]. *)
 let line_of addr = addr lsr Icache.default_shift
 
-(* the miss side of [Icache.access], charged *)
-let[@inline] install st (c : Icache.t) (tags : int array) i line =
+(* the miss side of [Icache.access], charged; without an i-cache the
+   state's private tag array takes the line and nothing is charged *)
+let[@inline] install st (tags : int array) i line =
   Array.unsafe_set tags i line;
-  c.Icache.miss_count <- c.Icache.miss_count + 1;
-  charge st st.costs.Costs.icache_miss
-
-(* [Icache.access] spelled out for a line already computed *)
-let[@inline] icache_probe st line =
   match st.icache with
-  | None -> ()
   | Some c ->
-      let tags = c.Icache.tags in
-      let i = line land c.Icache.mask in
-      if Array.unsafe_get tags i <> line then install st c tags i line
+      c.Icache.miss_count <- c.Icache.miss_count + 1;
+      charge st st.costs.Costs.icache_miss
+  | None -> ()
+
+(* [Icache.access] spelled out for a line already computed: the tag
+   array straight off the state, and the default geometry's mask as an
+   immediate ([Engine.exec] checks the i-cache has it) *)
+let[@inline] icache_probe st line =
+  let tags = st.itags in
+  let i = line land (Icache.default_lines - 1) in
+  if Array.unsafe_get tags i <> line then install st tags i line
 
 (* d-cache probe: run-time address, the cache's own geometry *)
 let[@inline] data_probe st (c : Icache.t) addr =
   let line = addr lsr c.Icache.shift in
   let tags = c.Icache.tags in
   let i = line land c.Icache.mask in
-  if Array.unsafe_get tags i <> line then install st c tags i line
+  if Array.unsafe_get tags i <> line then begin
+    Array.unsafe_set tags i line;
+    c.Icache.miss_count <- c.Icache.miss_count + 1;
+    charge st st.costs.Costs.icache_miss
+  end
 
 let[@inline] data_access st addr =
   match st.dcache with None -> () | Some c -> data_probe st c addr
@@ -83,8 +90,8 @@ let[@inline] arr_cell st r =
     if is_obj c then not_arr () else c
 
 let cop = function
-  | Lir.Reg r -> fun (fr : frame) -> fr.regs.(r)
-  | Lir.Imm n -> fun (_ : frame) -> n
+  | Lir.Reg r -> fun st -> reg st.stk st.fp r
+  | Lir.Imm n -> fun (_ : state) -> n
 
 let binop_fn = function
   | Lir.Add -> ( + )
@@ -139,12 +146,12 @@ let cost (costs : Costs.t) (prog : Program.t) ins =
    then a tail call of [next].  Its hot path makes no other call, so a
    word closure that ends in it needs no stack frame.  The gate's cold
    path is [trip], out of line: when the reference run loop checks fuel
-   before word [ni], its [step] has already advanced [fr.idx] to [ni],
+   before word [ni], its [step] has already advanced the frame's idx to [ni],
    so [trip] writes it first and an out-of-fuel message names the same
    pc on both engines.  A fault event applied by [guard_trip] may flush
    the i-cache, so [trip] always probes. *)
 let[@inline never] trip st next ni line =
-  st.cur_fr.idx <- ni;
+  st.stk.(st.fp + h_idx) <- ni;
   guard_trip st;
   st.instructions <- st.instructions + 1;
   icache_probe st line;
@@ -172,39 +179,39 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
   | Lir.Move (r, Lir.Imm n) ->
       fun st ->
         charge st c;
-        st.cur_fr.regs.(r) <- n;
+        set_reg st.stk st.fp r n;
         advance st ~next ~ni ~line ~probe
   | Lir.Move (r, Lir.Reg s) ->
       fun st ->
         charge st c;
-        let regs = st.cur_fr.regs in
-        regs.(r) <- regs.(s);
+        let stk = st.stk and fp = st.fp in
+        set_reg stk fp r (reg stk fp s);
         advance st ~next ~ni ~line ~probe
   | Lir.Unop (r, op, a) -> (
       match (op, a) with
       | Lir.Neg, Lir.Reg s ->
           fun st ->
             charge st c;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- -regs.(s);
+            let stk = st.stk and fp = st.fp in
+            set_reg stk fp r (-reg stk fp s);
             advance st ~next ~ni ~line ~probe
       | Lir.Not, Lir.Reg s ->
           fun st ->
             charge st c;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- (if regs.(s) = 0 then 1 else 0);
+            let stk = st.stk and fp = st.fp in
+            set_reg stk fp r (if reg stk fp s = 0 then 1 else 0);
             advance st ~next ~ni ~line ~probe
       | Lir.Neg, Lir.Imm n ->
           let v = -n in
           fun st ->
             charge st c;
-            st.cur_fr.regs.(r) <- v;
+            set_reg st.stk st.fp r v;
             advance st ~next ~ni ~line ~probe
       | Lir.Not, Lir.Imm n ->
           let v = if n = 0 then 1 else 0 in
           fun st ->
             charge st c;
-            st.cur_fr.regs.(r) <- v;
+            set_reg st.stk st.fp r v;
             advance st ~next ~ni ~line ~probe)
   | Lir.Binop (r, op, a, b) -> (
       match (op, a, b) with
@@ -213,205 +220,205 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
       | Lir.Add, Lir.Reg x, Lir.Reg y ->
           fun st ->
             charge st c;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- regs.(x) + regs.(y);
+            let stk = st.stk and fp = st.fp in
+            set_reg stk fp r (reg stk fp x + reg stk fp y);
             advance st ~next ~ni ~line ~probe
       | Lir.Add, Lir.Reg x, Lir.Imm n ->
           fun st ->
             charge st c;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- regs.(x) + n;
+            let stk = st.stk and fp = st.fp in
+            set_reg stk fp r (reg stk fp x + n);
             advance st ~next ~ni ~line ~probe
       | Lir.Sub, Lir.Reg x, Lir.Reg y ->
           fun st ->
             charge st c;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- regs.(x) - regs.(y);
+            let stk = st.stk and fp = st.fp in
+            set_reg stk fp r (reg stk fp x - reg stk fp y);
             advance st ~next ~ni ~line ~probe
       | Lir.Sub, Lir.Reg x, Lir.Imm n ->
           fun st ->
             charge st c;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- regs.(x) - n;
+            let stk = st.stk and fp = st.fp in
+            set_reg stk fp r (reg stk fp x - n);
             advance st ~next ~ni ~line ~probe
       | Lir.Mul, Lir.Reg x, Lir.Reg y ->
           fun st ->
             charge st c;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- regs.(x) * regs.(y);
+            let stk = st.stk and fp = st.fp in
+            set_reg stk fp r (reg stk fp x * reg stk fp y);
             advance st ~next ~ni ~line ~probe
       | Lir.Mul, Lir.Reg x, Lir.Imm n ->
           fun st ->
             charge st c;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- regs.(x) * n;
+            let stk = st.stk and fp = st.fp in
+            set_reg stk fp r (reg stk fp x * n);
             advance st ~next ~ni ~line ~probe
       | Lir.And, Lir.Reg x, Lir.Reg y ->
           fun st ->
             charge st c;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- regs.(x) land regs.(y);
+            let stk = st.stk and fp = st.fp in
+            set_reg stk fp r (reg stk fp x land reg stk fp y);
             advance st ~next ~ni ~line ~probe
       | Lir.And, Lir.Reg x, Lir.Imm n ->
           fun st ->
             charge st c;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- regs.(x) land n;
+            let stk = st.stk and fp = st.fp in
+            set_reg stk fp r (reg stk fp x land n);
             advance st ~next ~ni ~line ~probe
       | Lir.Or, Lir.Reg x, Lir.Reg y ->
           fun st ->
             charge st c;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- regs.(x) lor regs.(y);
+            let stk = st.stk and fp = st.fp in
+            set_reg stk fp r (reg stk fp x lor reg stk fp y);
             advance st ~next ~ni ~line ~probe
       | Lir.Or, Lir.Reg x, Lir.Imm n ->
           fun st ->
             charge st c;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- regs.(x) lor n;
+            let stk = st.stk and fp = st.fp in
+            set_reg stk fp r (reg stk fp x lor n);
             advance st ~next ~ni ~line ~probe
       | Lir.Xor, Lir.Reg x, Lir.Reg y ->
           fun st ->
             charge st c;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- regs.(x) lxor regs.(y);
+            let stk = st.stk and fp = st.fp in
+            set_reg stk fp r (reg stk fp x lxor reg stk fp y);
             advance st ~next ~ni ~line ~probe
       | Lir.Xor, Lir.Reg x, Lir.Imm n ->
           fun st ->
             charge st c;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- regs.(x) lxor n;
+            let stk = st.stk and fp = st.fp in
+            set_reg stk fp r (reg stk fp x lxor n);
             advance st ~next ~ni ~line ~probe
       | Lir.Lt, Lir.Reg x, Lir.Reg y ->
           fun st ->
             charge st c;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- (if regs.(x) < regs.(y) then 1 else 0);
+            let stk = st.stk and fp = st.fp in
+            set_reg stk fp r (if reg stk fp x < reg stk fp y then 1 else 0);
             advance st ~next ~ni ~line ~probe
       | Lir.Lt, Lir.Reg x, Lir.Imm n ->
           fun st ->
             charge st c;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- (if regs.(x) < n then 1 else 0);
+            let stk = st.stk and fp = st.fp in
+            set_reg stk fp r (if reg stk fp x < n then 1 else 0);
             advance st ~next ~ni ~line ~probe
       | Lir.Le, Lir.Reg x, Lir.Reg y ->
           fun st ->
             charge st c;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- (if regs.(x) <= regs.(y) then 1 else 0);
+            let stk = st.stk and fp = st.fp in
+            set_reg stk fp r (if reg stk fp x <= reg stk fp y then 1 else 0);
             advance st ~next ~ni ~line ~probe
       | Lir.Le, Lir.Reg x, Lir.Imm n ->
           fun st ->
             charge st c;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- (if regs.(x) <= n then 1 else 0);
+            let stk = st.stk and fp = st.fp in
+            set_reg stk fp r (if reg stk fp x <= n then 1 else 0);
             advance st ~next ~ni ~line ~probe
       | Lir.Gt, Lir.Reg x, Lir.Reg y ->
           fun st ->
             charge st c;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- (if regs.(x) > regs.(y) then 1 else 0);
+            let stk = st.stk and fp = st.fp in
+            set_reg stk fp r (if reg stk fp x > reg stk fp y then 1 else 0);
             advance st ~next ~ni ~line ~probe
       | Lir.Gt, Lir.Reg x, Lir.Imm n ->
           fun st ->
             charge st c;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- (if regs.(x) > n then 1 else 0);
+            let stk = st.stk and fp = st.fp in
+            set_reg stk fp r (if reg stk fp x > n then 1 else 0);
             advance st ~next ~ni ~line ~probe
       | Lir.Ge, Lir.Reg x, Lir.Reg y ->
           fun st ->
             charge st c;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- (if regs.(x) >= regs.(y) then 1 else 0);
+            let stk = st.stk and fp = st.fp in
+            set_reg stk fp r (if reg stk fp x >= reg stk fp y then 1 else 0);
             advance st ~next ~ni ~line ~probe
       | Lir.Ge, Lir.Reg x, Lir.Imm n ->
           fun st ->
             charge st c;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- (if regs.(x) >= n then 1 else 0);
+            let stk = st.stk and fp = st.fp in
+            set_reg stk fp r (if reg stk fp x >= n then 1 else 0);
             advance st ~next ~ni ~line ~probe
       | Lir.Eq, Lir.Reg x, Lir.Reg y ->
           fun st ->
             charge st c;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- (if regs.(x) = regs.(y) then 1 else 0);
+            let stk = st.stk and fp = st.fp in
+            set_reg stk fp r (if reg stk fp x = reg stk fp y then 1 else 0);
             advance st ~next ~ni ~line ~probe
       | Lir.Eq, Lir.Reg x, Lir.Imm n ->
           fun st ->
             charge st c;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- (if regs.(x) = n then 1 else 0);
+            let stk = st.stk and fp = st.fp in
+            set_reg stk fp r (if reg stk fp x = n then 1 else 0);
             advance st ~next ~ni ~line ~probe
       | Lir.Ne, Lir.Reg x, Lir.Reg y ->
           fun st ->
             charge st c;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- (if regs.(x) <> regs.(y) then 1 else 0);
+            let stk = st.stk and fp = st.fp in
+            set_reg stk fp r (if reg stk fp x <> reg stk fp y then 1 else 0);
             advance st ~next ~ni ~line ~probe
       | Lir.Ne, Lir.Reg x, Lir.Imm n ->
           fun st ->
             charge st c;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- (if regs.(x) <> n then 1 else 0);
+            let stk = st.stk and fp = st.fp in
+            set_reg stk fp r (if reg stk fp x <> n then 1 else 0);
             advance st ~next ~ni ~line ~probe
       | Lir.Shl, Lir.Reg x, Lir.Reg y ->
           fun st ->
             charge st c;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- regs.(x) lsl (regs.(y) land 31);
+            let stk = st.stk and fp = st.fp in
+            set_reg stk fp r (reg stk fp x lsl (reg stk fp y land 31));
             advance st ~next ~ni ~line ~probe
       | Lir.Shr, Lir.Reg x, Lir.Reg y ->
           fun st ->
             charge st c;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- regs.(x) asr (regs.(y) land 31);
+            let stk = st.stk and fp = st.fp in
+            set_reg stk fp r (reg stk fp x asr (reg stk fp y land 31));
             advance st ~next ~ni ~line ~probe
       | Lir.Shl, Lir.Reg x, Lir.Imm n ->
           let n = n land 31 in
           fun st ->
             charge st c;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- regs.(x) lsl n;
+            let stk = st.stk and fp = st.fp in
+            set_reg stk fp r (reg stk fp x lsl n);
             advance st ~next ~ni ~line ~probe
       | Lir.Shr, Lir.Reg x, Lir.Imm n ->
           let n = n land 31 in
           fun st ->
             charge st c;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- regs.(x) asr n;
+            let stk = st.stk and fp = st.fp in
+            set_reg stk fp r (reg stk fp x asr n);
             advance st ~next ~ni ~line ~probe
       (* a zero divisor faults by tail call, keeping the frame away *)
       | Lir.Div, Lir.Reg x, Lir.Reg y ->
           fun st ->
             charge st c;
-            let regs = st.cur_fr.regs in
-            let d = regs.(y) in
+            let stk = st.stk and fp = st.fp in
+            let d = reg stk fp y in
             if d = 0 then div_zero ()
             else begin
-              regs.(r) <- regs.(x) / d;
+              set_reg stk fp r (reg stk fp x / d);
               advance st ~next ~ni ~line ~probe
             end
       | Lir.Rem, Lir.Reg x, Lir.Reg y ->
           fun st ->
             charge st c;
-            let regs = st.cur_fr.regs in
-            let d = regs.(y) in
+            let stk = st.stk and fp = st.fp in
+            let d = reg stk fp y in
             if d = 0 then div_zero ()
             else begin
-              regs.(r) <- regs.(x) mod d;
+              set_reg stk fp r (reg stk fp x mod d);
               advance st ~next ~ni ~line ~probe
             end
       | Lir.Div, Lir.Reg x, Lir.Imm n when n <> 0 ->
           fun st ->
             charge st c;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- regs.(x) / n;
+            let stk = st.stk and fp = st.fp in
+            set_reg stk fp r (reg stk fp x / n);
             advance st ~next ~ni ~line ~probe
       | Lir.Rem, Lir.Reg x, Lir.Imm n when n <> 0 ->
           fun st ->
             charge st c;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- regs.(x) mod n;
+            let stk = st.stk and fp = st.fp in
+            set_reg stk fp r (reg stk fp x mod n);
             advance st ~next ~ni ~line ~probe
       (* the rest (a zero immediate divisor, Imm-first shapes) through
          the shared operator table *)
@@ -419,21 +426,21 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
           let f = binop_fn op in
           fun st ->
             charge st c;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- f regs.(x) n;
+            let stk = st.stk and fp = st.fp in
+            set_reg stk fp r (f (reg stk fp x) n);
             advance st ~next ~ni ~line ~probe
       | _, Lir.Imm n, Lir.Reg y ->
           let f = binop_fn op in
           fun st ->
             charge st c;
-            let regs = st.cur_fr.regs in
-            regs.(r) <- f n regs.(y);
+            let stk = st.stk and fp = st.fp in
+            set_reg stk fp r (f n (reg stk fp y));
             advance st ~next ~ni ~line ~probe
       | _, Lir.Imm n, Lir.Imm p ->
           let f = binop_fn op in
           fun st ->
             charge st c;
-            st.cur_fr.regs.(r) <- f n p;
+            set_reg st.stk st.fp r (f n p);
             advance st ~next ~ni ~line ~probe)
   | Lir.Get_field (r, o, fld) -> (
       match
@@ -445,15 +452,15 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
           | Lir.Reg ro ->
               fun st ->
                 charge st c;
-                let regs = st.cur_fr.regs in
-                let obj = regs.(ro) in
+                let stk = st.stk and fp = st.fp in
+                let obj = reg stk fp ro in
                 if not (live st obj) then bad_ref obj
                 else begin
                   let o = cell st obj in
                   if not (is_obj o) then not_obj ()
                   else begin
                     data_access_cell st obj off;
-                    regs.(r) <- o.(w);
+                    set_reg stk fp r o.(w);
                     advance st ~next ~ni ~line ~probe
                   end
                 end
@@ -461,18 +468,18 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
               let eo = cop o in
               fun st ->
                 charge st c;
-                let fr = st.cur_fr in
-                let obj = eo fr in
+                let stk = st.stk and fp = st.fp in
+                let obj = eo st in
                 let o = obj_cell st obj in
                 data_access_cell st obj off;
-                fr.regs.(r) <- o.(w);
+                set_reg stk fp r o.(w);
                 advance st ~next ~ni ~line ~probe)
       | None ->
           let eo = cop o in
           let fstr = Lir.string_of_field_ref fld in
           fun st ->
             charge st c;
-            ignore (obj_cell st (eo st.cur_fr) : cell);
+            ignore (obj_cell st (eo st) : cell);
             rt_err "unresolved field %s" fstr)
   | Lir.Put_field (o, fld, v) -> (
       let eo = cop o in
@@ -485,15 +492,15 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
           | Lir.Reg ro, Lir.Reg rv ->
               fun st ->
                 charge st c;
-                let regs = st.cur_fr.regs in
-                let obj = regs.(ro) in
+                let stk = st.stk and fp = st.fp in
+                let obj = reg stk fp ro in
                 if not (live st obj) then bad_ref obj
                 else begin
                   let o = cell st obj in
                   if not (is_obj o) then not_obj ()
                   else begin
                     data_access_cell st obj off;
-                    o.(w) <- regs.(rv);
+                    o.(w) <- reg stk fp rv;
                     advance st ~next ~ni ~line ~probe
                   end
                 end
@@ -501,17 +508,16 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
               let ev = cop v in
               fun st ->
                 charge st c;
-                let fr = st.cur_fr in
-                let obj = eo fr in
+                let obj = eo st in
                 let o = obj_cell st obj in
                 data_access_cell st obj off;
-                o.(w) <- ev fr;
+                o.(w) <- ev st;
                 advance st ~next ~ni ~line ~probe)
       | None ->
           let fstr = Lir.string_of_field_ref fld in
           fun st ->
             charge st c;
-            ignore (obj_cell st (eo st.cur_fr) : cell);
+            ignore (obj_cell st (eo st) : cell);
             rt_err "unresolved field %s" fstr)
   | Lir.Get_static (r, fld) -> (
       match
@@ -522,7 +528,7 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
           fun st ->
             charge st c;
             data_access st off;
-            st.cur_fr.regs.(r) <- st.globals.(off);
+            set_reg st.stk st.fp r st.globals.(off);
             advance st ~next ~ni ~line ~probe
       | None ->
           let fstr = Lir.string_of_field_ref fld in
@@ -540,7 +546,7 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
               fun st ->
                 charge st c;
                 data_access st off;
-                st.globals.(off) <- st.cur_fr.regs.(rv);
+                st.globals.(off) <- reg st.stk st.fp rv;
                 advance st ~next ~ni ~line ~probe
           | Lir.Imm n ->
               fun st ->
@@ -560,7 +566,7 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
           let slots = max n 1 in
           fun st ->
             charge st c;
-            st.cur_fr.regs.(r) <- alloc st (make_cell cid slots);
+            set_reg st.stk st.fp r (alloc st (make_cell cid slots));
             advance st ~next ~ni ~line ~probe
       | None -> fun _ -> rt_err "unknown class %s" cname)
   | Lir.Array_load (r, a, i) -> (
@@ -569,18 +575,18 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
       | Lir.Reg ra, Lir.Reg ri ->
           fun st ->
             charge st c;
-            let regs = st.cur_fr.regs in
-            let arr = regs.(ra) in
+            let stk = st.stk and fp = st.fp in
+            let arr = reg stk fp ra in
             if not (live st arr) then bad_ref arr
             else begin
               let a = cell st arr in
               if is_obj a then not_arr ()
               else begin
-                let i = regs.(ri) in
+                let i = reg stk fp ri in
                 if i < 0 || i >= Array.length a - 1 then bad_index i mstr
                 else begin
                   data_access_cell st arr i;
-                  regs.(r) <- Array.unsafe_get a (i + 1);
+                  set_reg stk fp r (Array.unsafe_get a (i + 1));
                   advance st ~next ~ni ~line ~probe
                 end
               end
@@ -590,13 +596,13 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
           let ei = cop i in
           fun st ->
             charge st c;
-            let fr = st.cur_fr in
-            let arr = ea fr in
+            let stk = st.stk and fp = st.fp in
+            let arr = ea st in
             let a = arr_cell st arr in
-            let i = ei fr in
+            let i = ei st in
             if i < 0 || i >= Array.length a - 1 then bad_index i mstr;
             data_access_cell st arr i;
-            fr.regs.(r) <- a.(i + 1);
+            set_reg stk fp r a.(i + 1);
             advance st ~next ~ni ~line ~probe)
   | Lir.Array_store (a, i, v) -> (
       let mstr = Lir.string_of_method_ref m.Program.mref in
@@ -604,18 +610,18 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
       | Lir.Reg ra, Lir.Reg ri, Lir.Reg rv ->
           fun st ->
             charge st c;
-            let regs = st.cur_fr.regs in
-            let arr = regs.(ra) in
+            let stk = st.stk and fp = st.fp in
+            let arr = reg stk fp ra in
             if not (live st arr) then bad_ref arr
             else begin
               let a = cell st arr in
               if is_obj a then not_arr ()
               else begin
-                let i = regs.(ri) in
+                let i = reg stk fp ri in
                 if i < 0 || i >= Array.length a - 1 then bad_index i mstr
                 else begin
                   data_access_cell st arr i;
-                  Array.unsafe_set a (i + 1) regs.(rv);
+                  Array.unsafe_set a (i + 1) (reg stk fp rv);
                   advance st ~next ~ni ~line ~probe
                 end
               end
@@ -626,20 +632,19 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
           let ev = cop v in
           fun st ->
             charge st c;
-            let fr = st.cur_fr in
-            let arr = ea fr in
+            let arr = ea st in
             let a = arr_cell st arr in
-            let i = ei fr in
+            let i = ei st in
             if i < 0 || i >= Array.length a - 1 then bad_index i mstr;
             data_access_cell st arr i;
-            a.(i + 1) <- ev fr;
+            a.(i + 1) <- ev st;
             advance st ~next ~ni ~line ~probe)
   | Lir.Array_length (r, a) ->
       let ea = cop a in
       fun st ->
         charge st c;
-        let fr = st.cur_fr in
-        fr.regs.(r) <- Array.length (arr_cell st (ea fr)) - 1;
+        let stk = st.stk and fp = st.fp in
+        set_reg stk fp r (Array.length (arr_cell st (ea st)) - 1);
         advance st ~next ~ni ~line ~probe
   | Lir.Instance_test (r, o, cname) ->
       let eo = cop o in
@@ -650,9 +655,9 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
       in
       fun st ->
         charge st c;
-        let fr = st.cur_fr in
-        let v = eo fr in
-        fr.regs.(r) <-
+        let stk = st.stk and fp = st.fp in
+        let v = eo st in
+        set_reg stk fp r
           (if v <= 0 || v > st.heap.Ir.Vec.len then 0
            else if Array.unsafe_get (cell st v) 0 = cid then 1
            else 0);
@@ -661,7 +666,7 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
       let e = cop a in
       fun st ->
         charge st c;
-        Buffer.add_string st.out (string_of_int (e st.cur_fr));
+        Buffer.add_string st.out (string_of_int (e st));
         Buffer.add_char st.out '\n';
         advance st ~next ~ni ~line ~probe
   | Lir.Intrinsic { dst; name = "rand"; args = [ a ] } -> (
@@ -669,21 +674,21 @@ let compile (costs : Costs.t) (prog : Program.t) (m : Program.meth) ~(next : k)
       | Lir.Reg s, Some r ->
           fun st ->
             charge st c;
-            let fr = st.cur_fr in
-            fr.regs.(r) <- next_rand st fr.regs.(s);
+            let stk = st.stk and fp = st.fp in
+            set_reg stk fp r (next_rand st (reg stk fp s));
             advance st ~next ~ni ~line ~probe
       | a, Some r ->
           let e = cop a in
           fun st ->
             charge st c;
-            let fr = st.cur_fr in
-            fr.regs.(r) <- next_rand st (e fr);
+            let stk = st.stk and fp = st.fp in
+            set_reg stk fp r (next_rand st (e st));
             advance st ~next ~ni ~line ~probe
       | a, None ->
           (* the reference advances the RNG even with no destination *)
           let e = cop a in
           fun st ->
             charge st c;
-            ignore (next_rand st (e st.cur_fr) : int);
+            ignore (next_rand st (e st) : int);
             advance st ~next ~ni ~line ~probe)
   | _ -> invalid_arg "Straight.compile: not a straight-line word"

@@ -9,8 +9,9 @@ type k = Machine.state -> unit
 
 val is_straight : Ir.Lir.instr -> bool
 
-val cop : Ir.Lir.operand -> Machine.frame -> int
-(** Operand evaluator resolved at compile time. *)
+val cop : Ir.Lir.operand -> Machine.state -> int
+(** Operand evaluator resolved at compile time, reading the running
+    frame. *)
 
 val line_of : int -> int
 (** The i-cache line of an instruction address under the machine's

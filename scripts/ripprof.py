@@ -12,7 +12,10 @@ only that process's main thread (run the VM single-domain: -j 1).
 
 Prints the top symbols by share of samples; with FOCUS=symbol, a
 histogram of that symbol's samples by offset instead (read it beside
-`objdump -d`).
+`objdump -d`).  Only samples inside the executable's own code are
+mapped to its symbols; the rest are filed under the path of the
+mapping they fell in (a shared library, `[vdso]`), or under
+`[outside executable]` when no executable mapping holds them.
 """
 import collections, ctypes, os, signal, subprocess, sys, time
 
@@ -28,6 +31,17 @@ def symbols(exe):
     out = subprocess.run(["nm", "-n", "--defined-only", exe], capture_output=True, text=True).stdout
     syms = [(int(a, 16), n) for a, t, n in (l.split(None, 2) for l in out.splitlines() if l.count(" ") >= 2) if t in "tTwW"]
     return [a for a, _ in syms], [n for _, n in syms]
+
+
+def exec_maps(pid):
+    """The child's executable mappings, as (lo, hi, path)."""
+    out = []
+    for line in open(f"/proc/{pid}/maps"):
+        parts = line.split()
+        if len(parts) >= 5 and "x" in parts[1]:
+            lo, hi = (int(x, 16) for x in parts[0].split("-"))
+            out.append((lo, hi, parts[5] if len(parts) >= 6 else "[anonymous]"))
+    return out
 
 
 def load_bias(pid, exe):
@@ -55,8 +69,23 @@ def main():
     os.waitpid(pid, 0)  # stopped at exec
     addrs, names = symbols(exe)
     bias = load_bias(pid, exe)
+    real = os.path.realpath(exe)
+    maps = []
     regs = (ctypes.c_ulong * 27)()
-    hits = collections.Counter()
+    hits = collections.Counter()  # executable-relative address -> samples
+    foreign = collections.Counter()  # mapping path -> samples
+
+    def file_sample(rip):
+        nonlocal maps
+        where = next((m for m in maps if m[0] <= rip < m[1]), None)
+        if where is None:
+            maps = exec_maps(pid)  # the child is stopped: a stable view
+            where = next((m for m in maps if m[0] <= rip < m[1]), None)
+        if where is not None and where[2] == real:
+            hits[rip - bias] += 1
+        else:
+            foreign[where[2] if where else "[outside executable]"] += 1
+
     libc.ptrace(PTRACE_CONT, pid, None, None)
     while True:
         time.sleep(interval)
@@ -69,10 +98,10 @@ def main():
             break
         sig = os.WSTOPSIG(status)
         if libc.ptrace(PTRACE_GETREGS, pid, None, ctypes.byref(regs)) == 0 and sig == signal.SIGSTOP:
-            hits[regs[RIP] - bias] += 1
+            file_sample(regs[RIP])
         libc.ptrace(PTRACE_CONT, pid, None, ctypes.c_void_p(0 if sig == signal.SIGSTOP else sig))
     import bisect
-    by_sym, focus = collections.Counter(), collections.Counter()
+    by_sym, focus = collections.Counter(foreign), collections.Counter()
     want = os.environ.get("FOCUS")
     for a, n in hits.items():
         i = bisect.bisect_right(addrs, a) - 1
@@ -80,7 +109,7 @@ def main():
         by_sym[name] += n
         if name == want:
             focus[a - addrs[i]] += n
-    total = sum(hits.values()) or 1
+    total = sum(by_sym.values()) or 1
     print(f"{total} samples")
     rows = sorted(focus.items()) if want else by_sym.most_common(25)
     for k, n in rows:

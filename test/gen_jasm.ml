@@ -490,8 +490,8 @@ let arbitrary_program = QCheck.make ~print:render ~shrink:shrink_prog program
 (* Programs aimed at the VM's call words rather than at instrumentation
    points: static and virtual calls of every arity 0 to [max_arity]
    (register and immediate arguments), callees with different register
-   counts, so that a reused stack slot changes method and register-file
-   size between activations, locals declared without an initialiser
+   counts, so that the words a callee's frame reuses held another
+   method's frame of another size before, locals declared without an initialiser
    (they read as 0, so a callee frame whose registers are not all zeroed
    shows in the checksum), and static and virtual recursion deep enough
    to grow a thread's stack several times.  Terminating by construction:

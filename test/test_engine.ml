@@ -148,10 +148,10 @@ let seeded_agree () =
     progs
 
 (* quick pass on generated call-path programs (Gen_jasm.call_program):
-   every arity from 0 to 6, static and virtual, deep recursion, reused
-   stack slots whose method and register count change, and locals read
-   before any write, so a callee frame must be zeroed exactly as the
-   reference's [take_frame] zeroes it *)
+   every arity from 0 to 6, static and virtual, deep recursion, frames
+   laid over words other methods' frames of other sizes used, and
+   locals read before any write, so a callee frame must be zeroed
+   exactly as the reference's [init_frame] zeroes it *)
 let call_path_agree () =
   let rand = Random.State.make [| 0xCA11 |] in
   let progs = QCheck.Gen.generate ~n:4 ~rand Gen_jasm.call_program in
@@ -692,11 +692,297 @@ let hot_swap_agree () =
   Alcotest.(check (list string)) "same decision log" ref_log fast_log;
   if ref_log = [] then Alcotest.fail "the controller never acted"
 
+(* ---- thread arrays ---- *)
+
+(* A run's outcome on [engine] — the whole result when it ends, or the
+   trap's message with the cycles and instructions spent when it was
+   raised — and the machine state it ran on.  [setup ()] makes a fresh
+   start-up hook for each run (a poll schedule, a hot swap). *)
+let outcome ~engine ?(setup = fun () -> ignore) ?(args = [ 5 ]) classes funcs =
+  let prog = Vm.Program.link classes ~funcs in
+  let st = ref None in
+  let hook = setup () in
+  let r =
+    match
+      Vm.Interp.run ~engine ~use_icache:true ~use_dcache:true
+        ~on_init:(fun s ->
+          st := Some s;
+          hook s)
+        prog
+        ~entry:{ Lir.mclass = "Main"; mname = "main" }
+        ~args Vm.Interp.null_hooks
+    with
+    | r -> Ok r
+    | exception Vm.Interp.Runtime_error m ->
+        let s = Option.get !st in
+        Error (m, s.Vm.Machine.cycles, s.Vm.Machine.instructions)
+  in
+  (r, Option.get !st)
+
+(* The reference's outcome, which Fast must equal exactly, and both
+   final states. *)
+let agree ?setup ?args src =
+  let classes, funcs = compile src in
+  let oracle, ref_st = outcome ~engine:`Ref ?setup ?args classes funcs in
+  let got, fast_st = outcome ~engine:`Fast ?setup ?args classes funcs in
+  if got <> oracle then
+    Alcotest.fail
+      (match (oracle, got) with
+      | Error (m, _, _), Error (m', _, _) when m <> m' ->
+          Printf.sprintf "trap messages differ: Ref %S, Fast %S" m m'
+      | Error _, Error _ -> "trap at different cycles or instructions"
+      | _ -> "Fast diverges from Ref");
+  (oracle, ref_st, fast_st)
+
+(* The main thread's array must have grown past its first size. *)
+let check_grew what (st : Vm.Machine.state) =
+  if
+    Array.length st.Vm.Machine.threads.(0).Vm.Machine.stk
+    <= Vm.Machine.initial_stack_words
+  then Alcotest.failf "%s: the thread array never grew" what
+
+(* Mutual recursion between a narrow method (5 registers) and a wide
+   one (dozens), deep enough to grow the thread's array several times,
+   each growth in the middle of a call: the callee's arguments are read
+   from the caller's window after the array was replaced.  With [n = 7]
+   the bottom of the second descent divides by zero, so the trap's
+   point must agree too.  Before that, [fresh] is first called (so
+   through the Fast engine's generic call path) where a deeper descent
+   left its registers behind, and reads two locals it never wrote: every
+   engine must have zeroed them. *)
+let grow_src =
+  {|
+  class Main {
+    static var z: int;
+    static fun narrow(d: int, a: int, b: int): int {
+      if (d == 0) { return (a - b) / Main.z; }
+      return Main.wide(d - 1, b + 1, a * 3, d) & 1048575;
+    }
+    static fun wide(d: int, x: int, y: int, w: int): int {
+      var p0: int = x + 1;
+      var p1: int = p0 * 2 + y;
+      var p2: int = p1 - w;
+      var p3: int = p2 * p0 + 3;
+      var p4: int = p3 + p1 * 5;
+      var p5: int = p4 - p2;
+      var p6: int = p5 * 7 + x;
+      var p7: int = p6 + p3;
+      var p8: int = p7 - p4 * 2;
+      var p9: int = p8 + p5 + p6;
+      var r: int = Main.narrow(d, (x + y) & 4095, (w + p9) & 4095);
+      return (r + p0 + p1 + p2 + p3 + p4 + p5 + p6 + p7 + p8 + p9 + x + y + w)
+        & 1048575;
+    }
+    static fun fresh(a: int): int {
+      var u: int;
+      var v: int;
+      return a + u * 1000 + v;
+    }
+    static fun main(n: int): int {
+      Main.z = 3;
+      var s: int = Main.narrow(30, n, 1);
+      s = s + Main.fresh(n);
+      var i: int = 0;
+      while (i < 3) {
+        s = (s + Main.narrow(150 + 40 * i, i + n, n)) & 1048575;
+        if (i == 0 && n == 7) { Main.z = 0; }
+        i = i + 1;
+      }
+      print(s);
+      return s;
+    }
+  }
+|}
+
+let growth_agree () =
+  let ok, ref_st, fast_st = agree grow_src in
+  (match ok with
+  | Ok _ -> ()
+  | Error (m, _, _) -> Alcotest.failf "the growing run trapped: %s" m);
+  check_grew "Ref" ref_st;
+  check_grew "Fast" fast_st;
+  match agree ~args:[ 7 ] grow_src with
+  | Error (m, _, _), _, _ ->
+      Alcotest.(check string) "trap message" "division by zero" m
+  | Ok _, _, _ -> Alcotest.fail "the trapping run returned"
+
+(* Three threads, each suspended at its own depth: main 60 frames
+   down, one spawned thread 150 down (its own array grows while the
+   others wait), another 7 down; all yield at the bottom, so every
+   switch saves one thread's frame offset and loads another's array. *)
+let threads_src =
+  {|
+  class T {
+    static var done: int;
+    static var log: int;
+    static fun down(d: int, id: int): int {
+      if (d == 0) {
+        var i: int = 0;
+        var s: int = 0;
+        while (i < 200) {
+          yield();
+          s = (s + i * id) & 65535;
+          i = i + 1;
+        }
+        return s;
+      }
+      return (T.down(d - 1, id) + d * id) & 65535;
+    }
+    static fun run(d: int, id: int) {
+      var r: int = T.down(d, id);
+      T.log = (T.log * 31 + r + id) & 1048575;
+      T.done = T.done + 1;
+    }
+  }
+  class Main {
+    static fun main(n: int): int {
+      spawn T.run(150, 1);
+      spawn T.run(7, 2);
+      var r: int = T.down(60, 3);
+      while (T.done < 2) { yield(); }
+      print(T.log);
+      return (T.log + r) & 1048575;
+    }
+  }
+|}
+
+let threads_agree () =
+  match agree threads_src with
+  | Ok r, ref_st, _ ->
+      if r.Vm.Interp.counters.Vm.Interp.thread_switches < 100 then
+        Alcotest.fail "the threads hardly switched";
+      if
+        Array.length ref_st.Vm.Machine.threads.(1).Vm.Machine.stk
+        <= Vm.Machine.initial_stack_words
+      then Alcotest.fail "the deep thread's array never grew"
+  | Error (m, _, _), _, _ -> Alcotest.failf "trapped: %s" m
+
+(* [Main.main] and [Main.work] hot-swapped three times mid-run, each
+   time to a copy laid out at fresh code addresses, the last swap
+   re-installing the linked version.  The swaps land while [main] and
+   several [work] activations are suspended in calls, so they return
+   into retired versions, whose code runs at the old addresses (the
+   i-cache tells them apart). *)
+let swap_src =
+  {|
+  class Main {
+    static fun work(d: int, k: int): int {
+      if (d == 0) {
+        var i: int = 0;
+        var s: int = 0;
+        while (i < 40) { s = (s + i * k) & 65535; i = i + 1; }
+        return s;
+      }
+      return (Main.work(d - 1, k + 1) + d) & 65535;
+    }
+    static fun main(n: int): int {
+      var s: int = 0;
+      var i: int = 0;
+      while (i < 40) {
+        s = (s + Main.work(12, i + n)) & 1048575;
+        i = i + 1;
+      }
+      print(s);
+      return s;
+    }
+  }
+|}
+
+let swap_setup ~swaps () st =
+  let prog = st.Vm.Machine.prog in
+  let ids =
+    List.map
+      (Hashtbl.find prog.Vm.Program.static_method)
+      [ "Main.main"; "Main.work" ]
+  in
+  let linked = List.map (fun id -> prog.Vm.Program.methods.(id)) ids in
+  let cursor = ref prog.Vm.Program.total_code_words in
+  let relayout (m : Vm.Program.meth) =
+    let addr, next = Vm.Program.layout_func m.Vm.Program.func (!cursor + 4096) in
+    cursor := next;
+    { m with Vm.Program.code_addr = addr }
+  in
+  let first = List.map relayout linked in
+  let second = List.map relayout linked in
+  let plan = ref [ first; second; linked ] in
+  st.Vm.Machine.adaptive_poll <-
+    (fun st ->
+      match !plan with
+      | [] -> ()
+      | ms :: rest ->
+          plan := rest;
+          incr swaps;
+          List.iter (Vm.Engine.hot_swap st) ms;
+          st.Vm.Machine.next_adaptive <- st.Vm.Machine.cycles + 6000);
+  st.Vm.Machine.next_adaptive <- 5000
+
+let swap_agree () =
+  let swaps = ref 0 in
+  let swapped, _, _ = agree ~setup:(swap_setup ~swaps) swap_src in
+  if !swaps <> 6 then Alcotest.failf "%d swaps over both runs, not 6" !swaps;
+  let plain, _, _ = agree swap_src in
+  match (swapped, plain) with
+  | Ok a, Ok b ->
+      Alcotest.(check (option int))
+        "same value" b.Vm.Interp.return_value a.Vm.Interp.return_value;
+      if a.Vm.Interp.icache_misses = b.Vm.Interp.icache_misses then
+        Alcotest.fail "the swaps changed no code address the run touched"
+  | _ -> Alcotest.fail "a run trapped"
+
+(* At its first poll, [Main.main] is swapped for a version naming 3000
+   more registers and migration is armed: the running [main] frame
+   migrates at its next yieldpoint and widens in place, which grows
+   the thread's array, and every later call puts its callee after the
+   widened window. *)
+let widen_src =
+  {|
+  class Main {
+    static fun f(a: int, b: int): int {
+      var t: int = a * 7 + b;
+      return t & 65535;
+    }
+    static fun main(n: int): int {
+      var s: int = 0;
+      var i: int = 0;
+      while (i < 2000) {
+        s = (s + Main.f(i, s)) & 1048575;
+        i = i + 1;
+      }
+      print(s);
+      return s;
+    }
+  }
+|}
+
+let widen_setup () st =
+  st.Vm.Machine.adaptive_poll <-
+    (fun st ->
+      let prog = st.Vm.Machine.prog in
+      let id = Hashtbl.find prog.Vm.Program.static_method "Main.main" in
+      let m = prog.Vm.Program.methods.(id) in
+      let f = m.Vm.Program.func in
+      Vm.Engine.hot_swap st
+        {
+          m with
+          Vm.Program.func = { f with Lir.next_reg = f.Lir.next_reg + 3000 };
+        };
+      st.Vm.Machine.migration <- true);
+  st.Vm.Machine.next_adaptive <- 5000
+
+let widen_agree () =
+  let widened, ref_st, fast_st = agree ~setup:widen_setup widen_src in
+  check_grew "Ref" ref_st;
+  check_grew "Fast" fast_st;
+  let plain, _, _ = agree widen_src in
+  if widened <> plain then
+    Alcotest.fail "widening the frame changed the run's outcome"
+
 (* ---- allocation per call ---- *)
 
 (* Steady-state calls and returns allocate nothing: the callee frame is
-   the thread's next stack slot, the arguments go straight into its
-   registers, and nothing is consed for the thread's bookkeeping.
+   the next window of ints in the thread's array, the arguments go
+   straight into its registers, and nothing is consed for the thread's
+   bookkeeping.
    Measured as minor-heap words per loop iteration (one virtual call of
    [arity] arguments and its return) between two run lengths, so set-up
    and compilation cancel out; for every arity from 1 to 4. *)
@@ -732,6 +1018,26 @@ let alloc_src arity =
 |}
     (String.concat ", " params) sum (String.concat ", " params) sum args
 
+(* Minor-heap words per loop iteration of [src]'s [main], between two
+   run lengths, so set-up, compilation and the growth of the thread's
+   array cancel out. *)
+let words_per_iteration classes funcs =
+  let prog = Vm.Program.link classes ~funcs in
+  let words n =
+    let w0 = Gc.minor_words () in
+    ignore
+      (Vm.Interp.run ~engine:`Fast ~use_icache:true prog
+         ~entry:{ Lir.mclass = "Main"; mname = "main" }
+         ~args:[ n ] Vm.Interp.null_hooks
+        : Vm.Interp.result);
+    Gc.minor_words () -. w0
+  in
+  ignore (words 100 : float) (* compile *);
+  let n1 = 10_000 and n2 = 110_000 in
+  let w1 = words n1 in
+  let w2 = words n2 in
+  (w2 -. w1) /. float_of_int (n2 - n1)
+
 let alloc_per_call () =
   List.iter
     (fun arity ->
@@ -752,26 +1058,52 @@ let alloc_per_call () =
       in
       if not virtual_call then
         Alcotest.failf "the loop's call is not a %d-arg virtual call" arity;
-      let prog = Vm.Program.link classes ~funcs in
-      let words n =
-        let w0 = Gc.minor_words () in
-        ignore
-          (Vm.Interp.run ~engine:`Fast ~use_icache:true prog
-             ~entry:{ Lir.mclass = "Main"; mname = "main" }
-             ~args:[ n ] Vm.Interp.null_hooks
-            : Vm.Interp.result);
-        Gc.minor_words () -. w0
-      in
-      ignore (words 100 : float) (* compile *);
-      let n1 = 10_000 and n2 = 110_000 in
-      let w1 = words n1 in
-      let w2 = words n2 in
-      let per_call = (w2 -. w1) /. float_of_int (n2 - n1) in
+      let per_call = words_per_iteration classes funcs in
       if per_call > 0.5 then
         Alcotest.failf
           "%.2f minor words per %d-arg call and return (bound 0.5)" per_call
           arity)
     [ 1; 2; 3; 4 ]
+
+(* The same for deep recursion: each iteration descends 300 frames
+   (static and virtual calls alternating), past the thread array's first
+   size, so all but the first descent run in the grown array.  The bound
+   is per descent, 600 calls and returns, with the timer ticks that fall
+   among them. *)
+let deep_src =
+  {|
+  class C {
+    var acc: int;
+    fun down(d: int, k: int): int {
+      if (d == 0) { return k; }
+      return Main.down(d - 1, k + d) & 65535;
+    }
+  }
+  class Main {
+    static var c: C;
+    static fun down(d: int, k: int): int {
+      if (d == 0) { return k; }
+      return Main.c.down(d - 1, k * 3) & 65535;
+    }
+    static fun main(n: int): int {
+      Main.c = new C;
+      var s: int = 0;
+      var i: int = 0;
+      while (i < n / 100) {
+        s = (s + Main.down(300, i)) & 1048575;
+        i = i + 1;
+      }
+      return s;
+    }
+  }
+|}
+
+let alloc_per_deep_call () =
+  let classes, funcs = compile deep_src in
+  let per_descent = words_per_iteration classes funcs *. 100. in
+  if per_descent > 0.5 then
+    Alcotest.failf "%.2f minor words per 300-deep descent (bound 0.5)"
+      per_descent
 
 let suite =
   [
@@ -795,8 +1127,18 @@ let suite =
            `Quick timer_every_terminator
       :: Alcotest.test_case "Fast == Ref across adaptive hot-swaps" `Quick
            hot_swap_agree
+      :: Alcotest.test_case "Fast == Ref when calls grow the thread array"
+           `Quick growth_agree
+      :: Alcotest.test_case "Fast == Ref with threads switching at depth"
+           `Quick threads_agree
+      :: Alcotest.test_case "Fast == Ref returning into retired versions"
+           `Quick swap_agree
+      :: Alcotest.test_case "Fast == Ref when a migration widens the frame"
+           `Quick widen_agree
       :: Alcotest.test_case "no allocation per call and return" `Quick
            alloc_per_call
+      :: Alcotest.test_case "no allocation per call in deep recursion"
+           `Quick alloc_per_deep_call
       :: List.map
            (QCheck_alcotest.to_alcotest ~long:false)
            [ engines_agree ] );

@@ -274,6 +274,23 @@ let test_chaos_never_aliases_clean () =
       check_str "clean results undisturbed by the chaos run" cold warm;
       check_int "clean warm run misses nothing" 0 (R.stats ()).R.misses)
 
+(* Completed cells answer only for the configuration they were measured
+   under: a chaos table after a clean one in the same process, with the
+   clean cells still in Robust's store, is the chaos table. *)
+let test_cells_follow_config () =
+  let table ?config () =
+    Harness.Table1.to_string
+      (Harness.Table1.run ?config ~scale:1 ~benches:(benches ()) ())
+  in
+  let config = { M.default with chaos = Some 11 } in
+  let chaos = fresh_table ~config () in
+  let clean = fresh_table () in
+  check_bool "chaos changes the table" true (chaos <> clean);
+  check_str "chaos after clean, one process" chaos (table ~config ());
+  check_str "clean after chaos, one process" clean (table ());
+  Harness.Robust.set_checkpoint None;
+  R.reset_memory ()
+
 let test_checkpoint_and_cache_compose () =
   let plain = fresh_table () in
   let dir = tmp_dir "compose" in
@@ -417,6 +434,8 @@ let suite =
           test_config_fields_in_key;
         Alcotest.test_case "perfect profiles follow the build's config"
           `Quick test_perfect_profiles_follow_config;
+        Alcotest.test_case "cells follow the run config" `Quick
+          test_cells_follow_config;
         Alcotest.test_case "checkpoint and cache compose" `Quick
           test_checkpoint_and_cache_compose;
         Alcotest.test_case "stale tmp files swept on open" `Quick

@@ -288,6 +288,13 @@ let icache_model () =
   check_bool "conflict evicts" true (Vm.Icache.access ic 64);
   check_bool "original line misses again" true (Vm.Icache.access ic 0);
   check_int "misses" 4 (Vm.Icache.misses ic);
+  (* a flush empties the tag array in place: the machine state aliases
+     it for the Fast engine's probes *)
+  let tags = ic.Vm.Icache.tags in
+  Vm.Icache.flush ic;
+  check_bool "flush keeps the tag array" true (ic.Vm.Icache.tags == tags);
+  check_bool "flushed line misses" true (Vm.Icache.access ic 0);
+  check_int "flush keeps the count" 5 (Vm.Icache.misses ic);
   (* only power-of-two geometries: a line is a shift, a set a mask *)
   List.iter
     (fun (lines, line_words) ->
