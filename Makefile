@@ -83,8 +83,8 @@ fmt:
 	  echo "ocamlformat not installed; skipping format check"; \
 	fi
 
-# kill `isf table --checkpoint` mid-run, resume, diff against an
-# uninterrupted run
+# kill `isf table --cache DIR` mid-run, resume against the same DIR,
+# diff against an uninterrupted run and count the resume's disk hits
 crash-smoke: build
 	sh scripts/crash_recovery.sh
 

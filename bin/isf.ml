@@ -31,20 +31,19 @@ let name_conv what names =
 let spec_of_names = Serve.Job.spec_of_names
 let transform_of_variant = Serve.Job.transform_of_variant
 
-(* Graceful SIGINT/SIGTERM for the one-shot verbs: the checkpoint and
-   the journal are flushed per record and the run cache writes via
-   temp+rename, so nothing buffered can be lost — the handler closes
-   the checkpoint channel (best effort) and exits with the
-   conventional 128+signal code so callers can tell an interrupt from
-   a failure.  [isf serve] overrides these with flag-setting handlers
-   for an orderly daemon shutdown. *)
+(* Graceful SIGINT/SIGTERM for the one-shot verbs: the run cache
+   writes via temp+rename, so nothing buffered can be lost — the
+   handler exits with the conventional 128+signal code so callers can
+   tell an interrupt from a failure, and a re-run with the same
+   --cache resumes from the finished measurements.  [isf serve]
+   overrides these with flag-setting handlers for an orderly daemon
+   shutdown. *)
 let exit_code_of_signal s = if s = Sys.sigterm then 143 else 130
 
 let oneshot_signal s =
   prerr_endline
-    (Printf.sprintf "isf: interrupted by %s; checkpoint and cache are intact"
+    (Printf.sprintf "isf: interrupted by %s; cache is intact"
        (if s = Sys.sigterm then "SIGTERM" else "SIGINT"));
-  (try Harness.Robust.set_checkpoint None with _ -> ());
   exit (exit_code_of_signal s)
 
 let install_oneshot_signals () =
@@ -169,16 +168,6 @@ let watchdog_arg =
   in
   Arg.(value & opt float 600.0 & info [ "watchdog" ] ~docv:"SECS" ~doc)
 
-let checkpoint_arg =
-  let doc =
-    "Persist each completed experiment cell to $(docv) (append-only, \
-     crash-safe) and, when re-run after an interruption, resume from the \
-     completed cells instead of recomputing them.  The file records the \
-     run configuration and refuses to resume a mismatched run."
-  in
-  Arg.(
-    value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE" ~doc)
-
 let cache_arg =
   let doc =
     "Persist every measurement to $(docv), content-addressed by its full \
@@ -192,7 +181,7 @@ let cache_arg =
   Arg.(
     value & opt (some string) None & info [ "cache" ] ~env ~docv:"DIR" ~doc)
 
-(* a refused cache, checkpoint or journal, malformed job lines or jasm
+(* a refused cache or journal, malformed job lines or jasm
    source: one line on stderr and exit 2 instead of a backtrace *)
 let or_die f =
   try f ()
@@ -203,22 +192,6 @@ let or_die f =
 let set_cache cache = or_die (fun () -> Harness.Runcache.set_dir cache)
 let set_trace t = if t then Harness.Pool.trace := true
 let chaos_str = function Some s -> string_of_int s | None -> "off"
-
-(* open the checkpoint file, tagged with everything that changes cell
-   values, so resuming under a different configuration is an error
-   rather than a silently wrong table (recording and watchdog never
-   change a value that completes) *)
-let set_checkpoint ~which ~scale ~(config : Measure.config) checkpoint =
-  let meta =
-    Printf.sprintf "which=%s scale=%s engine=%s chaos=%s" which
-      (match scale with Some s -> string_of_int s | None -> "default")
-      (match config.engine with `Ref -> "ref" | `Fast -> "fast")
-      (chaos_str config.chaos)
-  in
-  or_die (fun () ->
-      Harness.Robust.set_checkpoint ~meta
-        ~scope:(Measure.scope ~config ?scale ())
-        checkpoint)
 
 (* ---- commands ---- *)
 
@@ -379,14 +352,10 @@ let exec_cmd =
       $ jitter_arg $ top_arg $ engine_arg)
 
 let table_cmd =
-  let run which scale jobs trace engine recording chaos watchdog checkpoint
-      cache adaptive budget =
+  let run which scale jobs trace engine recording chaos watchdog cache
+      adaptive budget =
     set_trace trace;
     let config = { Measure.engine; recording; chaos; watchdog } in
-    let name =
-      match which with `All -> "all" | `One w -> Harness.Experiments.name w
-    in
-    set_checkpoint ~which:name ~scale ~config checkpoint;
     set_cache cache;
     (match which with
     | `All ->
@@ -460,14 +429,13 @@ let table_cmd =
     (Cmd.info "table" ~doc:"Reproduce one of the paper's tables/figures")
     Term.(
       const run $ which_arg $ scale_arg $ jobs_arg $ trace_arg $ engine_arg
-      $ recording_arg $ chaos_arg $ watchdog_arg $ checkpoint_arg $ cache_arg
-      $ adaptive_arg $ budget_arg)
+      $ recording_arg $ chaos_arg $ watchdog_arg $ cache_arg $ adaptive_arg
+      $ budget_arg)
 
 let all_cmd =
-  let run scale jobs trace engine recording chaos watchdog checkpoint cache =
+  let run scale jobs trace engine recording chaos watchdog cache =
     set_trace trace;
     let config = { Measure.engine; recording; chaos; watchdog } in
-    set_checkpoint ~which:"everything" ~scale ~config checkpoint;
     set_cache cache;
     if Harness.Experiments.run_all ~config ?scale ~jobs () <> [] then exit 2
   in
@@ -475,7 +443,7 @@ let all_cmd =
     (Cmd.info "all" ~doc:"Reproduce every table and figure of the paper")
     Term.(
       const run $ scale_arg $ jobs_arg $ trace_arg $ engine_arg
-      $ recording_arg $ chaos_arg $ watchdog_arg $ checkpoint_arg $ cache_arg)
+      $ recording_arg $ chaos_arg $ watchdog_arg $ cache_arg)
 
 let ablation_cmd =
   let run scale jobs trace engine recording cache =

@@ -320,8 +320,7 @@ let requests ?scale () =
   a1 @ a3 @ a4
 
 let run_all ?config ?scale ?jobs () =
-  if Robust.checkpointed_cells () = 0 then
-    Schedule.prewarm ?config ?jobs (requests ?scale ());
+  Schedule.prewarm ?config ?jobs (requests ?scale ());
   print_string (a1_to_string (run_a1 ?config ?scale ?jobs ()));
   print_newline ();
   print_string (a2_to_string (run_a2 ?config ?scale ?jobs ()));

@@ -86,12 +86,10 @@ let requests ?scale () =
 
 (* Deduplicate and execute the full cell set up front; the drivers then
    find every measurement already published in the run cache, so their
-   output is byte-identical to an unscheduled run.  Skipped when a
-   checkpoint resume already holds finished cells — recomputing them
-   would defeat the resume. *)
+   output is byte-identical to an unscheduled run.  On a resume against
+   a warm --cache, the runs that already finished are disk hits. *)
 let prewarm ?config ?scale ?jobs () =
-  if Robust.checkpointed_cells () = 0 then
-    Schedule.prewarm ?config ?jobs (requests ?scale ())
+  Schedule.prewarm ?config ?jobs (requests ?scale ())
 
 let run_all ?config ?scale ?jobs ?measure_compile () =
   prewarm ?config ?scale ?jobs ();

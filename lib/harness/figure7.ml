@@ -30,22 +30,20 @@ let requests ?scale ?(interval = 1_000) () =
   ]
 
 let run ?config ?scale ?jobs ?(interval = 1_000) ?(top = 50) () =
-  let scope = Measure.scope ?config ?scale () in
   let bench = Workloads.Suite.find "javac" in
   (* a 2-cell grid: the perfect profile and the sampled run are
-     independent computations; only keyed profiles (marshal-safe) are
-     checkpointed, never metrics *)
+     independent computations *)
   let cells =
     [
       (fun () ->
         `Perfect
-          (Robust.cell ~scope ~key:"figure7/perfect" (fun () ->
+          (Robust.cell ~key:"figure7/perfect" (fun () ->
                fst
                  (Common.perfect_profiles
                     (Measure.prepare ?config ?scale bench)))));
       (fun () ->
         `Sampled
-          (Robust.cell ~scope
+          (Robust.cell
              ~key:(Printf.sprintf "figure7/sampled@%d" interval)
              (fun () ->
                let build = Measure.prepare ?config ?scale bench in

@@ -68,7 +68,6 @@ let requests ?scale ?benches () =
       Common.sample_intervals
 
 let run ?config ?scale ?jobs ?benches () =
-  let scope = Measure.scope ?config ?scale () in
   let benches =
     match benches with Some l -> l | None -> Common.benchmarks ()
   in
@@ -81,7 +80,7 @@ let run ?config ?scale ?jobs ?benches () =
     Pool.map ?jobs
       (fun bench ->
         let framework =
-          Robust.cell ~scope
+          Robust.cell
             ~key:(Printf.sprintf "figure8/a/%s" bench.Workloads.Suite.bname)
             (fun () ->
               let build = Measure.prepare ?config ?scale bench in
@@ -104,7 +103,7 @@ let run ?config ?scale ?jobs ?benches () =
     Pool.map ?jobs
       (fun (interval, bench) ->
         let r =
-          Robust.cell ~scope
+          Robust.cell
             ~key:
               (Printf.sprintf "figure8/b/%d/%s" interval
                  bench.Workloads.Suite.bname)

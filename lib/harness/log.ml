@@ -1,5 +1,5 @@
-(* The one on-disk record log behind the job journal and the cell
-   checkpoint; log.mli has the frame and the contract. *)
+(* The one on-disk record log, behind the serve daemon's job journal;
+   log.mli has the frame and the contract. *)
 
 type t = { mu : Mutex.t; oc : out_channel; path : string }
 

@@ -1,6 +1,5 @@
-(** The append-only, checksummed record log behind {!Robust}'s cell
-    checkpoint and the serve daemon's job journal; the only code that
-    reads or writes their bytes.
+(** The append-only, checksummed record log behind the serve daemon's
+    job journal; the only code that reads or writes its bytes.
 
     Each record is an 8-byte little-endian length, the MD5 of the body,
     then the body.  The first record is the meta string that

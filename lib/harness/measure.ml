@@ -13,16 +13,6 @@ type config = {
 let default =
   { engine = `Fast; recording = `Slots; chaos = None; watchdog = 600.0 }
 
-(* The [Robust.cell] scope of cells measured under [config] at [scale]
-   (0 or absent: each benchmark's default): every field, so two
-   configurations never share a completed cell. *)
-let scope ?(config = default) ?(scale = 0) () =
-  Printf.sprintf "engine=%s recording=%s chaos=%s watchdog=%h scale=%d"
-    (match config.engine with `Ref -> "ref" | `Fast -> "fast")
-    (match config.recording with `Slots -> "slots" | `Legacy -> "legacy")
-    (match config.chaos with Some s -> string_of_int s | None -> "off")
-    config.watchdog scale
-
 type build = {
   bench : Workloads.Suite.benchmark;
   scale : int;

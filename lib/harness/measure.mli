@@ -31,17 +31,10 @@ type config = {
 (** Everything besides the build and the transform that a measurement
     depends on.  Engine, recording and the chaos fault plan enter the
     run key ({!Digest.run_config}); see DESIGN.md §8 for which fields
-    the checkpoint meta, the serve journal meta and the job line
-    carry. *)
+    the serve journal meta and the job line carry. *)
 
 val default : config
 (** [`Fast], [`Slots], no chaos, a 600 s watchdog. *)
-
-val scope : ?config:config -> ?scale:int -> unit -> string
-(** The {!Robust.cell} scope of cells measured under [config] (default
-    {!default}) at [scale] (default 0, each benchmark's own): drivers
-    pass it so completed cells of one configuration never answer for
-    another in the same process. *)
 
 type build = {
   bench : Workloads.Suite.benchmark;

@@ -2,15 +2,10 @@
 
    Every (benchmark, configuration) measurement runs inside [cell],
    which turns exceptions into structured [failure] values instead of
-   tearing down the whole table, retries transient classes with bounded
-   backoff, and — when a checkpoint file is armed — persists each
-   completed cell so a killed run resumes where it stopped.
-
-   The checkpoint is a {!Log} of marshaled [(key, payload)] records, so
-   a kill or a corrupt byte costs at most the cells from the first bad
-   record on, and every cell before it survives.  Only [Ok] payloads
-   are persisted — a failed cell is re-attempted on resume, which is
-   what you want after fixing whatever killed it. *)
+   tearing down the whole table and retries transient classes with
+   bounded backoff.  Nothing here remembers a finished cell: a killed
+   run resumes through the run cache ({!Runcache}), which serves the
+   cell bodies' measurements from disk. *)
 
 type failure = {
   key : string;
@@ -56,101 +51,42 @@ let message_of = function
   | e -> Printexc.to_string e
 
 (* ------------------------------------------------------------------ *)
-(* Checkpoint store                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let lock = Mutex.create ()
-
-(* Completed cells by (scope, cell key): a cell key names a benchmark
-   and a measurement, the scope the run configuration it was measured
-   under, so one process can run the same table under two
-   configurations.  The checkpoint file keeps the cell key alone; its
-   meta pins the configuration, and [set_checkpoint]'s [scope] says
-   which one that is. *)
-let store : (string * string, string) Hashtbl.t = Hashtbl.create 64
-let log : Log.t option ref = ref None
-
-let locked f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
-
-(* Cells resumed from an armed checkpoint file, as opposed to persisted
-   by this process: lets the scheduler skip its prewarm on a resume,
-   where re-measuring the already-finished cells would defeat it. *)
-let resumed = ref 0
-let checkpointed_cells () = locked (fun () -> !resumed)
-
-let set_checkpoint ?(meta = "") ?(scope = "") path_opt =
-  locked (fun () ->
-      Option.iter Log.close !log;
-      log := None;
-      Hashtbl.reset store;
-      resumed := 0;
-      Option.iter
-        (fun path ->
-          let l, records = Log.open_ ~what:"checkpoint" ~meta path in
-          List.iter
-            (fun r ->
-              let k, payload = (Marshal.from_string r 0 : string * string) in
-              Hashtbl.replace store (scope, k) payload)
-            records;
-          resumed := Hashtbl.length store;
-          log := Some l)
-        path_opt)
-
-let lookup scope key = locked (fun () -> Hashtbl.find_opt store (scope, key))
-
-let persist scope key payload =
-  locked (fun () ->
-      Hashtbl.replace store (scope, key) payload;
-      Option.iter
-        (fun l -> Log.append l (Marshal.to_string (key, payload) []))
-        !log)
-
-(* ------------------------------------------------------------------ *)
 (* The cell runner                                                     *)
 (* ------------------------------------------------------------------ *)
 
 let () = Printexc.record_backtrace true
 
-let cell ?(retries = 2) ?(scope = "") ~key f =
-  match lookup scope key with
-  | Some payload -> Ok (Marshal.from_string payload 0)
-  | None ->
-      let rec attempt n =
-        let saved = Domain.DLS.get ctx_key in
-        Domain.DLS.set ctx_key key;
-        let r =
-          match f () with
-          | v -> Ok v
-          | exception e ->
-              let bt = Printexc.get_raw_backtrace () in
-              Error (e, Printexc.raw_backtrace_to_string bt)
-        in
-        Domain.DLS.set ctx_key saved;
-        match r with
-        | Ok v ->
-            (* payload must not contain closures: checkpointed cells carry
-               reduced values (floats, keyed lists), never raw metrics *)
-            persist scope key (Marshal.to_string v []);
-            Ok v
-        | Error (e, bt) ->
-            let cls = classify e in
-            if String.equal cls "transient" && n <= retries then begin
-              Unix.sleepf (0.05 *. float_of_int (1 lsl (n - 1)));
-              attempt (n + 1)
-            end
-            else
-              Error
-                {
-                  key;
-                  classification = cls;
-                  attempts = n;
-                  message = message_of e;
-                  backtrace = bt;
-                }
-      in
-      attempt 1
+let cell ?(retries = 2) ~key f =
+  let rec attempt n =
+    let saved = Domain.DLS.get ctx_key in
+    Domain.DLS.set ctx_key key;
+    let r =
+      match f () with
+      | v -> Ok v
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          Error (e, Printexc.raw_backtrace_to_string bt)
+    in
+    Domain.DLS.set ctx_key saved;
+    match r with
+    | Ok v -> Ok v
+    | Error (e, bt) ->
+        let cls = classify e in
+        if String.equal cls "transient" && n <= retries then begin
+          Unix.sleepf (0.05 *. float_of_int (1 lsl (n - 1)));
+          attempt (n + 1)
+        end
+        else
+          Error
+            {
+              key;
+              classification = cls;
+              attempts = n;
+              message = message_of e;
+              backtrace = bt;
+            }
+  in
+  attempt 1
 
 (* ------------------------------------------------------------------ *)
 (* Outcome helpers                                                     *)

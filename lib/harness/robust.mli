@@ -3,16 +3,13 @@
     Each (benchmark, configuration) measurement runs inside {!cell},
     which converts exceptions into structured {!failure} values — a
     failing cell renders as [ERR] and lands in the error report instead
-    of tearing down the whole table — retries transient failures with
-    bounded exponential backoff, and, when a checkpoint file is armed
-    via {!set_checkpoint}, persists every completed cell so a killed run
-    resumes exactly where it stopped (ISSUE 3).
+    of tearing down the whole table — and retries transient failures
+    with bounded exponential backoff.
 
-    The checkpoint file is a {!Log} of marshaled [(key, payload)]
-    records.  A resume gets back every cell up to the first record that
-    fails its MD5 (a torn tail, a flipped byte) and recomputes the rest.
-    Only successful cells are persisted; failed cells are re-attempted
-    on resume. *)
+    A cell is not remembered once it finishes: a killed run resumes by
+    re-running its cells against the run cache ({!Runcache}, [isf
+    --cache DIR]), which serves every measurement that already finished
+    from disk. *)
 
 type failure = {
   key : string;  (** the cell's stable identity, e.g. ["table1/raytrace/call-edge"] *)
@@ -42,33 +39,11 @@ val classify : exn -> string
 val message_of : exn -> string
 (** The [message] {!cell} would record for this exception. *)
 
-val set_checkpoint : ?meta:string -> ?scope:string -> string option -> unit
-(** Arm ([Some path]) or disarm ([None]) the checkpoint store.  Arming
-    loads every verified cell already in the file, drops the rest, and
-    appends subsequent completed cells to it.  [meta] fingerprints the
-    run configuration; [scope] (default [""]) is the {!cell} scope the
-    loaded cells answer to — the run configuration's, as the table
-    drivers pass it.  Raises [Failure] (see {!Log.open_}) for an
-    unusable path, a file written under a different [meta], and a
-    non-empty file that is not a checkpoint. *)
-
-val checkpointed_cells : unit -> int
-(** Number of cells the armed checkpoint resumed from disk (0 when no
-    checkpoint is armed or the file was empty).  {!Experiments} and
-    {!Ablation} skip the scheduler's prewarm when this is non-zero:
-    re-measuring cells the resume already finished would defeat it. *)
-
-val cell :
-  ?retries:int -> ?scope:string -> key:string -> (unit -> 'a) -> 'a outcome
-(** Run one experiment cell.  If the store holds [key] under [scope]
-    (default [""]: the run configuration the cell is measured under,
-    {!Measure.scope}), the cached payload is returned without running
-    [f].  Otherwise [f] runs with
-    {!context} set to [key]; transient failures are retried up to
-    [retries] (default 2) more times with exponential backoff (50ms,
-    100ms, ...); any final exception becomes [Error failure].  A
-    successful value is marshaled into the checkpoint, so it must be
-    closure-free (floats, strings, lists/tuples/records of those). *)
+val cell : ?retries:int -> key:string -> (unit -> 'a) -> 'a outcome
+(** Run one experiment cell: [f] runs with {!context} set to [key];
+    transient failures are retried up to [retries] (default 2) more
+    times with exponential backoff (50ms, 100ms, ...); any final
+    exception becomes [Error failure]. *)
 
 val oks : 'a outcome list -> 'a list
 val errors : 'a outcome list -> failure list

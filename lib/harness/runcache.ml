@@ -8,6 +8,7 @@ type stats = {
   disk_hits : int;
   misses : int;
   stores : int;
+  store_failures : int;
   corrupt : int;
 }
 
@@ -18,7 +19,15 @@ let version_file = "CACHE_VERSION"
 (* configuration + stats, shared across domains *)
 let lock = Mutex.create ()
 let dir_ref = ref None
-let zero = { mem_hits = 0; disk_hits = 0; misses = 0; stores = 0; corrupt = 0 }
+let zero =
+  {
+    mem_hits = 0;
+    disk_hits = 0;
+    misses = 0;
+    stores = 0;
+    store_failures = 0;
+    corrupt = 0;
+  }
 let stats_ref = ref zero
 let locked f =
   Mutex.lock lock;
@@ -35,6 +44,7 @@ let bump which =
         | `Disk -> { s with disk_hits = s.disk_hits + 1 }
         | `Miss -> { s with misses = s.misses + 1 }
         | `Store -> { s with stores = s.stores + 1 }
+        | `Store_failure -> { s with store_failures = s.store_failures + 1 }
         | `Corrupt -> { s with corrupt = s.corrupt + 1 }))
 
 let corruptions () = (stats ()).corrupt
@@ -152,9 +162,10 @@ let set_dir d =
               let s = stats () in
               Printf.eprintf
                 "[runcache] mem-hits=%d disk-hits=%d misses=%d stores=%d \
-                 corrupt=%d\n\
+                 store-failures=%d corrupt=%d\n\
                  %!"
-                s.mem_hits s.disk_hits s.misses s.stores s.corrupt)
+                s.mem_hits s.disk_hits s.misses s.stores s.store_failures
+                s.corrupt)
       end)
 
 let entry_path ~dir ~key = Filename.concat dir (Digest.hex key ^ ".cell")
@@ -224,10 +235,15 @@ struct
             try Some (Marshal.from_string payload 0 : V.t)
             with Failure _ -> None))
 
+  (* a failed write (the directory removed, the disk full) still
+     returns the value; it is counted, not raised *)
   let disk_save ~key v =
     match dir () with
-    | None -> false
-    | Some d -> write_raw ~dir:d ~key (Marshal.to_string v [])
+    | None -> ()
+    | Some d ->
+        bump
+          (if write_raw ~dir:d ~key (Marshal.to_string v []) then `Store
+           else `Store_failure)
 
   let find ~key f =
     match Sync.Memo.find_opt memo key with
@@ -243,7 +259,7 @@ struct
             | None ->
                 let v = f () in
                 bump `Miss;
-                if disk_save ~key v then bump `Store;
+                disk_save ~key v;
                 v)
 
   let cached ~key =

@@ -15,14 +15,22 @@
     that hashed to its filename is a digest collision and raises — that
     is the only loud failure a read can produce.  A cache directory
     written by an incompatible format or compiler version is refused
-    with [Failure], mirroring {!Robust.set_checkpoint}'s refusal of
-    foreign checkpoints ([bin/isf.ml] turns it into exit 2). *)
+    with [Failure] ([bin/isf.ml] turns it into exit 2).
+
+    The cache is the only record of finished work: a killed [isf table
+    --cache DIR] resumes by re-running its cells, whose measurements
+    that already finished are disk hits. *)
 
 type stats = {
   mem_hits : int;
   disk_hits : int;
   misses : int;
   stores : int;
+  store_failures : int;
+      (** computed values the disk tier was armed for but could not
+          write (its directory gone, the disk full): each was still
+          returned, so the output is unchanged, but a resume will
+          recompute it. *)
   corrupt : int;
       (** disk entries that existed but failed verification (foreign
           magic, torn payload, digest mismatch, or a collision) — each

@@ -10,7 +10,10 @@
     measurement is content-cached ({!Measure} via {!Runcache}), the
     drivers then run unchanged and find their cells already computed —
     their printed output stays byte-identical to an unscheduled run,
-    while each distinct measurement executes exactly once.
+    while each distinct measurement executes exactly once.  A killed
+    run resumed against the same [--cache DIR] prewarms the same list:
+    every run that finished before the kill is a disk hit, and only the
+    rest execute.
 
     A {!run} deliberately mirrors what the driver will ask {!Measure}
     for — same spec construction, same trigger, same timer period — so
@@ -62,7 +65,8 @@ val execute : ?config:Measure.config -> run -> unit
     driver cell asks for the same configuration. *)
 
 val prewarm : ?config:Measure.config -> ?jobs:int -> run list -> unit
-(** Dedupe and execute through {!Pool}.  Failures (chaos faults,
-    watchdog) are swallowed: a failing run publishes nothing, and the
-    owning driver cell will re-run it under {!Robust.cell} with proper
+(** Dedupe and execute through {!Pool}; a run already in the cache is a
+    hit, not a re-execution.  Failures (chaos faults, watchdog) are
+    swallowed: a failing run publishes nothing, and the owning driver
+    cell will re-run it under {!Robust.cell} with proper
     retry/classify/report behavior. *)

@@ -63,7 +63,6 @@ let requests ?scale ?benches () =
     benches
 
 let run ?config ?scale ?jobs ?benches ?(measure_compile = true) () =
-  let scope = Measure.scope ?config ?scale () in
   let benches =
     match benches with Some l -> l | None -> Common.benchmarks ()
   in
@@ -74,7 +73,7 @@ let run ?config ?scale ?jobs ?benches ?(measure_compile = true) () =
     Pool.map ?jobs
       (fun bench ->
         let meas =
-          Robust.cell ~scope
+          Robust.cell
             ~key:(Printf.sprintf "table2/%s" bench.Workloads.Suite.bname)
             (fun () ->
               let build = Measure.prepare ?config ?scale bench in

@@ -45,7 +45,6 @@ let requests ?scale ?benches () =
     benches
 
 let run ?config ?scale ?jobs ?benches () =
-  let scope = Measure.scope ?config ?scale () in
   let benches =
     match benches with Some l -> l | None -> Common.benchmarks ()
   in
@@ -65,7 +64,7 @@ let run ?config ?scale ?jobs ?benches () =
     Pool.map ?jobs
       (fun (bench, slug, spec) ->
         let r =
-          Robust.cell ~scope
+          Robust.cell
             ~key:
               (Printf.sprintf "table3/%s/%s" bench.Workloads.Suite.bname slug)
             (fun () ->

@@ -52,17 +52,16 @@ let variant_of_name = function
 let variant_slug = function `Full -> "full" | `No -> "no"
 
 let sweep ?config ?scale ?jobs ~progress benches variant =
-  let scope = Measure.scope ?config ?scale () in
   let transform = variant_of_name variant in
   let slug = variant_slug variant in
   (* per-benchmark framework overhead of this variant (trigger Never);
-     only the float is checkpointed — metrics hold closures — and the
-     per-interval cells re-derive build/baseline through the memo caches *)
+     the per-interval cells re-derive build/baseline through the memo
+     caches *)
   let framework =
     Pool.map ?jobs
       (fun bench ->
         let r =
-          Robust.cell ~scope
+          Robust.cell
             ~key:
               (Printf.sprintf "table4/%s/framework/%s" slug
                  bench.Workloads.Suite.bname)
@@ -93,8 +92,8 @@ let sweep ?config ?scale ?jobs ~progress benches variant =
           match fw_outcome with
           | Error f ->
               (* the sampled-instr column needs the framework number;
-                 don't run (or checkpoint) a cell whose input is missing,
-                 report the dependency instead *)
+                 don't run a cell whose input is missing, report the
+                 dependency instead *)
               Error
                 {
                   Robust.key;
@@ -104,7 +103,7 @@ let sweep ?config ?scale ?jobs ~progress benches variant =
                   backtrace = "";
                 }
           | Ok fw_pct ->
-              Robust.cell ~scope ~key (fun () ->
+              Robust.cell ~key (fun () ->
                   let build = Measure.prepare ?config ?scale bench in
                   let base = Measure.run_baseline build in
                   let m =

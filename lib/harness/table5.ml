@@ -56,7 +56,6 @@ let requests ?scale ?benches () =
     benches
 
 let run ?config ?scale ?jobs ?benches () =
-  let scope = Measure.scope ?config ?scale () in
   let benches =
     match benches with Some l -> l | None -> Common.benchmarks ()
   in
@@ -67,7 +66,7 @@ let run ?config ?scale ?jobs ?benches () =
     Pool.map ?jobs
       (fun bench ->
         let meas =
-          Robust.cell ~scope
+          Robust.cell
             ~key:(Printf.sprintf "table5/%s" bench.Workloads.Suite.bname)
             (fun () ->
               let build = Measure.prepare ?config ?scale bench in

@@ -1,9 +1,11 @@
 #!/bin/sh
-# Crash-recovery smoke test: start `isf table 1 --checkpoint`, SIGKILL
-# it once a first cell is checkpointed, resume from the checkpoint, and
-# require the recovered output to be byte-identical to an uninterrupted
-# run; then do the same from copies of the finished checkpoint cut at
-# 1/4, 1/2 and 3/4.
+# Crash-recovery smoke test: start `isf table 1 --cache DIR`, SIGKILL
+# it once a first measurement is in the cache, and resume with the same
+# --cache.  The resumed output must be byte-identical to an
+# uninterrupted run, and its [runcache] line (under --trace) must show
+# one disk hit per entry present at the kill and no corrupt entry.  A
+# second resume is all disk hits; a run under another engine against
+# the same directory prints the same table from no disk hit at all.
 #
 # Usage: scripts/crash_recovery.sh [path-to-isf]
 set -eu
@@ -13,50 +15,64 @@ ISF=${1:-_build/default/bin/isf.exe}
 DIR=$(mktemp -d)
 trap 'rm -rf "$DIR"' EXIT
 
-CKPT=$DIR/table1.ckpt
+CACHE=$DIR/cache
 
 # the uninterrupted reference run (2 domains, same config as below)
 "$ISF" table 1 -j 2 > "$DIR/expected.txt"
 
-# start the same run with a checkpoint; kill it once a first cell is
-# checkpointed
-"$ISF" table 1 -j 2 --checkpoint "$CKPT" > "$DIR/killed.txt" 2>/dev/null &
-kill_mid_run $! "$CKPT" 1 "run $!"
+# the [runcache] stats line of a --trace run's stderr
+stats() { grep -o '\[runcache\].*' "$1"; }
 
-# resume: completed cells come from the checkpoint, the rest recompute
-"$ISF" table 1 -j 2 --checkpoint "$CKPT" > "$DIR/resumed.txt"
-
-if ! cmp -s "$DIR/expected.txt" "$DIR/resumed.txt"; then
-    echo "FAIL: resumed output differs from the uninterrupted run" >&2
-    diff "$DIR/expected.txt" "$DIR/resumed.txt" >&2 || true
-    exit 1
-fi
-
-# a second resume must be pure checkpoint replay, still byte-identical
-"$ISF" table 1 -j 2 --checkpoint "$CKPT" > "$DIR/replayed.txt"
-cmp -s "$DIR/expected.txt" "$DIR/replayed.txt" || {
-    echo "FAIL: checkpoint replay differs from the uninterrupted run" >&2
-    exit 1
+# require_stats LEG ERR PATTERN...: every PATTERN is in ERR's stats line
+require_stats() {
+    rs_leg=$1
+    rs_line=$(stats "$2")
+    shift 2
+    for rs_want in "$@"; do
+        case " $rs_line " in
+        *" $rs_want "*) ;;
+        *)
+            echo "FAIL: $rs_leg: want $rs_want in: $rs_line" >&2
+            exit 1
+            ;;
+        esac
+    done
+    echo "$rs_leg: $rs_line"
 }
 
-# resuming under a different configuration must refuse, not mis-resume
-if "$ISF" table 1 -j 2 --engine ref --checkpoint "$CKPT" > /dev/null 2>&1; then
-    echo "FAIL: mismatched configuration resumed from the checkpoint" >&2
-    exit 1
-fi
+# require_same LEG FILE: FILE is byte-identical to the reference
+require_same() {
+    if ! cmp -s "$DIR/expected.txt" "$2"; then
+        echo "FAIL: $1 output differs from the uninterrupted run" >&2
+        diff "$DIR/expected.txt" "$2" >&2 || true
+        exit 1
+    fi
+}
 
-# a checkpoint torn at 1/4, 1/2 and 3/4 of the finished file: the
-# resume and the run after it must both be byte-identical
-SIZE=$(wc -c < "$CKPT")
-for Q in 1 2 3; do
-    head -c $((SIZE * Q / 4)) "$CKPT" > "$DIR/torn.ckpt"
-    for LEG in resume rerun; do
-        "$ISF" table 1 -j 2 --checkpoint "$DIR/torn.ckpt" > "$DIR/torn.txt"
-        cmp -s "$DIR/expected.txt" "$DIR/torn.txt" || {
-            echo "FAIL: $LEG of a checkpoint cut at $Q/4 differs" >&2
-            exit 1
-        }
-    done
-done
+# kill leg: the same run against an empty cache, killed once a first
+# measurement is stored
+"$ISF" table 1 -j 2 --cache "$CACHE" > "$DIR/killed.txt" 2>/dev/null &
+kill_mid_run $! 1 "run $!" cache_cells "$CACHE"
+cache_cells "$CACHE"
+CELLS=$km_count
 
-echo "crash recovery OK"
+# resume leg: every entry present at the kill is a disk hit, the rest
+# recompute
+"$ISF" table 1 -j 2 --trace --cache "$CACHE" > "$DIR/resumed.txt" \
+    2> "$DIR/resumed.err"
+require_same resume "$DIR/resumed.txt"
+require_stats resume "$DIR/resumed.err" "disk-hits=$CELLS" corrupt=0
+
+# replay leg: a second resume measures nothing
+"$ISF" table 1 -j 2 --trace --cache "$CACHE" > "$DIR/replayed.txt" \
+    2> "$DIR/replayed.err"
+require_same replay "$DIR/replayed.txt"
+require_stats replay "$DIR/replayed.err" misses=0 corrupt=0
+
+# mismatch leg: another engine's run keys never hit the entries above
+"$ISF" table 1 -j 2 --engine ref --trace --cache "$CACHE" \
+    > "$DIR/mismatch.txt" 2> "$DIR/mismatch.err"
+require_same mismatch "$DIR/mismatch.txt"
+require_stats mismatch "$DIR/mismatch.err" disk-hits=0 corrupt=0
+
+echo "crash recovery OK ($CELLS entries at the kill)"

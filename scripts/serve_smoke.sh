@@ -37,7 +37,7 @@ for engine in fast ref; do
     # least one job has run
     "$ISF" serve --job-file "$JOBS" --journal "$JOURNAL" --cache "$CACHE" \
         -j 3 --results "$DIR/killed.$tag" > /dev/null 2>&1 &
-    kill_mid_run $! "$JOURNAL" $((N + 1)) "[$tag] daemon $!"
+    kill_mid_run $! $((N + 1)) "[$tag] daemon $!" log_records "$JOURNAL"
 
     # restart on the same journal: completed jobs replay, in-flight jobs
     # re-run, nothing is lost

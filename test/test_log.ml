@@ -1,57 +1,46 @@
-(* The checksummed record log behind the job journal and the cell
-   checkpoint: torn checkpoints at every offset resume every cell, and
-   a byte flipped or a file cut at any offset of a journal or a
-   checkpoint yields a prefix of the written records or a Failure. *)
+(* The checksummed record log behind the job journal: a log cut at
+   every offset reopens to a prefix of its records and takes the rest
+   by append, and a byte flipped or a file cut at any offset of a
+   journal or a plain record log yields a prefix of the written records
+   or a Failure. *)
 
 module Log = Harness.Log
-module Robust = Harness.Robust
 
 let check_bool = Alcotest.(check bool)
-let check_int = Alcotest.(check int)
 let tmp name = Filename.temp_file ("isf_log_" ^ name) ".log"
 let read path = In_channel.with_open_bin path In_channel.input_all
 
 let write path s =
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
 
-let with_checkpoint path f =
-  Robust.set_checkpoint ~meta:"cells" (Some path);
-  Fun.protect ~finally:(fun () -> Robust.set_checkpoint None) f
+let records = [ "t/a 1.5"; "t/b -2.0"; ""; "t/d\n0.25"; String.make 300 'x' ]
 
-let cells = [ ("t/a", 1.5); ("t/b", -2.0); ("t/c", 73.1); ("t/d", 0.25) ]
+(* open [path], append every record it does not hold yet, close *)
+let complete path =
+  let log, got = Log.open_ ~what:"record log" ~meta:"cells" path in
+  List.iteri (fun i r -> if i >= List.length got then Log.append log r) records;
+  Log.close log;
+  got
 
-(* run every cell; returns how many bodies ran *)
-let run_cells () =
-  let runs = ref 0 in
-  List.iter
-    (fun (key, v) ->
-      let got =
-        Robust.cell ~key (fun () ->
-            incr runs;
-            v)
-      in
-      check_bool (key ^ " has its value") true (got = Ok v))
-    cells;
-  !runs
-
-let test_torn_checkpoint_every_offset () =
-  let path = tmp "ckpt" in
+let test_torn_log_every_offset () =
+  let path = tmp "torn" in
   Sys.remove path;
-  ignore (with_checkpoint path run_cells);
+  ignore (complete path);
   let full = read path in
   for cut = 0 to String.length full do
     write path (String.sub full 0 cut);
-    (* resume: cells past the cut are recomputed and persisted *)
-    ignore (with_checkpoint path run_cells);
-    (* reopen: every cell comes back from disk *)
-    with_checkpoint path (fun () ->
-        check_int
-          (Printf.sprintf "cut at %d: all cells on disk" cut)
-          (List.length cells)
-          (Robust.checkpointed_cells ());
-        check_int
-          (Printf.sprintf "cut at %d: nothing recomputed" cut)
-          0 (run_cells ()))
+    (* reopen: a prefix survives, the rest is appended after it *)
+    let got = complete path in
+    check_bool
+      (Printf.sprintf "cut at %d: a prefix survives" cut)
+      true
+      (List.filteri (fun i _ -> i < List.length got) records = got);
+    (* reopen again: every record comes back *)
+    let log, again = Log.open_ ~what:"record log" ~meta:"cells" path in
+    Log.close log;
+    check_bool
+      (Printf.sprintf "cut at %d: every record back" cut)
+      true (again = records)
   done;
   Sys.remove path
 
@@ -122,21 +111,21 @@ let test_journal_campaign () =
   Serve.Journal.close j;
   campaign ~what:"job journal" ~meta:"jobs" path
 
-let test_checkpoint_campaign () =
+let test_record_log_campaign () =
   let path = tmp "cells" in
   Sys.remove path;
-  ignore (with_checkpoint path run_cells);
-  campaign ~what:"checkpoint" ~meta:"cells" path
+  ignore (complete path);
+  campaign ~what:"record log" ~meta:"cells" path
 
 let suite =
   [
     ( "log",
       [
-        Alcotest.test_case "torn checkpoint resumes every cell" `Quick
-          test_torn_checkpoint_every_offset;
+        Alcotest.test_case "torn log resumes every record" `Quick
+          test_torn_log_every_offset;
         Alcotest.test_case "journal: flip or cut at every offset" `Quick
           test_journal_campaign;
-        Alcotest.test_case "checkpoint: flip or cut at every offset" `Quick
-          test_checkpoint_campaign;
+        Alcotest.test_case "record log: flip or cut at every offset" `Quick
+          test_record_log_campaign;
       ] );
   ]
