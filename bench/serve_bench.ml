@@ -4,9 +4,10 @@
    Phases, each over a deterministic fleet (Serve.Fleet):
 
      throughput — run N mixed-scale jobs through the daemon under a
-       closed-loop submission window (2 x workers outstanding) and
-       report sustained jobs/sec plus latency percentiles.  The window
-       makes p50/p99 true per-job service latency (queue + execute);
+       closed-loop submission window (capacity 2 x workers, so at most
+       that many outstanding) and report sustained jobs/sec plus
+       latency percentiles.  The window makes p50/p99 true per-job
+       service latency (queue + execute);
        the open-loop variant used before ISSUE 10 stamped all N submit
        times upfront, so its percentiles measured backlog age — an
        artifact of batch start, not of the daemon;
@@ -202,7 +203,8 @@ let run_phases ~n =
     List.init reps (fun _ ->
         fresh ();
         let st, results, _profiles =
-          Fleet.run_daemon ~config:{ Daemon.default with workers } ~window
+          Fleet.run_daemon
+            ~config:{ Daemon.default with workers; capacity = window }
             entries
         in
         if results <> reference then
@@ -272,9 +274,10 @@ let run_phases ~n =
            Sys.remove jpath;
            if resumed <> reference then
              failwith "recovered run not byte-identical";
-           if rst.Fleet.replayed <> completed_prefix then
+           let replayed' = rst.Fleet.daemon.Daemon.replayed in
+           if replayed' <> completed_prefix then
              failwith "recovery re-ran journaled results";
-           replayed := rst.Fleet.replayed;
+           replayed := replayed';
            dt))
   in
   Printf.printf

@@ -35,14 +35,15 @@ let transform_of_variant = Serve.Job.transform_of_variant
    writes via temp+rename, so nothing buffered can be lost — the
    handler exits with the conventional 128+signal code so callers can
    tell an interrupt from a failure, and a re-run with the same
-   --cache resumes from the finished measurements.  [isf serve]
-   overrides these with flag-setting handlers for an orderly daemon
-   shutdown. *)
+   --cache resumes from the finished measurements, as a re-run with
+   the same --journal resumes a job-file drain from its finished jobs.
+   [isf serve --socket] overrides these with flag-setting handlers for
+   an orderly daemon shutdown. *)
 let exit_code_of_signal s = if s = Sys.sigterm then 143 else 130
 
 let oneshot_signal s =
   prerr_endline
-    (Printf.sprintf "isf: interrupted by %s; cache is intact"
+    (Printf.sprintf "isf: interrupted by %s; cache and journal are intact"
        (if s = Sys.sigterm then "SIGTERM" else "SIGINT"));
   exit (exit_code_of_signal s)
 
@@ -476,7 +477,8 @@ let journal_arg =
 let capacity_arg =
   let doc =
     "Admission bound: queued jobs beyond $(docv) are shed with an \
-     explicit rejection (never queued unboundedly)."
+     explicit rejection (never queued unboundedly).  A job-file drain \
+     keeps at most $(docv) of its jobs outstanding instead."
   in
   Arg.(value & opt int 64 & info [ "capacity" ] ~docv:"N" ~doc)
 
@@ -528,8 +530,9 @@ let print_fleet_stats (st : Serve.Fleet.fleet_stats) =
      replayed from journal\n"
     st.Serve.Fleet.jobs st.Serve.Fleet.wall_seconds st.Serve.Fleet.jobs_per_sec
     st.Serve.Fleet.p50_ms st.Serve.Fleet.p99_ms st.Serve.Fleet.ok
-    st.Serve.Fleet.failed st.Serve.Fleet.quarantined st.Serve.Fleet.shed
-    st.Serve.Fleet.replayed
+    st.Serve.Fleet.failed st.Serve.Fleet.quarantined
+    st.Serve.Fleet.daemon.Serve.Daemon.shed
+    st.Serve.Fleet.daemon.Serve.Daemon.replayed
 
 (* Check the acceptance gates a fleet must pass: every failure carries a
    known classification and no exception ever escaped a worker. *)
@@ -556,15 +559,6 @@ let serve_cmd =
       serve_config ~workers ~capacity ~retries ~quarantine_after
         ~breaker_after ~chaos ~watchdog
     in
-    (* signal => orderly shutdown: the select loop / drain poll notices
-       the flag, the daemon stops without draining its backlog (those
-       jobs stay journaled as submitted, so a restart resumes exactly
-       them), and we exit 128+signal *)
-    let signalled = Atomic.make 0 in
-    List.iter
-      (fun s ->
-        Sys.set_signal s (Sys.Signal_handle (fun s -> Atomic.set signalled s)))
-      [ Sys.sigint; Sys.sigterm ];
     match (socket, job_file) with
     | None, None ->
         prerr_endline "isf serve: need --socket PATH or --job-file FILE";
@@ -573,6 +567,16 @@ let serve_cmd =
         prerr_endline "isf serve: --socket and --job-file are exclusive";
         exit 2
     | Some sock, None ->
+        (* signal => orderly shutdown: the select loop notices the flag,
+           the daemon stops without draining its backlog (those jobs
+           stay journaled as submitted, so a restart resumes exactly
+           them), and we exit 128+signal *)
+        let signalled = Atomic.make 0 in
+        List.iter
+          (fun s ->
+            Sys.set_signal s
+              (Sys.Signal_handle (fun s -> Atomic.set signalled s)))
+          [ Sys.sigint; Sys.sigterm ];
         let srv = Serve.Server.create ~socket:sock in
         let meta = serve_meta ~tag:"socket" config in
         let d =
@@ -591,6 +595,9 @@ let serve_cmd =
             prerr_endline "isf serve: shut down cleanly; journal is intact";
             exit (exit_code_of_signal s))
     | None, Some jf ->
+        (* the one-shot signal handler stays: every finished job is
+           already journaled, and a torn last record is dropped on
+           resume, as after a SIGKILL *)
         let out =
           match results_file with Some o -> o | None -> jf ^ ".results"
         in
@@ -603,61 +610,29 @@ let serve_cmd =
           in
           serve_meta ~tag:("job-file " ^ file_digest) config
         in
-        let d = or_die (fun () -> Serve.Daemon.start ~config ?journal ~meta ()) in
-        (* ids are 1-based line numbers; skip everything the journal
-           already completed or recovery already requeued *)
-        List.iteri
-          (fun i (client, job) ->
-            let id = i + 1 in
-            if
-              Atomic.get signalled = 0
-              && not (Serve.Daemon.is_known d ~id)
-            then Serve.Daemon.submit_pinned d ~id ~client job)
-          entries;
-        (* poll instead of Daemon.drain so a signal interrupts the wait *)
-        let rec wait () =
-          if Atomic.get signalled <> 0 then `Signalled
-          else
-            let st = Serve.Daemon.stats d in
-            if
-              st.Serve.Daemon.completed >= st.Serve.Daemon.accepted
-              && List.length (Serve.Daemon.results d) >= n
-            then `Done
-            else begin
-              Unix.sleepf 0.02;
-              wait ()
-            end
+        let st, results, _ =
+          or_die (fun () ->
+              Serve.Fleet.run_daemon ~config ?journal ~meta entries)
         in
-        (match wait () with
-        | `Signalled ->
-            let s = Atomic.get signalled in
-            Serve.Daemon.stop ~drain:false d;
-            prerr_endline
-              "isf serve: interrupted; completed jobs are journaled — rerun \
-               with the same --journal to resume";
-            exit (exit_code_of_signal s)
-        | `Done ->
-            let results = Serve.Daemon.results d in
-            let st = Serve.Daemon.stats d in
-            Serve.Daemon.stop d;
-            if List.length results <> n then begin
-              Printf.eprintf "isf serve: %d job(s) but %d result(s)\n" n
-                (List.length results);
-              exit 2
-            end;
-            Serve.Fleet.write_results out results;
-            Printf.printf
-              "isf serve: %d job(s) done (%d replayed from journal, %d \
-               quarantined, %d worker(s)); results in %s\n"
-              n st.Serve.Daemon.replayed st.Serve.Daemon.quarantined
-              (Array.length st.Serve.Daemon.per_worker)
-              out;
-            if st.Serve.Daemon.uncaught > 0 then begin
-              Printf.eprintf
-                "isf serve: %d exception(s) escaped a worker's job wrapper\n"
-                st.Serve.Daemon.uncaught;
-              exit 2
-            end)
+        let st = st.Serve.Fleet.daemon in
+        if List.length results <> n then begin
+          Printf.eprintf "isf serve: %d job(s) but %d result(s)\n" n
+            (List.length results);
+          exit 2
+        end;
+        Serve.Fleet.write_results out results;
+        Printf.printf
+          "isf serve: %d job(s) done (%d replayed from journal, %d \
+           quarantined, %d worker(s)); results in %s\n"
+          n st.Serve.Daemon.replayed st.Serve.Daemon.quarantined
+          (Array.length st.Serve.Daemon.per_worker)
+          out;
+        if st.Serve.Daemon.uncaught > 0 then begin
+          Printf.eprintf
+            "isf serve: %d exception(s) escaped a worker's job wrapper\n"
+            st.Serve.Daemon.uncaught;
+          exit 2
+        end
   in
   let socket_arg =
     let doc =
@@ -767,7 +742,7 @@ let merge_cmd =
 let fleet_cmd =
   let run n seed clients poison engine recording emit file sequential socket
       out journal workers capacity retries quarantine_after breaker_after
-      chaos watchdog cache trace merge merge_out batch window =
+      chaos watchdog cache trace merge merge_out batch =
     install_oneshot_signals ();
     set_trace trace;
     set_cache cache;
@@ -812,8 +787,7 @@ let fleet_cmd =
                 let meta = serve_meta ~tag:"fleet" config in
                 let st, results, profiles =
                   or_die (fun () ->
-                      Serve.Fleet.run_daemon ~config ?journal ~meta ?window
-                        entries)
+                      Serve.Fleet.run_daemon ~config ?journal ~meta entries)
                 in
                 (results, profiles, Some st)
         in
@@ -827,7 +801,7 @@ let fleet_cmd =
           match stats with
           | Some st ->
               print_fleet_stats st;
-              st.Serve.Fleet.uncaught
+              st.Serve.Fleet.daemon.Serve.Daemon.uncaught
           | None -> 0
         in
         gate_fleet ~uncaught results;
@@ -917,16 +891,6 @@ let fleet_cmd =
     in
     Arg.(value & opt int 32 & info [ "batch" ] ~docv:"N" ~doc)
   in
-  let window_arg =
-    let doc =
-      "Closed-loop submission window for in-process runs: keep at most \
-       $(docv) jobs outstanding and submit the next on each completion, \
-       so latency percentiles measure per-job service latency instead of \
-       backlog age.  Results are byte-identical either way.  Default: \
-       open loop (everything submitted upfront)."
-    in
-    Arg.(value & opt (some int) None & info [ "window" ] ~docv:"N" ~doc)
-  in
   Cmd.v
     (Cmd.info "fleet"
        ~doc:
@@ -937,7 +901,7 @@ let fleet_cmd =
       $ recording_arg $ emit_arg $ file_arg $ sequential_arg $ socket_arg
       $ out_arg $ journal_arg $ jobs_arg $ capacity_arg $ retries_arg
       $ quarantine_arg $ breaker_arg $ chaos_arg $ watchdog_arg $ cache_arg
-      $ trace_arg $ merge_arg $ merge_out_arg $ batch_arg $ window_arg)
+      $ trace_arg $ merge_arg $ merge_out_arg $ batch_arg)
 
 let main =
   let doc =

@@ -3,9 +3,9 @@
    journaling every state transition (Journal) so a SIGKILL at any
    point loses nothing, quarantining poison jobs (Quarantine), and
    circuit-breaking a corrupting disk cache tier down to the memory
-   tier.  Front-ends (the Unix-socket server, the job-file drain mode,
-   the in-process fleet driver and the tests) all run on this module;
-   none of the robustness lives in the front-ends. *)
+   tier.  Front-ends (the Unix-socket server, the job-file drain that
+   both `isf serve --job-file` and `isf fleet` run, and the tests) all
+   run on this module; none of the robustness lives in the front-ends. *)
 
 module Robust = Harness.Robust
 module Runcache = Harness.Runcache
@@ -61,6 +61,7 @@ type t = {
   accepted_ids : (int, unit) Hashtbl.t;
   mutable accepted : int;
   mutable completed : int;
+  mutable failure : string option; (* the first failed journal append *)
   mutable quarantined_jobs : int;
   mutable replayed : int;
   (* cache circuit breaker *)
@@ -103,6 +104,36 @@ let note_loud_cache_failure t =
   t.loud_cache_failures <- t.loud_cache_failures + 1;
   Mutex.unlock t.resm;
   check_breaker t
+
+(* ------------------------------------------------------------------ *)
+(* Journal appends                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* A failed append (a full disk, a file-size limit) must not kill the
+   worker that made it and leave its job without a result: the first
+   failure is kept and broadcast, so [drain] returns and the front-end
+   stops with an error.  The file keeps a verified prefix, which a
+   restart resumes from. *)
+let append t r =
+  match t.journal with
+  | None -> ()
+  | Some j -> (
+      try Journal.append j r
+      with Sys_error m ->
+        Mutex.lock t.resm;
+        if t.failure = None then
+          t.failure <-
+            Some
+              (Printf.sprintf "cannot append to job journal %s: %s"
+                 (Journal.path j) m);
+        Condition.broadcast t.rescond;
+        Mutex.unlock t.resm)
+
+let failure t =
+  Mutex.lock t.resm;
+  let f = t.failure in
+  Mutex.unlock t.resm;
+  f
 
 (* ------------------------------------------------------------------ *)
 (* The job runner                                                      *)
@@ -149,11 +180,7 @@ let run_job t job =
                   with
                   | `Retry _ -> attempt ~transient_left ~cache_left
                   | `Quarantined ->
-                      (match t.journal with
-                      | Some j ->
-                          Journal.append j
-                            (Journal.Quarantined { digest = dg; report })
-                      | None -> ());
+                      append t (Journal.Quarantined { digest = dg; report });
                       Mutex.lock t.resm;
                       t.quarantined_jobs <- t.quarantined_jobs + 1;
                       Mutex.unlock t.resm;
@@ -169,13 +196,10 @@ let record_result t id client job line payload =
   (* profile before completion: a kill between the two appends leaves
      the job incomplete, so the restart re-runs it and writes a fresh
      pair — a Completed record therefore always has its payload *)
-  (match t.journal with
-  | Some j ->
-      (match payload with
-      | Some p -> Journal.append j (Journal.Profile { id; payload = p })
-      | None -> ());
-      Journal.append j (Journal.Completed { id; result = line })
+  (match payload with
+  | Some p -> append t (Journal.Profile { id; payload = p })
   | None -> ());
+  append t (Journal.Completed { id; result = line });
   Mutex.lock t.resm;
   Hashtbl.replace t.results id line;
   (match payload with
@@ -201,7 +225,11 @@ let start ?(config = default) ?journal:journal_path ?(meta = "") ?on_result ()
     match journal_path with
     | None -> (None, None)
     | Some p ->
-        let j, r = Journal.open_ ~meta p in
+        let j, r =
+          try Journal.open_ ~meta p
+          with Sys_error m ->
+            failwith (Printf.sprintf "cannot write job journal %s: %s" p m)
+        in
         (Some j, Some r)
   in
   let t =
@@ -221,6 +249,7 @@ let start ?(config = default) ?journal:journal_path ?(meta = "") ?on_result ()
       accepted_ids = Hashtbl.create 256;
       accepted = 0;
       completed = 0;
+      failure = None;
       quarantined_jobs = 0;
       replayed = 0;
       breaker_tripped = false;
@@ -279,19 +308,15 @@ let submit t ~client job =
           t.accepted <- t.accepted + 1;
           Hashtbl.replace t.accepted_ids id ();
           Mutex.unlock t.resm;
-          (match t.journal with
-          | Some j ->
-              Journal.append j
-                (Journal.Submitted { id; client; line = Job.render job })
-          | None -> ());
+          append t (Journal.Submitted { id; client; line = Job.render job });
           `Accepted id
       | `Shed -> `Shed
       | `Closed -> `Closed)
 
 (* Blocking admission with a caller-pinned id (the job-file path, where
    id = line number): waits for queue space instead of shedding, so a
-   drain loses nothing.  [journaled] is false when the job's Submitted
-   record already exists (journal recovery handled it). *)
+   drain loses nothing.  The caller skips ids [is_known] reports, whose
+   Submitted record journal recovery already holds. *)
 let submit_pinned t ~id ~client job =
   Mutex.lock t.idm;
   if id >= t.next_id then t.next_id <- id + 1;
@@ -299,35 +324,26 @@ let submit_pinned t ~id ~client job =
   t.accepted <- t.accepted + 1;
   Hashtbl.replace t.accepted_ids id ();
   Mutex.unlock t.resm;
-  (match t.journal with
-  | Some j ->
-      Journal.append j
-        (Journal.Submitted { id; client; line = Job.render job })
-  | None -> ());
+  append t (Journal.Submitted { id; client; line = Job.render job });
   Mutex.unlock t.idm;
   match Fairq.submit_wait t.q ~client (id, client, job) with
   | `Accepted -> ()
   | `Closed -> failwith "Daemon.submit_pinned: daemon is stopping"
 
-let has_result t ~id =
-  Mutex.lock t.resm;
-  let r = Hashtbl.mem t.results id in
-  Mutex.unlock t.resm;
-  r
-
 (* An id is known if it already has a result (journal replay) or was
    accepted this life (journal-pending resubmission in [start]) — the
-   job-file front-end skips known ids so recovery never double-runs. *)
+   job-file drain skips known ids so recovery never double-runs. *)
 let is_known t ~id =
   Mutex.lock t.resm;
   let r = Hashtbl.mem t.results id || Hashtbl.mem t.accepted_ids id in
   Mutex.unlock t.resm;
   r
 
-(* Wait until every accepted job has a result. *)
+(* Wait until every accepted job has a result, or a journal append
+   failed. *)
 let drain t =
   Mutex.lock t.resm;
-  while t.completed < t.accepted do
+  while t.completed < t.accepted && t.failure = None do
     Condition.wait t.rescond t.resm
   done;
   Mutex.unlock t.resm
@@ -343,12 +359,6 @@ let profiles t =
   let l = Hashtbl.fold (fun id p acc -> (id, p) :: acc) t.profiles [] in
   Mutex.unlock t.resm;
   List.sort compare l
-
-let profile_of t ~id =
-  Mutex.lock t.resm;
-  let p = Hashtbl.find_opt t.profiles id in
-  Mutex.unlock t.resm;
-  p
 
 let stats t =
   Mutex.lock t.resm;
@@ -374,9 +384,6 @@ let stats t =
     uncaught;
     queue_depth = Fairq.length t.q;
   }
-
-let service_stats t =
-  match t.service with Some s -> Pool.Service.stats s | None -> [||]
 
 (* Graceful stop.  [drain = true] (the default) lets queued jobs run
    to completion; [drain = false] (signal shutdown) drops the backlog —

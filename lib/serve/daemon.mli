@@ -3,13 +3,15 @@
     cache circuit breaker.
 
     Every front-end — the Unix-socket server ({!Server}), the job-file
-    drain mode, the in-process fleet driver ({!Fleet}) and the tests —
-    runs on this module; none of the robustness lives in front-ends.
+    drain ({!Fleet.run_daemon}, behind both [isf serve --job-file] and
+    [isf fleet]) and the tests — runs on this module; none of the
+    robustness lives in front-ends.
 
     {b Admission.}  {!submit} is bounded by [config.capacity] and sheds
     with an explicit [`Shed] when saturated; {!submit_pinned} (the
-    job-file path, where the id is the line number) blocks for space
-    instead, so a drain loses nothing.
+    job-file path, where the id is the line number, driven by
+    {!Fleet.run_daemon}) blocks for space instead, so a drain loses
+    nothing.
 
     {b Fairness.}  Jobs are scheduled round-robin across client queues
     ({!Fairq}), so one flooding client cannot starve the others.
@@ -33,7 +35,10 @@
     completed results replay verbatim, in-flight jobs of the previous
     life re-run, and the quarantine list is restored.  Job execution is
     deterministic and content-cached, so a resumed fleet's sorted
-    result lines are byte-identical to an uninterrupted run. *)
+    result lines are byte-identical to an uninterrupted run.  A failed
+    append (full disk, file-size limit) never kills a worker: the first
+    one is kept ({!failure}) and ends {!drain}, and the file keeps a
+    verified prefix for the restart. *)
 
 type config = {
   workers : int;  (** worker domains ({!Harness.Pool.Service}) *)
@@ -81,16 +86,22 @@ val submit : t -> client:string -> Job.t -> [ `Accepted of int | `Shed | `Closed
 
 val submit_pinned : t -> id:int -> client:string -> Job.t -> unit
 (** Blocking admission with a caller-pinned id (the job-file path).
-    Raises [Failure] if the daemon is stopping. *)
+    The caller skips ids {!is_known} reports.  Raises [Failure] if the
+    daemon is stopping. *)
 
 val drain : t -> unit
-(** Block until every accepted job has a result. *)
+(** Block until every accepted job has a result, or until a journal
+    append fails ({!failure}). *)
 
-val has_result : t -> id:int -> bool
+val failure : t -> string option
+(** The first failed journal append, as a one-line message.  Jobs still
+    complete in memory after it, but the journal no longer records
+    them: a front-end that sees it stops the daemon ([~drain:false])
+    and reports the error. *)
 
 val is_known : t -> id:int -> bool
 (** The id has a result already (journal replay) or was accepted this
-    life (recovery resubmission) — the job-file front-end skips known
+    life (recovery resubmission) — {!Fleet.run_daemon} skips known
     ids so recovery never double-runs a job. *)
 
 val results : t -> (int * string) list
@@ -101,12 +112,7 @@ val profiles : t -> (int * string) list
     journal replays alike), sorted by id — the fleet merge's input.
     Failures and quarantines have no entry. *)
 
-val profile_of : t -> id:int -> string option
-
 val stats : t -> stats
-
-val service_stats : t -> int array
-(** Per-worker executed-job counters (see {!Harness.Pool.Service.stats}). *)
 
 val stop : ?drain:bool -> t -> unit
 (** Graceful: close admissions, let queued jobs finish ([drain],

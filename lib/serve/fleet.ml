@@ -11,9 +11,7 @@ type fleet_stats = {
   ok : int;
   failed : int;
   quarantined : int;
-  shed : int;
-  replayed : int;
-  uncaught : int;
+  daemon : Daemon.stats;
   wall_seconds : float;
   jobs_per_sec : float;
   p50_ms : float;
@@ -167,112 +165,63 @@ let count_status results =
       | _ -> (ok, failed, quarantined))
     (0, 0, 0) results
 
-(* Submit [entries] (client, job) with pinned ids 1..n, wait for every
-   result, and account latencies from submission to completion.
-
-   [window] switches to closed-loop submission: at most [window] jobs
-   outstanding, the next one submitted from the completion callback.
-   Latency percentiles then measure true per-job service latency
-   (queue wait + execution) instead of the age of the whole backlog,
-   which is what the open-loop default reports when all n submit times
-   are stamped upfront.  The window is clamped to [1 .. capacity]: a
-   submission is then always preceded by more pops than worker
-   submissions, so the fair queue can never be full when a worker
-   domain submits — no submit_wait can wedge the pool. *)
-let run_daemon ?(config = Daemon.default) ?journal ?(meta = "") ?window
-    entries =
+(* Submit [entries] (client, job) with pinned ids 1..n, closed loop:
+   only the calling thread submits, keeping at most [config.capacity] of
+   its own jobs outstanding, and a worker's completion only counts the
+   job off and wakes it.  Ids the journal already completed or requeued
+   are skipped.  Latency runs from a job's submission to its result, so
+   the percentiles measure service latency (queue wait + execution),
+   not the age of a backlog. *)
+let run_daemon ?(config = Daemon.default) ?journal ?(meta = "") entries =
   let n = List.length entries in
-  let arr = Array.of_list entries in
   let submit_times = Array.make (n + 1) 0.0 in
   let mu = Mutex.create () in
   let cond = Condition.create () in
   let latencies = ref [] in
-  let next = ref 1 in (* next id to consider submitting (windowed mode) *)
   let outstanding = ref 0 in (* our submissions without a result yet *)
-  let d_cell = Atomic.make None in
-  (* claim the next id the journal doesn't already know; counts it
-     outstanding in the same critical section so the drain condition
-     below never sees a gap between a completion and its follow-on *)
-  let next_id d =
-    Mutex.lock mu;
-    let rec pick () =
-      if !next > n then None
-      else begin
-        let id = !next in
-        incr next;
-        if Daemon.is_known d ~id then pick ()
-        else begin
-          incr outstanding;
-          Some id
-        end
-      end
-    in
-    let r = pick () in
-    (* the generator running dry (possibly by skipping known ids) is
-       itself a wakeup-worthy event for the windowed drain loop *)
-    Condition.broadcast cond;
-    Mutex.unlock mu;
-    r
-  in
-  let submit_id d id =
-    let client, j = arr.(id - 1) in
-    submit_times.(id) <- Unix.gettimeofday ();
-    Daemon.submit_pinned d ~id ~client j
-  in
   let on_result id _client _job _line _payload =
-    (* jobs resubmitted by journal recovery inside Daemon.start complete
-       before we stamped a submit time; they carry no latency sample *)
-    let mine = id <= n && submit_times.(id) > 0.0 in
-    if mine then begin
-      let dt = Unix.gettimeofday () -. submit_times.(id) in
-      Mutex.lock mu;
-      latencies := dt :: !latencies;
-      decr outstanding;
-      Condition.broadcast cond;
-      Mutex.unlock mu
-    end;
-    if window <> None then
-      match Atomic.get d_cell with
-      | Some d -> (
-          match next_id d with Some id -> submit_id d id | None -> ())
-      | None -> ()
+    Mutex.protect mu (fun () ->
+        (* jobs requeued by journal recovery inside Daemon.start were
+           not submitted here and carry no latency sample *)
+        if id <= n && submit_times.(id) > 0.0 then begin
+          let dt = Unix.gettimeofday () -. submit_times.(id) in
+          latencies := dt :: !latencies;
+          decr outstanding
+        end;
+        Condition.broadcast cond)
   in
   let t0 = Unix.gettimeofday () in
   let d = Daemon.start ~config ?journal ~meta ~on_result () in
-  Atomic.set d_cell (Some d);
-  (match window with
-  | None ->
-      (* open loop: everything submitted upfront.  Recovery may have
-         replayed completed results or requeued in-flight jobs; only
-         unknown ids are submitted, mirroring the job-file front-end. *)
-      List.iteri
-        (fun i (client, j) ->
-          let id = i + 1 in
-          if not (Daemon.is_known d ~id) then begin
-            submit_times.(id) <- Unix.gettimeofday ();
-            Daemon.submit_pinned d ~id ~client j
-          end)
-        entries
-  | Some w ->
-      let w = max 1 (min w config.Daemon.capacity) in
-      let rec prime k =
-        if k > 0 then
-          match next_id d with
-          | Some id ->
-              submit_id d id;
-              prime (k - 1)
-          | None -> ()
-      in
-      prime w;
-      (* completions drive the rest; Daemon.drain alone could return in
-         the gap between a completion being counted and its follow-on
-         submission, so wait for the closed loop to empty first *)
-      Mutex.lock mu;
-      while !next <= n || !outstanding > 0 do
-        Condition.wait cond mu
-      done;
-      Mutex.unlock mu);
+  (* a failed journal append completes its job all the same, so the
+     broadcast above wakes this wait for it too *)
+  let await ok =
+    Mutex.protect mu (fun () ->
+        while not (ok () || Daemon.failure d <> None) do
+          Condition.wait cond mu
+        done)
+  in
+  let window = max 1 config.Daemon.capacity in
+  List.iteri
+    (fun i (client, j) ->
+      let id = i + 1 in
+      if not (Daemon.is_known d ~id) then begin
+        await (fun () -> !outstanding < window);
+        if Daemon.failure d = None then begin
+          Mutex.protect mu (fun () ->
+              incr outstanding;
+              submit_times.(id) <- Unix.gettimeofday ());
+          Daemon.submit_pinned d ~id ~client j
+        end
+      end)
+    entries;
+  await (fun () -> !outstanding = 0);
+  (* the jobs recovery requeued *)
   Daemon.drain d;
+  (match Daemon.failure d with
+  | Some m ->
+      Daemon.stop ~drain:false d;
+      failwith m
+  | None -> ());
   let wall = Unix.gettimeofday () -. t0 in
   let results = Daemon.results d in
   let profiles = Daemon.profiles d in
@@ -289,9 +238,7 @@ let run_daemon ?(config = Daemon.default) ?journal ?(meta = "") ?window
       ok;
       failed;
       quarantined;
-      shed = dstats.Daemon.shed;
-      replayed = dstats.Daemon.replayed;
-      uncaught = dstats.Daemon.uncaught;
+      daemon = dstats;
       wall_seconds = wall;
       jobs_per_sec = (if wall > 0.0 then float_of_int n /. wall else 0.0);
       p50_ms = percentile 50.0 lat;

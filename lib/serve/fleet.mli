@@ -11,10 +11,8 @@ type fleet_stats = {
   jobs : int;
   ok : int;
   failed : int;  (** ERR results (classified: fault/fuel/timeout/transient) *)
-  quarantined : int;
-  shed : int;
-  replayed : int;  (** results served verbatim from the journal *)
-  uncaught : int;  (** exceptions that escaped a worker's job wrapper — must be 0 *)
+  quarantined : int;  (** QUARANTINED result lines, replayed ones included *)
+  daemon : Daemon.stats;  (** the daemon's counters at the end of the drain *)
   wall_seconds : float;
   jobs_per_sec : float;
   p50_ms : float;  (** submit-to-result latency percentiles *)
@@ -52,22 +50,25 @@ val run_daemon :
   ?config:Daemon.config ->
   ?journal:string ->
   ?meta:string ->
-  ?window:int ->
   (string * Job.t) list ->
   fleet_stats * (int * string) list * (int * string) list
 (** Start a daemon, submit every entry with pinned ids 1..n (skipping
-    ids the journal already completed), drain, and account
+    ids the journal already completed or requeued), drain, and account
     jobs/sec + latency percentiles.  Returns
     [(stats, sorted result lines, sorted profile payloads)] — one
-    canonical {!Profiles.Merge} rendering per completed job.
+    canonical {!Profiles.Merge} rendering per completed job.  This is
+    the one job-file drain: [isf serve --job-file] and [isf fleet] both
+    run it.
 
-    [window] switches submission from open loop (all n upfront) to
-    closed loop: at most [window] jobs outstanding, the next submitted
-    on each completion.  The latency percentiles then measure per-job
-    service latency rather than backlog age.  Clamped to
-    [1 .. capacity] so a worker-domain submission can never block on a
-    full queue and wedge the pool.  Result lines and payloads are
-    byte-identical either way — only the timing accounting differs. *)
+    Submission is closed loop: only the calling thread submits, with
+    at most [config.capacity] of its own jobs outstanding, so the
+    latency percentiles measure per-job service latency rather than
+    backlog age.  Worker count and capacity change timing only, never
+    result lines or payloads.
+
+    Raises [Failure] when the journal cannot be opened, or when an
+    append to it fails: then the daemon is stopped first, and the
+    journal keeps a verified prefix that a later run resumes. *)
 
 val run_sequential :
   ?config:Daemon.config ->

@@ -1,6 +1,7 @@
 # Shared by crash_recovery.sh and serve_smoke.sh (sourced, not run):
-# SIGKILL a background process once a counter of its progress reaches
-# a given number.  A counter is a function that sets km_count:
+# SIGKILL (or SIGTERM) a background process once a counter of its
+# progress reaches a given number.  A counter is a function that sets
+# km_count:
 #   log_records FILE  records past the meta in a record log (Harness.Log:
 #                     an 8-byte little-endian body length, the body's
 #                     MD5, then the body; the first record is the meta)
@@ -29,12 +30,18 @@ cache_cells() {
     km_count=$(find "$1" -maxdepth 1 -name '*.cell' 2>/dev/null | wc -l)
 }
 
-# kill_mid_run PID N LABEL COUNTER ARG: run COUNTER ARG every 10 ms
-# until it reads at least N, then SIGKILL PID and reap it.  Fails
+# kill_mid_run PID N LABEL COUNTER ARG [SIGNAL]: run COUNTER ARG
+# every 10 ms until it reads at least N, then send PID SIGNAL (KILL by
+# default, or TERM) and reap it, requiring exit 128+signum.  Fails
 # (exit 1) when the process exits on its own first, or after 6000
 # polls: a leg that kills nothing tests only the replay of a finished
 # run.
 kill_mid_run() {
+    km_sig=${6:-KILL}
+    case $km_sig in
+        KILL) km_want=137 ;;
+        TERM) km_want=143 ;;
+    esac
     km_off=0
     km_n=0
     km_polls=0
@@ -50,11 +57,11 @@ kill_mid_run() {
         fi
         sleep 0.01
     done
-    kill -KILL "$1" 2>/dev/null || true
+    kill -"$km_sig" "$1" 2>/dev/null || true
     wait "$1" 2>/dev/null && km_code=0 || km_code=$?
-    if [ "$km_code" -ne 137 ]; then
-        echo "FAIL: $3 exited ($km_code) before the kill" >&2
+    if [ "$km_code" -ne "$km_want" ]; then
+        echo "FAIL: $3 exited ($km_code) on SIG$km_sig, expected $km_want" >&2
         exit 1
     fi
-    echo "killed $3 once $4 read $km_count"
+    echo "sent SIG$km_sig to $3 once $4 read $km_count"
 }

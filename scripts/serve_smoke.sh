@@ -4,9 +4,10 @@
 # byte-identity reference, then drain it through a multi-worker daemon
 # with a journal and a shared cache — SIGKILL the daemon mid-fleet,
 # restart it on the same journal, and require zero lost jobs and
-# results byte-identical to the reference.  Also exercises the socket
-# front-end, graceful SIGTERM shutdown, and two daemons sharing one
-# --cache directory.
+# results byte-identical to the reference.  Also exercises SIGTERM
+# and a narrower resume of the job-file drain, a journal that cannot
+# be written, the socket front-end, graceful SIGTERM shutdown, and two
+# daemons sharing one --cache directory.
 #
 # Usage: scripts/serve_smoke.sh [path-to-isf]
 set -eu
@@ -68,6 +69,64 @@ if "$ISF" serve --job-file "$DIR/jobs.fast-slots" \
     exit 1
 fi
 echo "journal refuses a mismatched configuration"
+
+# The legs below run uncached fleets under `timeout`: a drain that
+# wedges fails the leg (exit 124, or 137 from `timeout -s KILL`)
+# instead of hanging CI.
+"$ISF" fleet -n 40 --seed 31 --emit "$DIR/jobs.drain" > /dev/null
+timeout 120 "$ISF" fleet --file "$DIR/jobs.drain" --sequential \
+    --out "$DIR/expected.drain" > /dev/null
+
+# SIGTERM during a journaled job-file drain, once all 40 submissions
+# and about 10 completions are journaled: exit 143, and the rerun on
+# the same journal is byte-identical
+timeout -s KILL 120 "$ISF" serve --job-file "$DIR/jobs.drain" \
+    --journal "$DIR/journal.term" -j 2 --results /dev/null \
+    > /dev/null 2>&1 &
+kill_mid_run $! 60 "serve --job-file" log_records "$DIR/journal.term" TERM
+timeout 120 "$ISF" serve --job-file "$DIR/jobs.drain" \
+    --journal "$DIR/journal.term" -j 2 --results "$DIR/term.txt" > /dev/null
+cmp -s "$DIR/expected.drain" "$DIR/term.txt" || {
+    echo "FAIL: rerun after SIGTERM differs from the sequential reference" >&2
+    exit 1
+}
+echo "SIGTERM mid-drain exits 143, rerun byte-identical"
+
+# a journal killed with a wide backlog resumes on one worker whose
+# capacity is below the backlog: it must finish, byte-identically
+"$ISF" fleet --file "$DIR/jobs.drain" --journal "$DIR/journal.narrow" \
+    -j 1 --capacity 12 --out /dev/null > /dev/null 2>&1 &
+kill_mid_run $! 16 "fleet -j 1 --capacity 12" log_records \
+    "$DIR/journal.narrow"
+timeout 120 "$ISF" fleet --file "$DIR/jobs.drain" \
+    --journal "$DIR/journal.narrow" -j 1 --capacity 2 \
+    --out "$DIR/narrow.txt" > /dev/null
+cmp -s "$DIR/expected.drain" "$DIR/narrow.txt" || {
+    echo "FAIL: narrow resume differs from the sequential reference" >&2
+    exit 1
+}
+echo "resume with -j 1 --capacity 2 finishes byte-identically"
+
+# a journal that cannot grow past a file-size limit ends the drain
+# with exit 2, and a rerun without the limit resumes byte-identically
+CODE=0
+(trap '' XFSZ; ulimit -f 4
+ exec timeout -s KILL 20 "$ISF" serve --job-file "$DIR/jobs.drain" \
+    --journal "$DIR/journal.full" -j 2 --results /dev/null) \
+    > /dev/null 2> "$DIR/full.err" || CODE=$?
+if [ "$CODE" -ne 2 ] || [ "$(grep -c '^isf:' "$DIR/full.err")" -ne 1 ]; then
+    echo "FAIL: a failed journal append exited $CODE;" \
+        "expected 2 and one isf: line" >&2
+    cat "$DIR/full.err" >&2
+    exit 1
+fi
+timeout 120 "$ISF" serve --job-file "$DIR/jobs.drain" \
+    --journal "$DIR/journal.full" -j 2 --results "$DIR/full.txt" > /dev/null
+cmp -s "$DIR/expected.drain" "$DIR/full.txt" || {
+    echo "FAIL: resume after a failed append differs from the reference" >&2
+    exit 1
+}
+echo "a failed journal append exits 2, resume byte-identical"
 
 # socket front-end: daemon up, fleet over the socket, graceful SIGTERM
 SOCK=$DIR/serve.sock

@@ -12,9 +12,8 @@ let isf () =
     (Filename.dirname (Filename.dirname Sys.executable_name))
     (Filename.concat "bin" "isf.exe")
 
-(* run [isf args]; the exit code, stdout's and stderr's text *)
-let run_isf_out args =
-  let exe = isf () in
+(* run [exe args]; the exit code, stdout's and stderr's text *)
+let run_out exe args =
   let out = Filename.temp_file "isf_cli" ".out" in
   let err = Filename.temp_file "isf_cli" ".err" in
   let fd_out = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
@@ -33,6 +32,8 @@ let run_isf_out args =
   in
   let out_text = read out in
   ((match status with Unix.WEXITED c -> c | _ -> -1), out_text, read err)
+
+let run_isf_out args = run_out (isf ()) args
 
 (* run [isf args], stdout discarded; the exit code and stderr's text *)
 let run_isf args =
@@ -144,6 +145,58 @@ let test_checkpoint_retired () =
         (contains help "checkpoint"))
     [ "table"; "all" ]
 
+(* A journal that cannot grow (a file-size limit, which makes writes
+   past it fail with EFBIG) ends a job-file drain with one isf: line and
+   exit 2, not a hang; a rerun without the limit resumes it
+   byte-identically.  `timeout -s KILL` bounds the limited run, so a
+   wedged drain fails here instead of hanging the suite. *)
+let test_journal_write_failure () =
+  let temp what =
+    let path = Filename.temp_file "isf_cli" what in
+    Sys.remove path;
+    path
+  in
+  let jobs = temp ".jobs" and journal = temp ".journal" in
+  let expected = temp ".expected" and results = temp ".results" in
+  Serve.Fleet.write_job_file jobs
+    (List.mapi
+       (fun i j -> (Serve.Fleet.client_of ~clients:2 i, j))
+       (Serve.Fleet.jobs ~seed:11 ~n:12 ()));
+  let code, _ =
+    run_isf [ "fleet"; "--file"; jobs; "--sequential"; "--out"; expected ]
+  in
+  Alcotest.(check int) "sequential reference exits 0" 0 code;
+  let code, _, err =
+    run_out "/bin/sh"
+      [
+        "-c";
+        Printf.sprintf
+          "trap '' XFSZ; ulimit -f 4; exec timeout -s KILL 60 %s serve \
+           --job-file %s --journal %s -j 2 --results /dev/null"
+          (Filename.quote (isf ())) (Filename.quote jobs)
+          (Filename.quote journal);
+      ]
+  in
+  Alcotest.(check int) "a failed journal append exits 2" 2 code;
+  let isf_lines =
+    List.filter
+      (fun l -> String.starts_with ~prefix:"isf: " l)
+      (String.split_on_char '\n' err)
+  in
+  Alcotest.(check int) "one isf: line" 1 (List.length isf_lines);
+  check_bool "it names the journal" true (contains err journal);
+  check_bool "no worker died of it" false (contains err "uncaught");
+  let code, _ =
+    run_isf
+      [ "serve"; "--job-file"; jobs; "--journal"; journal; "-j"; "2";
+        "--results"; results ]
+  in
+  Alcotest.(check int) "the rerun exits 0" 0 code;
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  Alcotest.(check string)
+    "the rerun resumes byte-identically" (read expected) (read results);
+  List.iter Sys.remove [ jobs; journal; expected; results ]
+
 let suite =
   [
     ( "cli",
@@ -152,5 +205,7 @@ let suite =
           test_input_errors;
         Alcotest.test_case "--checkpoint is retired" `Quick
           test_checkpoint_retired;
+        Alcotest.test_case "a failed journal append exits 2" `Quick
+          test_journal_write_failure;
       ] );
   ]
