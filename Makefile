@@ -2,7 +2,7 @@
 
 DUNE ?= dune
 
-.PHONY: all build build-flags test test-all fmt bench-smoke bench-interp bench-profiles bench-adaptive bench-serve cache-smoke crash-smoke adaptive-smoke serve-smoke merge-smoke ci clean
+.PHONY: all build build-flags test test-all fmt bench-smoke bench-interp bench-profiles bench-adaptive cache-smoke crash-smoke adaptive-smoke serve-smoke merge-smoke ci clean
 
 all: build
 
@@ -41,13 +41,6 @@ bench-profiles:
 # >10% geomean regression against the committed BENCH_adaptive.json
 bench-adaptive:
 	$(DUNE) exec bench/main.exe -- adaptive-smoke
-
-# serve-mode daemon benchmark (jobs/sec, latency percentiles, shed
-# rate, journal recovery time) on a small fleet, written to
-# BENCH_serve.smoke.json and validated; warns (does not fail) on a
-# >10% throughput regression against the committed BENCH_serve.json
-bench-serve:
-	$(DUNE) exec bench/main.exe -- serve-smoke
 
 # SIGKILL `isf serve` mid-fleet, restart on the same journal, require
 # zero lost jobs and byte-identity with a sequential run — for both
@@ -119,7 +112,6 @@ ci: build fmt build-flags
 	$(MAKE) bench-smoke
 	$(MAKE) bench-profiles
 	$(MAKE) bench-adaptive
-	$(MAKE) bench-serve
 	@echo "ci OK"
 
 clean:

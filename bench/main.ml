@@ -24,16 +24,7 @@
    profiles-smoke — the profiles benchmark at the smallest scale into
    BENCH_profiles.smoke.json plus validation, warning (not failing) on a
    >10% geomean regression against the committed BENCH_profiles.json;
-   the `make bench-profiles` CI target.
-
-   serve — serve-mode daemon benchmark: sustained jobs/sec and latency
-   percentiles, shed rate under a burst at small capacity, and journal
-   recovery time; writes BENCH_serve.json.
-
-   serve-smoke — the serve benchmark on a small fleet into
-   BENCH_serve.smoke.json plus validation, warning (not failing) on a
-   >10% throughput regression against the committed BENCH_serve.json;
-   the `make bench-serve` CI target. *)
+   the `make bench-profiles` CI target. *)
 
 open Bechamel
 open Toolkit
@@ -148,12 +139,10 @@ let () =
   | "profiles-smoke" -> Profile_bench.smoke ()
   | "adaptive" -> Adaptive_bench.run ()
   | "adaptive-smoke" -> Adaptive_bench.smoke ()
-  | "serve" -> Serve_bench.run ()
-  | "serve-smoke" -> Serve_bench.smoke ()
   | m ->
       Printf.eprintf
         "usage: %s \
-         [full|interp|smoke|profiles|profiles-smoke|adaptive|adaptive-smoke|\
-         serve|serve-smoke] (unknown mode %S)\n"
+         [full|interp|smoke|profiles|profiles-smoke|adaptive|adaptive-smoke] \
+         (unknown mode %S)\n"
         Sys.argv.(0) m;
       exit 2

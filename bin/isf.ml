@@ -570,7 +570,8 @@ let serve_cmd =
         (* signal => orderly shutdown: the select loop notices the flag,
            the daemon stops without draining its backlog (those jobs
            stay journaled as submitted, so a restart resumes exactly
-           them), and we exit 128+signal *)
+           them), and we exit 128+signal; a failed journal append ends
+           the loop the same way, with one isf: line and exit 2 *)
         let signalled = Atomic.make 0 in
         List.iter
           (fun s ->
@@ -589,9 +590,12 @@ let serve_cmd =
           config.Serve.Daemon.workers config.Serve.Daemon.capacity;
         Serve.Server.run srv d ~stop:(fun () -> Atomic.get signalled <> 0);
         Serve.Daemon.stop ~drain:false d;
-        (match Atomic.get signalled with
-        | 0 -> ()
-        | s ->
+        (match (Serve.Daemon.failure d, Atomic.get signalled) with
+        | Some m, _ ->
+            prerr_endline ("isf: " ^ m);
+            exit 2
+        | None, 0 -> ()
+        | None, s ->
             prerr_endline "isf serve: shut down cleanly; journal is intact";
             exit (exit_code_of_signal s))
     | None, Some jf ->
@@ -886,8 +890,8 @@ let fleet_cmd =
   in
   let batch_arg =
     let doc =
-      "Pipelined submission batch size for $(b,--socket) runs: jobs per \
-       SUBMIT* frame."
+      "Window for $(b,--socket) runs: at most $(docv) jobs in flight, \
+       the next ones sent in one SUBMIT* frame as results come back."
     in
     Arg.(value & opt int 32 & info [ "batch" ] ~docv:"N" ~doc)
   in

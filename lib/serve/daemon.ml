@@ -388,15 +388,17 @@ let stats t =
 (* Graceful stop.  [drain = true] (the default) lets queued jobs run
    to completion; [drain = false] (signal shutdown) drops the backlog —
    workers finish only their current job, and the dropped jobs stay
-   incomplete in the journal, so a restart resumes exactly them. *)
+   incomplete in the journal, so a restart resumes exactly them —
+   unless an append failed, after which their Submitted records may
+   never have reached the file. *)
 let stop ?(drain = true) t =
   if drain then Fairq.close t.q
   else begin
-    let dropped = Fairq.close_now t.q in
-    if dropped <> [] then
-      Printf.eprintf
-        "[serve] shutdown: %d queued job(s) left journaled for resume\n%!"
-        (List.length dropped)
+    let dropped = List.length (Fairq.close_now t.q) in
+    if dropped > 0 then
+      Printf.eprintf "[serve] shutdown: %d queued job(s) %s\n%!" dropped
+        (if failure t = None then "left journaled for resume"
+         else "dropped; the journal may not hold them")
   end;
   (match t.service with
   | Some s ->

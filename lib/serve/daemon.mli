@@ -117,4 +117,6 @@ val stats : t -> stats
 val stop : ?drain:bool -> t -> unit
 (** Graceful: close admissions, let queued jobs finish ([drain],
     default true) or drop them for restart-resume ([drain:false] — the
-    signal-shutdown path), join the workers, close the journal. *)
+    signal-shutdown path; after a {!failure} the dropped jobs may be
+    missing from the journal, and the stderr note says so), join the
+    workers, close the journal. *)

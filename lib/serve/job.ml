@@ -272,3 +272,10 @@ let result_line ~id j status =
         Printf.sprintf "ERR %s %s" classification (String.escaped message)
     | Quarantined { message } ->
         Printf.sprintf "QUARANTINED %s" (String.escaped message))
+
+(* The same line under another id: a socket client renumbers the
+   daemon's ids to its own entry positions. *)
+let renumber ~id line =
+  match String.index_opt line ' ' with
+  | Some i -> Printf.sprintf "%06d%s" id (String.sub line i (String.length line - i))
+  | None -> failwith ("bad result line " ^ String.escaped line)

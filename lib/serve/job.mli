@@ -96,3 +96,8 @@ val result_line : id:int -> t -> status -> string
     attempt counts, timestamps and worker ids, so a fleet's sorted
     result lines are byte-identical however jobs were scheduled,
     retried, or resumed after a crash. *)
+
+val renumber : id:int -> string -> string
+(** The result line with its id field replaced by [id]: [renumber ~id
+    (result_line ~id:d j s) = result_line ~id j s].  Raises [Failure]
+    on a line without an id field. *)

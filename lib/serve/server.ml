@@ -28,7 +28,11 @@
    a self-pipe the worker domains poke after queueing a result), so
    reads and accepts never block the daemon and a flooding connection
    cannot wedge the loop.  Replies to a connection's requests are
-   written in request order; results interleave as jobs finish. *)
+   written in request order; results interleave as jobs finish.
+
+   The fleet client at the end of this file speaks the protocol as a
+   closed loop, the one Fleet.run_daemon runs in-process: a bounded
+   window of lines in flight, and results numbered by entry. *)
 
 (* what sits in a connection's outbox: control replies, result lines
    (corked into RESULT* runs at flush time), and profile payloads *)
@@ -380,13 +384,16 @@ let accept_conn t =
 
 (* The main loop: select over listen + conns + self-pipe, poll [stop]
    between iterations (signal handlers set the flag; EINTR from the
-   signal just restarts the select). *)
+   signal just restarts the select).  A failed journal append stops it
+   too: the daemon can no longer promise a restart its jobs, so it
+   must not keep accepting them.  A worker whose append failed still
+   delivers its result, which wakes the select. *)
 let run t d ~stop =
   let drain_pipe () =
     let buf = Bytes.create 64 in
     ignore (try Unix.read t.pipe_r buf 0 64 with Unix.Unix_error _ -> 0)
   in
-  while not (stop ()) do
+  while not (stop () || Daemon.failure d <> None) do
     flush_outboxes t;
     let fds, wfds =
       locked t (fun () ->
@@ -421,43 +428,37 @@ let run t d ~stop =
 (* Client                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Fleet client: pipeline every entry over one connection as SUBMIT*
-   frames of [batch] lines — all batches go out before any ack is
-   awaited, so submission costs one write per batch instead of one
-   round-trip per job.  Each batch line carries its own client name, so
-   fairness attribution needs no per-connection state.  Shed tokens are
-   collected and resubmitted in fresh batches after a short backoff —
-   client-side backpressure.  With [profiles], the daemon streams each
-   completed job's canonical profile rendering as a PROFILE frame.
-
-   A result can arrive before its batch ack (a warm-cache job finishes
-   while the daemon is still parsing the rest of the batch), so
-   completion is tracked with expected/received counters, not a
-   per-submission wait.  Batch acks do arrive in submission order —
-   one select loop serves requests serially — hence the ack FIFO.
-
-   Returns (results sorted by id, sheds observed, profiles sorted by
-   id).  Failure is loud, never a hang: an ERR reply, a rejected batch
-   line and a receive timeout (a result lost to a daemon kill) all
-   raise instead of waiting forever. *)
+(* Fleet client: the closed loop of Fleet.run_daemon, over a socket
+   (server.mli states the window and shed rules).  Each batch line
+   carries its own client name, so fairness attribution needs no
+   per-connection state.  A result can arrive before its batch ack (a
+   warm-cache job finishes while the daemon is still parsing the rest
+   of the batch): it frees its credit on arrival, and results and
+   profiles wait under the daemon's id until the acks have mapped every
+   id to its entry's position.  Acks arrive in submission order — one
+   select loop serves requests serially — hence the ack FIFO.  Failure
+   is loud, never a hang: an ERR reply, a rejected batch line and a
+   receive timeout (a result lost to a daemon kill) all raise instead
+   of waiting forever. *)
 let client_run ?(timeout = 120.0) ?(batch = 32) ?(profiles = false)
     ~socket:path entries =
   (* a daemon dying mid-fleet must fail this call loudly (EPIPE below),
      not SIGPIPE-kill the client process *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with _ -> ());
-  let batch = max 1 (min max_batch batch) in
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_UNIX path);
   Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout;
   let ic = Unix.in_channel_of_descr fd in
-  let results = ref [] in
-  let profs = ref [] in
+  let n = List.length entries in
+  let window = ref (max 1 (min max_batch batch)) in
+  let pending = ref (List.mapi (fun i e -> (i + 1, e)) entries) in
+  let in_flight = ref 0 in (* sent, with no result or shed token back *)
+  let unresolved = ref 0 in (* accepted ids without a result yet *)
   let sheds = ref 0 in
-  let expected = ref 0 in (* submissions accepted so far *)
-  let received = ref 0 in (* result lines received so far *)
+  let position = Hashtbl.create 64 in (* daemon id -> entry position *)
+  let results = Hashtbl.create 64 in (* daemon id -> result line *)
+  let profs = Hashtbl.create 64 in (* daemon id -> profile payload *)
   let ok_count = ref 0 in (* received results with OK status *)
-  let prof_count = ref 0 in
-  let retries = ref [] in (* shed entries awaiting resubmission *)
   let pending_acks = Queue.create () in (* batches awaiting OK batch *)
   let send s =
     let b = Bytes.of_string s in
@@ -472,21 +473,18 @@ let client_run ?(timeout = 120.0) ?(batch = 32) ?(profiles = false)
     in
     go 0
   in
-  let rec chunks = function
-    | [] -> []
-    | l ->
-        let rec take n acc = function
-          | x :: tl when n > 0 -> take (n - 1) (x :: acc) tl
-          | rest -> (List.rev acc, rest)
-        in
-        let c, rest = take batch [] l in
-        c :: chunks rest
-  in
-  let submit_chunk chunk =
+  let submit_next () =
+    let rec take k acc = function
+      | x :: tl when k > 0 -> take (k - 1) (x :: acc) tl
+      | rest -> (List.rev acc, rest)
+    in
+    let chunk, rest = take (!window - !in_flight) [] !pending in
+    pending := rest;
+    in_flight := !in_flight + List.length chunk;
     let buf = Buffer.create 256 in
     Buffer.add_string buf (Printf.sprintf "SUBMIT* %d\n" (List.length chunk));
     List.iter
-      (fun (client, job) ->
+      (fun (_, (client, job)) ->
         Buffer.add_string buf client;
         Buffer.add_char buf ' ';
         Buffer.add_string buf (Job.render job);
@@ -503,22 +501,56 @@ let client_run ?(timeout = 120.0) ?(batch = 32) ?(profiles = false)
           (Printf.sprintf
              "fleet client: connection lost or no reply within %.0fs while \
               %s (%d of %d result(s) received)"
-             timeout while_ !received !expected)
+             timeout while_ (Hashtbl.length results) n)
   in
-  let note_result r =
-    (match String.split_on_char ' ' r with
+  let note_result line =
+    match String.split_on_char ' ' line with
     | id :: _digest :: status :: _ ->
-        results := (int_of_string id, r) :: !results;
+        let id = int_of_string id in
+        Hashtbl.replace results id line;
+        decr in_flight;
+        if Hashtbl.mem position id then decr unresolved;
         if String.equal status "OK" then incr ok_count
-    | id :: _ -> results := (int_of_string id, r) :: !results
-    | [] -> ());
-    incr received
+    | _ -> failwith ("fleet client: bad result line " ^ String.escaped line)
+  in
+  let note_ack toks =
+    let chunk =
+      match Queue.take_opt pending_acks with
+      | Some c -> c
+      | None -> failwith "fleet client: unexpected batch ack"
+    in
+    if List.length chunk <> List.length toks then
+      failwith "fleet client: batch ack token count mismatch";
+    let shed =
+      List.concat
+        (List.map2
+           (fun ((pos, (_, job)) as entry) tok ->
+             match tok with
+             | "shed" -> [ entry ]
+             | "closed" -> failwith "fleet client: daemon is stopping"
+             | "err" -> failwith ("fleet client: job rejected: " ^ Job.render job)
+             | _ -> (
+                 match int_of_string_opt tok with
+                 | Some id ->
+                     Hashtbl.replace position id pos;
+                     if not (Hashtbl.mem results id) then incr unresolved;
+                     []
+                 | None -> failwith ("fleet client: bad batch ack token " ^ tok)))
+           chunk toks)
+    in
+    if shed <> [] then begin
+      let k = List.length shed in
+      sheds := !sheds + k;
+      in_flight := !in_flight - k;
+      pending := List.merge (fun (a, _) (b, _) -> compare a b) shed !pending;
+      window := min !window (max 1 !unresolved);
+      if !in_flight = 0 then Unix.sleepf 0.02
+    end
   in
   let handle line =
     match String.split_on_char ' ' line with
     | [ "RESULT*"; k ] ->
-        let k = int_of_string k in
-        for _ = 1 to k do
+        for _ = 1 to int_of_string k do
           note_result (read_line_exn ~while_:"reading a result batch" ())
         done
     | [ "PROFILE"; id; len ] ->
@@ -531,59 +563,39 @@ let client_run ?(timeout = 120.0) ?(batch = 32) ?(profiles = false)
            | _ -> raise Exit
          with End_of_file | Exit | Sys_error _ ->
            failwith "fleet client: malformed or truncated PROFILE frame");
-        profs := (id, Bytes.to_string b) :: !profs;
-        incr prof_count
-    | "OK" :: "batch" :: _k :: toks ->
-        let chunk =
-          match Queue.take_opt pending_acks with
-          | Some c -> c
-          | None -> failwith "fleet client: unexpected batch ack"
-        in
-        if List.length chunk <> List.length toks then
-          failwith "fleet client: batch ack token count mismatch";
-        List.iter2
-          (fun entry tok ->
-            match tok with
-            | "shed" ->
-                incr sheds;
-                retries := entry :: !retries
-            | "closed" -> failwith "fleet client: daemon is stopping"
-            | "err" ->
-                failwith
-                  ("fleet client: job rejected: "
-                  ^ Job.render (snd entry))
-            | _ -> (
-                match int_of_string_opt tok with
-                | Some _ -> incr expected
-                | None ->
-                    failwith ("fleet client: bad batch ack token " ^ tok)))
-          chunk toks
+        Hashtbl.replace profs id (Bytes.to_string b)
+    | "OK" :: "batch" :: _k :: toks -> note_ack toks
     | "OK" :: "profiles" :: _ -> ()
     | "ERR" :: rest ->
         failwith ("fleet client: daemon error: " ^ String.concat " " rest)
     | _ -> ()
   in
   if profiles then send "PROFILES on\n";
-  List.iter submit_chunk (chunks entries);
-  (* Done when every batch is acked, nothing awaits resubmission, every
-     accepted job has a result, and (with profiles on) every OK result's
-     PROFILE frame has arrived — the frame follows its result in-stream,
-     so the count converges. *)
+  (* Done when every entry is resolved and every batch acked (so every
+     id has its position), and with profiles on every OK result's
+     PROFILE frame has arrived — the frame follows its result
+     in-stream, so the count converges. *)
   let finished () =
-    Queue.is_empty pending_acks
-    && !retries = []
-    && !received >= !expected
-    && ((not profiles) || !prof_count >= !ok_count)
+    !pending = [] && !in_flight = 0 && Queue.is_empty pending_acks
+    && ((not profiles) || Hashtbl.length profs >= !ok_count)
   in
   while not (finished ()) do
-    if Queue.is_empty pending_acks && !retries <> [] then begin
-      Unix.sleepf 0.02;
-      let rs = List.rev !retries in
-      retries := [];
-      List.iter submit_chunk (chunks rs)
-    end
+    if !pending <> [] && !in_flight < !window then submit_next ()
     else handle (read_line_exn ~while_:"awaiting replies" ())
   done;
   send "QUIT\n";
   (try Unix.close fd with Unix.Unix_error _ -> ());
-  (List.sort compare !results, !sheds, List.sort compare !profs)
+  let by_entry tbl =
+    Hashtbl.fold
+      (fun id v acc ->
+        match Hashtbl.find_opt position id with
+        | Some pos -> (pos, v) :: acc
+        | None -> failwith (Printf.sprintf "fleet client: no entry for id %d" id))
+      tbl []
+    |> List.sort compare
+  in
+  ( List.map
+      (fun (pos, line) -> (pos, Job.renumber ~id:pos line))
+      (by_entry results),
+    !sheds,
+    by_entry profs )

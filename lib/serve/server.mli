@@ -25,8 +25,9 @@
     connections, and a self-pipe the worker domains poke after queueing
     a result — so a flooding or half-dead connection can never wedge
     the daemon.  A [shed] token is the admission-control rejection:
-    explicit backpressure the client retries on, never an unbounded
-    queue.
+    explicit backpressure, never an unbounded queue; {!client_run}
+    resends a shed line when its window has room, after shrinking the
+    window to what the daemon holds of it.
 
     [SUBMIT*] is the only submission framing: many submissions per
     syscall and one ack line per batch instead of one round-trip per
@@ -56,8 +57,10 @@ val on_result : t -> int -> string -> Job.t -> string -> string option -> unit
 val run : t -> Daemon.t -> stop:(unit -> bool) -> unit
 (** The select loop; returns once [stop ()] is true (polled between
     iterations, so a signal handler setting a flag ends the loop within
-    a quarter second), closing every connection and unlinking the
-    socket.  The caller then stops the daemon gracefully. *)
+    a quarter second) or a journal append has failed
+    ({!Daemon.failure}), closing every connection and unlinking the
+    socket.  The caller then stops the daemon ([~drain:false]) and
+    reports the failure, if any. *)
 
 val client_run :
   ?timeout:float ->
@@ -66,16 +69,23 @@ val client_run :
   socket:string ->
   (string * Job.t) list ->
   (int * string) list * int * (int * string) list
-(** Fleet client: pipeline every [(client, job)] over one connection as
-    [SUBMIT*] frames of [batch] lines (default 32, clamped to
-    [1..max_batch]) — all batches are written before any ack is
-    awaited, so submission costs one write per batch rather than one
-    round-trip per job.  Shed lines are resubmitted in fresh batches
-    after a short backoff.  With [profiles] (default false), the daemon
-    streams each completed job's canonical {!Profiles.Merge} rendering
-    as a PROFILE frame.  Returns
-    [(results sorted by id, shed responses observed,
-      profiles sorted by id)].
+(** Fleet client: run every [(client, job)] over one connection as a
+    closed loop.  At most [batch] lines (default 32, clamped to
+    [1..max_batch]) are in flight — sent, with neither a result nor a
+    [shed] token back — and whenever there is credit the next pending
+    entries go out in entry order as one [SUBMIT*] frame.  A shed entry
+    goes back to the head of the pending entries, and the window
+    shrinks to this connection's accepted jobs still without a result
+    (at least 1) and never grows back, so a lone client is shed at most
+    one window's worth; the client pauses (20 ms) only when a shed
+    leaves nothing in flight.  With [profiles] (default false), the
+    daemon streams each completed job's canonical {!Profiles.Merge}
+    rendering as a PROFILE frame.  Returns
+    [(results, shed responses observed, profiles)], results and
+    profiles keyed by the entry's 1-based position and sorted, each
+    result line renumbered to it ({!Job.renumber}) — the numbering of
+    {!Fleet.run_daemon} and {!Fleet.run_sequential}, so the results
+    equal theirs byte for byte on any daemon.
     Raises [Failure] instead of hanging when the daemon answers ERR, a
     batch line is rejected, the connection drops, or nothing arrives
     within [timeout] seconds (default 120). *)

@@ -12,12 +12,15 @@
 #   5. cold vs warm merged-aggregate cache — byte-identical, so the
 #      content-addressed cache never changes the answer;
 #   6. SIGKILL the fleet mid-run, resume on the journal — results AND
-#      merged aggregate byte-identical to the uninterrupted reference.
+#      merged aggregate byte-identical to the uninterrupted reference;
+#   7. the fleet over the socket of a daemon it overfills — results and
+#      merged aggregate byte-identical.
 #
 # Usage: scripts/merge_smoke.sh [path-to-isf]
 set -eu
 
 ISF=${1:-_build/default/bin/isf.exe}
+. "$(dirname "$0")/kill_mid_run.sh"
 DIR=$(mktemp -d)
 trap 'rm -rf "$DIR"' EXIT
 
@@ -87,19 +90,15 @@ cmp -s "$DIR/merged.seq" "$DIR/merged.cold" || {
 }
 echo "merged-aggregate cache: cold and warm byte-identical"
 
-# 6. SIGKILL mid-fleet, resume on the journal, merge losslessly
+# 6. SIGKILL mid-fleet once N+1 records past the meta are journaled
+#    (at most N of them submissions, so at least one job has run; one
+#    worker leaves most of the fleet to kill), resume on the journal,
+#    merge losslessly
 JOURNAL=$DIR/journal
-"$ISF" fleet --file "$JOBS" --journal "$JOURNAL" \
+"$ISF" fleet --file "$JOBS" --journal "$JOURNAL" -j 1 \
     --out "$DIR/results.killed" --merge-out "$DIR/merged.killed" \
     > /dev/null 2>&1 &
-PID=$!
-sleep 1
-if kill -KILL "$PID" 2>/dev/null; then
-    echo "killed fleet $PID after 1s"
-else
-    echo "fleet finished before the kill"
-fi
-wait "$PID" 2>/dev/null || true
+kill_mid_run $! $((N + 1)) "fleet --journal" log_records "$JOURNAL"
 "$ISF" fleet --file "$JOBS" --journal "$JOURNAL" \
     --out "$DIR/results.resumed" --merge-out "$DIR/merged.resumed" > /dev/null
 cmp -s "$DIR/results.seq" "$DIR/results.resumed" || {
@@ -111,5 +110,32 @@ cmp -s "$DIR/merged.seq" "$DIR/merged.resumed" || {
     exit 1
 }
 echo "kill + resume merges losslessly"
+
+# 7. the fleet over the socket of a daemon that sheds most of each
+#    window: the client renumbers results by entry, so both files equal
+#    the sequential reference.  `timeout` bounds every process, so a
+#    wedged client fails the leg instead of hanging CI.
+SOCK=$DIR/serve.sock
+timeout -s KILL 120 "$ISF" serve --socket "$SOCK" -j 2 --capacity 2 \
+    > /dev/null 2>&1 &
+SPID=$!
+for i in $(seq 1 50); do [ -S "$SOCK" ] && break; sleep 0.1; done
+[ -S "$SOCK" ] || { echo "FAIL: daemon never bound $SOCK" >&2; exit 1; }
+CODE=0
+timeout 120 "$ISF" fleet --file "$JOBS" --socket "$SOCK" \
+    --out "$DIR/results.socket" --merge-out "$DIR/merged.socket" \
+    > /dev/null || CODE=$?
+kill -TERM "$SPID"
+wait "$SPID" || true
+[ "$CODE" -eq 0 ] || { echo "FAIL: socket fleet exited $CODE" >&2; exit 1; }
+cmp -s "$DIR/results.seq" "$DIR/results.socket" || {
+    echo "FAIL: socket fleet results differ from the sequential reference" >&2
+    exit 1
+}
+cmp -s "$DIR/merged.seq" "$DIR/merged.socket" || {
+    echo "FAIL: socket fleet merge differs from the sequential aggregate" >&2
+    exit 1
+}
+echo "socket fleet past capacity merges byte-identically"
 
 echo "merge smoke OK"

@@ -128,19 +128,39 @@ cmp -s "$DIR/expected.drain" "$DIR/full.txt" || {
 }
 echo "a failed journal append exits 2, resume byte-identical"
 
-# socket front-end: daemon up, fleet over the socket, graceful SIGTERM
+# socket front-end: a --capacity 4 daemon sheds most of the client's
+# first window, and the 40-job fleet runs over the socket twice (the
+# second run's daemon ids continue from the first's): both outputs are
+# byte-identical to the sequential reference and each run is shed at
+# most one window (32); then a graceful SIGTERM
 SOCK=$DIR/serve.sock
-"$ISF" serve --socket "$SOCK" -j 2 --cache "$CACHE" > /dev/null 2>&1 &
+timeout -s KILL 300 "$ISF" serve --socket "$SOCK" -j 2 --capacity 4 \
+    --cache "$CACHE" > /dev/null 2>&1 &
 SPID=$!
 for i in $(seq 1 50); do [ -S "$SOCK" ] && break; sleep 0.1; done
 [ -S "$SOCK" ] || { echo "FAIL: daemon never bound $SOCK" >&2; exit 1; }
 
-"$ISF" fleet --file "$DIR/jobs.fast-slots" --socket "$SOCK" \
-    --out "$DIR/socket.txt" > /dev/null
-cmp -s "$DIR/expected.fast-slots" "$DIR/socket.txt" || {
-    echo "FAIL: socket results differ from the sequential reference" >&2
-    exit 1
-}
+for run in 1 2; do
+    CODE=0
+    timeout 120 "$ISF" fleet --file "$DIR/jobs.drain" --socket "$SOCK" \
+        --out "$DIR/socket.$run" > "$DIR/socket_log.$run" || CODE=$?
+    SHED=$(sed -n 's/^isf fleet: \([0-9]*\) submission(s) shed.*/\1/p' \
+        "$DIR/socket_log.$run")
+    if [ "$CODE" -ne 0 ] || ! cmp -s "$DIR/expected.drain" "$DIR/socket.$run"
+    then
+        kill -TERM "$SPID" 2>/dev/null || true
+        echo "FAIL: socket fleet run $run exited $CODE or differs from the" \
+            "sequential reference" >&2
+        exit 1
+    fi
+    if [ "${SHED:-0}" -gt 32 ]; then
+        kill -TERM "$SPID" 2>/dev/null || true
+        echo "FAIL: socket fleet run $run shed $SHED submissions (> 32)" >&2
+        exit 1
+    fi
+    echo "socket fleet run $run byte-identical, ${SHED:-0} shed"
+done
+CODE=0
 kill -TERM "$SPID"
 wait "$SPID" && : || CODE=$?
 if [ "${CODE:-0}" -ne 143 ]; then

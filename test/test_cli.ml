@@ -40,6 +40,12 @@ let run_isf args =
   let code, _, err = run_isf_out args in
   (code, err)
 
+(* a fresh path, no file there *)
+let temp what =
+  let path = Filename.temp_file "isf_cli" what in
+  Sys.remove path;
+  path
+
 let contains s sub =
   let n = String.length sub in
   let rec go i =
@@ -131,8 +137,7 @@ let test_input_errors () =
    flag is a usage error that creates no file, and no help text names
    it. *)
 let test_checkpoint_retired () =
-  let path = Filename.temp_file "isf_cli" ".ckpt" in
-  Sys.remove path;
+  let path = temp ".ckpt" in
   let code, _ = run_isf [ "table"; "1"; "--checkpoint"; path ] in
   Alcotest.(check int) "--checkpoint: usage error (124)" 124 code;
   check_bool "no checkpoint file created" false (Sys.file_exists path);
@@ -151,11 +156,6 @@ let test_checkpoint_retired () =
    byte-identically.  `timeout -s KILL` bounds the limited run, so a
    wedged drain fails here instead of hanging the suite. *)
 let test_journal_write_failure () =
-  let temp what =
-    let path = Filename.temp_file "isf_cli" what in
-    Sys.remove path;
-    path
-  in
   let jobs = temp ".jobs" and journal = temp ".journal" in
   let expected = temp ".expected" and results = temp ".results" in
   Serve.Fleet.write_job_file jobs
@@ -197,6 +197,48 @@ let test_journal_write_failure () =
     "the rerun resumes byte-identically" (read expected) (read results);
   List.iter Sys.remove [ jobs; journal; expected; results ]
 
+(* The socket daemon stops on a failed journal append too: one isf:
+   line naming the journal and exit 2, and the fleet talking to it
+   fails with its "connection lost" error instead of hanging.  Both
+   processes run under `timeout -s KILL`, so a daemon that keeps
+   serving fails here (exit 137) instead of hanging the suite. *)
+let test_socket_journal_write_failure () =
+  let sock = temp ".sock" and journal = temp ".journal" in
+  let serve_err = temp ".err" in
+  let isf = Filename.quote (isf ()) in
+  let code, out, _ =
+    run_out "/bin/sh"
+      [
+        "-c";
+        Printf.sprintf
+          "trap '' XFSZ\n\
+           (ulimit -f 4; exec timeout -s KILL 60 %s serve --socket %s -j 2 \
+           --journal %s) > /dev/null 2> %s &\n\
+           i=0; while [ ! -S %s ] && [ $i -lt 100 ]; do sleep 0.1; \
+           i=$((i+1)); done\n\
+           timeout -s KILL 60 %s fleet -n 12 --seed 11 --socket %s \
+           --out /dev/null > /dev/null 2>&1; fleet=$?\n\
+           wait $!; echo \"$fleet $?\""
+          isf (Filename.quote sock) (Filename.quote journal)
+          (Filename.quote serve_err) (Filename.quote sock) isf
+          (Filename.quote sock);
+      ]
+  in
+  Alcotest.(check int) "the script exits 0" 0 code;
+  Alcotest.(check string) "the fleet exits 2, the daemon exits 2" "2 2\n" out;
+  let err = In_channel.with_open_bin serve_err In_channel.input_all in
+  let isf_lines =
+    List.filter
+      (fun l -> String.starts_with ~prefix:"isf: " l)
+      (String.split_on_char '\n' err)
+  in
+  Alcotest.(check int) "one isf: line" 1 (List.length isf_lines);
+  check_bool "it names the journal" true (contains err journal);
+  check_bool "dropped jobs are not claimed journaled" false
+    (contains err "left journaled");
+  check_bool "the socket is unlinked" false (Sys.file_exists sock);
+  List.iter Sys.remove [ journal; serve_err ]
+
 let suite =
   [
     ( "cli",
@@ -207,5 +249,7 @@ let suite =
           test_checkpoint_retired;
         Alcotest.test_case "a failed journal append exits 2" `Quick
           test_journal_write_failure;
+        Alcotest.test_case "a failed journal append stops the socket daemon"
+          `Quick test_socket_journal_write_failure;
       ] );
   ]

@@ -42,7 +42,11 @@ let test_job_roundtrip () =
       check_bool "parse inverts render" true (Job.parse line = j);
       check_str "render is canonical" line (Job.render (Job.parse line));
       check_str "digest keys on the rendering" (Job.digest j)
-        (Harness.Digest.hex line))
+        (Harness.Digest.hex line);
+      let status = Job.Quarantined { message = "m" } in
+      check_str "renumber rewrites only the id field"
+        (Job.result_line ~id:7 j status)
+        (Job.renumber ~id:7 (Job.result_line ~id:123456 j status)))
     jobs;
   (* digests separate every distinct job *)
   let digests = List.map Job.digest jobs in
@@ -562,59 +566,12 @@ let test_quarantine_survives_restart () =
 
 (* ---- socket front-end ---- *)
 
-(* The submission trio per job makes two of every three completions a
-   warm-cache (or quarantine-list) answer that can finish inside
-   [Daemon.submit], before the server registers the id -> conn route:
-   the regression pinned here is that such a RESULT was dropped and
-   the client hung forever. *)
-let test_socket_instant_results_not_dropped () =
-  with_fresh_cache (fun () ->
-      let sock = tmp_path "sock" in
-      let srv = Server.create ~socket:sock in
-      let d = Daemon.start ~on_result:(Server.on_result srv) () in
-      let stop = Atomic.make false in
-      let loop =
-        Domain.spawn (fun () ->
-            Server.run srv d ~stop:(fun () -> Atomic.get stop))
-      in
-      Fun.protect
-        ~finally:(fun () ->
-          Atomic.set stop true;
-          Domain.join loop;
-          Daemon.stop d)
-        (fun () ->
-          let entries =
-            Fleet.jobs ~seed:3 ~n:6 ()
-            |> List.concat_map (fun j -> [ ("x", j); ("y", j); ("z", j) ])
-          in
-          let results, _shed, _profiles =
-            Server.client_run ~timeout:60.0 ~socket:sock entries
-          in
-          check_int "every submission got its RESULT line"
-            (List.length entries) (List.length results);
-          (* the three submissions of each job agree past the id column *)
-          let strip line =
-            match String.index_opt line ' ' with
-            | Some i -> String.sub line (i + 1) (String.length line - i - 1)
-            | None -> line
-          in
-          let rec trios = function
-            | (_, a) :: (_, b) :: (_, c) :: rest ->
-                check_str "duplicate submissions answer identically"
-                  (strip a) (strip b);
-                check_str "cached answer matches the computed one" (strip a)
-                  (strip c);
-                trios rest
-            | _ -> ()
-          in
-          trios results))
-
 (* run [f] against a live socket server on a fresh daemon *)
-let with_socket_server f =
+let with_socket_server ?config f =
   with_fresh_cache (fun () ->
       let sock = tmp_path "sock" in
       let srv = Server.create ~socket:sock in
-      let d = Daemon.start ~on_result:(Server.on_result srv) () in
+      let d = Daemon.start ?config ~on_result:(Server.on_result srv) () in
       let stop = Atomic.make false in
       let loop =
         Domain.spawn (fun () ->
@@ -626,6 +583,42 @@ let with_socket_server f =
           Domain.join loop;
           Daemon.stop d)
         (fun () -> f sock))
+
+(* The submission trio per job makes two of every three completions a
+   warm-cache (or quarantine-list) answer that can finish inside
+   [Daemon.submit], before the server registers the id -> conn route:
+   the regression pinned here is that such a RESULT was dropped and
+   the client hung forever. *)
+let test_socket_instant_results_not_dropped () =
+  with_socket_server (fun sock ->
+      let entries =
+        Fleet.jobs ~seed:3 ~n:6 ()
+        |> List.concat_map (fun j -> [ ("x", j); ("y", j); ("z", j) ])
+      in
+      let results, _shed, _profiles =
+        Server.client_run ~timeout:60.0 ~socket:sock entries
+      in
+      check
+        Alcotest.(list int)
+        "one RESULT line per entry, keyed by its position"
+        (List.init (List.length entries) succ)
+        (List.map fst results);
+      (* the three submissions of each job agree past the id column *)
+      let strip line =
+        match String.index_opt line ' ' with
+        | Some i -> String.sub line (i + 1) (String.length line - i - 1)
+        | None -> line
+      in
+      let rec trios = function
+        | (_, a) :: (_, b) :: (_, c) :: rest ->
+            check_str "duplicate submissions answer identically"
+              (strip a) (strip b);
+            check_str "cached answer matches the computed one" (strip a)
+              (strip c);
+            trios rest
+        | _ -> ()
+      in
+      trios results)
 
 let contains s sub =
   let n = String.length sub in
@@ -674,6 +667,36 @@ let test_socket_pipelined_batches_and_profiles () =
       check_str "merged aggregate identical over the wire"
         (Profiles.Merge.render m_seq)
         (Profiles.Merge.render m_sock))
+
+(* A lone socket fleet past the daemon's capacity, twice on one
+   daemon: each run equals the sequential fleet byte for byte (the
+   results are numbered by entry, not by the daemon's ids, which a
+   shed or an earlier run would shift) and is shed at most one window's
+   worth. *)
+let test_socket_fleet_beyond_capacity () =
+  let entries =
+    Fleet.jobs ~seed:7 ~n:30 ()
+    |> List.mapi (fun i j -> (Fleet.client_of ~clients:2 i, j))
+  in
+  let reference, ref_profiles =
+    with_fresh_cache (fun () -> Fleet.run_sequential entries)
+  in
+  let config = { Daemon.default with workers = 1; capacity = 2 } in
+  with_socket_server ~config (fun sock ->
+      List.iter
+        (fun run ->
+          let results, shed, profs =
+            Server.client_run ~timeout:60.0 ~batch:8 ~profiles:true
+              ~socket:sock entries
+          in
+          check_bool (run ^ ": results == sequential, byte for byte") true
+            (reference = results);
+          check_bool (run ^ ": profiles == sequential, byte for byte") true
+            (ref_profiles = profs);
+          check_bool
+            (Printf.sprintf "%s: %d shed, at most the window of 8" run shed)
+            true (shed <= 8))
+        [ "first run"; "second run" ])
 
 (* Control-plane corners: PING, PROFILES ack, SUBMIT* bounds, the
    retired singleton framings, a lone result as RESULT* 1, and the
@@ -782,6 +805,8 @@ let suite =
           `Quick test_socket_instant_results_not_dropped;
         Alcotest.test_case "socket: pipelined batches + PROFILE frames"
           `Quick test_socket_pipelined_batches_and_profiles;
+        Alcotest.test_case "socket: a fleet beyond capacity == sequential"
+          `Quick test_socket_fleet_beyond_capacity;
         Alcotest.test_case "socket: protocol corners and STATS counters"
           `Quick test_socket_protocol_basics;
       ] );
